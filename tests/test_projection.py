@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from chorus import (
     B_END, BCall, BCond, BFALSE, BTRUE, Branch, CCProgram, Call, Choose,
     ComEta, Cond, DefSet, DefSetB, END, EppFailure, Lit, Network, RCom,
@@ -94,6 +96,22 @@ def test_merge_diag_path_descends_continuations():
     result = merge(left, right)
     assert not result.ok
     assert result.failure.path == ("cont",)
+
+
+@pytest.mark.parametrize("first, second, reason, path", [
+    (Send("q", Lit(1), "", B_END), Send("q", Lit(2), "", B_END), "send prefixes differ", ()),
+    (Send("q", Lit(1), "a", B_END), Send("q", Lit(1), "b", B_END), "send prefixes differ", ()),
+    (Recv("q", "x", "", B_END), Recv("q", "y", "", B_END), "receive prefixes differ", ()),
+    (Choose("q", LEFT, "", B_END), Choose("r", LEFT, "", B_END), "selection prefixes differ", ()),
+    (Choose("q", LEFT, "", Choose("r", LEFT, "", B_END)),
+     Choose("q", LEFT, "", Choose("r", RIGHT, "", B_END)), "selection prefixes differ", ("cont",)),
+    (Recv("p", "x", "", B_END), Send("p", Lit(1), "", B_END), "Recv cannot merge with Send", ()),
+])
+def test_merge_prefix_diagnostics(first, second, reason, path):
+    failure = merge(first, second).failure
+    assert (failure.reason, failure.path) == (reason, path)
+    assert not more_branches(first, second) and not more_branches(second, first)
+    assert merge(first, first).unwrap() == first and more_branches(first, first)
 
 
 # --------------------------------------------------------------------------
