@@ -8,8 +8,8 @@ and the semantic meta-properties on concrete programs.
 
 from .values import (
     And, BExpr, BFALSE, BLit, BTRUE, EMPTY_STATE, Eq, Expr, Fst, Leq, Lit,
-    Not, Pair, Plus, SelLabel, Snd, State, Succ, Value, Var, eval_bexpr,
-    eval_expr, eval_on_state, state_eq, state_update,
+    Not, Pair, Plus, SelLabel, Snd, State, Succ, TotalMap, Value, Var,
+    eval_bexpr, eval_expr, eval_on_state,
 )
 from .choreography import (
     Call, CCProgram, Choreography, ComEta, Cond, DefSet, END, End, Eta,
@@ -24,8 +24,8 @@ from .labels import (
 from .chor_semantics import CCConfiguration, cc_enabled, cc_step, ccp_multistep, ccp_step
 from .processes import (
     B_END, BCall, BCond, BEnd, Branch, Behaviour, Choose, DefSetB, Network,
-    Recv, SPProgram, Send, behaviour_wf, network_disjoint, network_eq,
-    network_wf, par, remove, singleton,
+    Recv, SPProgram, Send, behaviour_wf, network_disjoint, network_wf, par,
+    remove, singleton,
 )
 from .proc_semantics import SPConfiguration, sp_enabled, sp_step, spp_multistep, spp_step
 from .projection import (

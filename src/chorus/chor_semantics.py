@@ -28,6 +28,7 @@ from .choreography import (
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, label_processes,
+    multistep,
 )
 from .values import State, eval_bexpr_on_state, eval_on_state
 
@@ -47,7 +48,7 @@ def cc_step(defs: DefSet, chor: Choreography, state: State,
             if (label.sender == eta.sender and label.receiver == eta.receiver
                     and label.var == eta.var
                     and label.value == eval_on_state(eta.expr, state, eta.sender)):
-                return chor.cont, state.update(eta.receiver, eta.var, label.value)
+                return chor.cont, state.put((eta.receiver, eta.var), label.value)
         elif isinstance(eta, SelEta) and isinstance(label, RSel):
             if (label.sender == eta.sender and label.receiver == eta.receiver
                     and label.label is eta.label):
@@ -112,7 +113,7 @@ def cc_enabled(defs: DefSet, chor: Choreography,
         if isinstance(eta, ComEta):
             value = eval_on_state(eta.expr, state, eta.sender)
             out.append((RCom(eta.sender, value, eta.receiver, eta.var), chor.cont,
-                        state.update(eta.receiver, eta.var, value)))
+                        state.put((eta.receiver, eta.var), value)))
         else:
             out.append((RSel(eta.sender, eta.receiver, eta.label), chor.cont, state))
         blocked = eta_processes(eta)
@@ -171,17 +172,4 @@ def ccp_step(conf: CCConfiguration, label: TransitionLabel) -> List[CCConfigurat
 def ccp_multistep(conf: CCConfiguration,
                   labels: Sequence[TransitionLabel]) -> List[CCConfiguration]:
     """Fold ``ccp_step`` over a label list; the empty list yields the input."""
-    current = [conf]
-    for label in labels:
-        successors: List[CCConfiguration] = []
-        seen = set()
-        for c in current:
-            for succ in ccp_step(c, label):
-                key = (succ.program.main, succ.state)
-                if key not in seen:
-                    seen.add(key)
-                    successors.append(succ)
-        current = successors
-        if not current:
-            break
-    return current
+    return multistep(ccp_step, conf, labels)

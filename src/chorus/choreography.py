@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
-from .values import BExpr, Expr, ProcName, ProcessName, SelLabel, VarName
+from .values import BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName
 
 
 # --------------------------------------------------------------------------
@@ -89,53 +89,32 @@ DEFAULT_PROCESS: ProcessName = "p0"
 _DEFAULT_DEF: Tuple[Tuple[ProcessName, ...], Choreography] = ((DEFAULT_PROCESS,), END)
 
 
-class DefSet:
+class DefSet(TotalMap):
     """Total map from procedure names to (processes, body).
 
-    Names without an explicit definition map to ``((DEFAULT_PROCESS,), End)``;
-    explicit entries equal to that default are pruned so equal maps compare
-    equal structurally.  Process lists are kept sorted and duplicate-free.
+    Names without an explicit definition map to ``((DEFAULT_PROCESS,), End)``.
+    The constructor and ``with_def`` keep process lists sorted and
+    duplicate-free; ``put`` stores its entry as given.
     """
 
-    __slots__ = ("_defs", "_hash")
+    __slots__ = ()
+    DEFAULT = _DEFAULT_DEF
 
     def __init__(self, defs: Union[Mapping, Iterable] = ()):
-        canonical = {}
-        for name, (procs, body) in dict(defs).items():
-            entry = (tuple(sorted(set(procs))), body)
-            if entry != _DEFAULT_DEF:
-                canonical[name] = entry
-        self._defs = canonical
-        self._hash = hash(frozenset(canonical.items()))
+        super().__init__({name: (tuple(sorted(set(procs))), body)
+                          for name, (procs, body) in dict(defs).items()})
 
     def vars(self, name: ProcName) -> Tuple[ProcessName, ...]:
-        return self._defs.get(name, _DEFAULT_DEF)[0]
+        return self._entries.get(name, _DEFAULT_DEF)[0]
 
     def body(self, name: ProcName) -> Choreography:
-        return self._defs.get(name, _DEFAULT_DEF)[1]
+        return self._entries.get(name, _DEFAULT_DEF)[1]
 
     def names(self, name: ProcName) -> FrozenSet[ProcessName]:
         return frozenset(self.vars(name))
 
-    def support(self) -> Tuple[ProcName, ...]:
-        return tuple(sorted(self._defs))
-
-    def items(self):
-        return sorted(self._defs.items())
-
     def with_def(self, name: ProcName, procs: Iterable[ProcessName], body: Choreography) -> "DefSet":
-        defs = dict(self._defs)
-        defs[name] = (tuple(procs), body)
-        return DefSet(defs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DefSet) and self._defs == other._defs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"DefSet({self._defs!r})"
+        return DefSet({**self._entries, name: (procs, body)})
 
 
 @dataclass(frozen=True)
@@ -182,47 +161,40 @@ def format_path(path: Tuple[str, ...]) -> str:
 # --------------------------------------------------------------------------
 # Well-formedness clauses
 
-def _first_self_comm(chor: Choreography) -> Optional[Tuple[str, ...]]:
-    for path, node in walk(chor):
-        if isinstance(node, Interaction) and node.eta.sender == node.eta.receiver:
-            return path
-    return None
+def _first(chor: Choreography, bad: Callable[[Choreography], bool]) -> Optional[Tuple[str, ...]]:
+    """Path of the first node, depth-first and left to right, that is ``bad``."""
+    return next((path for path, node in walk(chor) if bad(node)), None)
 
 
-def _first_empty_pending(chor: Choreography) -> Optional[Tuple[str, ...]]:
-    for path, node in walk(chor):
-        if isinstance(node, RTCall) and not node.pending:
-            return path
-    return None
+def _self_comm(node: Choreography) -> bool:
+    return isinstance(node, Interaction) and node.eta.sender == node.eta.receiver
 
 
-def _first_runtime_term(chor: Choreography) -> Optional[Tuple[str, ...]]:
-    for path, node in walk(chor):
-        if isinstance(node, RTCall):
-            return path
-    return None
+def _runtime_term(node: Choreography) -> bool:
+    return isinstance(node, RTCall)
 
 
-def _first_inconsistency(names: Callable[[ProcName], FrozenSet[ProcessName]],
-                         chor: Choreography) -> Optional[Tuple[str, ...]]:
-    for path, node in walk(chor):
-        if isinstance(node, RTCall) and not set(node.pending) <= set(names(node.name)):
-            return path
-    return None
+def _empty_pending(node: Choreography) -> bool:
+    return isinstance(node, RTCall) and not node.pending
+
+
+def _escapes(names: Callable[[ProcName], FrozenSet[ProcessName]]) -> Callable[[Choreography], bool]:
+    """A runtime term whose pending processes are not all its procedure's."""
+    return lambda node: isinstance(node, RTCall) and not set(node.pending) <= set(names(node.name))
 
 
 def initial(chor: Choreography) -> bool:
     """True iff the choreography contains no runtime terms."""
-    return _first_runtime_term(chor) is None
+    return _first(chor, _runtime_term) is None
 
 
 def no_self_comm(chor: Choreography) -> bool:
-    return _first_self_comm(chor) is None
+    return _first(chor, _self_comm) is None
 
 
 def no_empty_ann(chor: Choreography) -> bool:
     """True iff every runtime term lists at least one pending process."""
-    return _first_empty_pending(chor) is None
+    return _first(chor, _empty_pending) is None
 
 
 def chor_wf(chor: Choreography) -> bool:
@@ -231,7 +203,7 @@ def chor_wf(chor: Choreography) -> bool:
 
 def consistent(names: Callable[[ProcName], FrozenSet[ProcessName]], chor: Choreography) -> bool:
     """Every runtime term's pending list stays inside its procedure's processes."""
-    return _first_inconsistency(names, chor) is None
+    return _first(chor, _escapes(names)) is None
 
 
 def ccc_pn(chor: Choreography,
@@ -340,13 +312,13 @@ def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfRepor
             f"program calls procedures outside the check set {sorted(set(check_set))!r}")
 
     main = program.main
-    path = _first_self_comm(main)
+    path = _first(main, _self_comm)
     if path is not None:
         return WfReport(False, "no_self_comm", "main", path, "interaction with itself")
-    path = _first_empty_pending(main)
+    path = _first(main, _empty_pending)
     if path is not None:
         return WfReport(False, "no_empty_ann", "main", path, "runtime term with no pending processes")
-    path = _first_inconsistency(program.defs.names, main)
+    path = _first(main, _escapes(program.defs.names))
     if path is not None:
         node = node_at(main, path)
         return WfReport(False, "consistent", "main", path,
@@ -354,10 +326,10 @@ def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfRepor
 
     for name in sorted(set(program.defs.support()) | set(check_set)):
         body = program.defs.body(name)
-        path = _first_self_comm(body)
+        path = _first(body, _self_comm)
         if path is not None:
             return WfReport(False, "no_self_comm", name, path, "interaction with itself")
-        path = _first_runtime_term(body)
+        path = _first(body, _runtime_term)
         if path is not None:
             return WfReport(False, "initial", name, path, "runtime term in a procedure body")
         if not well_ann(program, name):

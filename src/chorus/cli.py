@@ -10,7 +10,8 @@ Commands::
     chorus verify   FILE.cc --property P bounded verification, JSON report
 
 Exit codes: 0 on success, 1 when an analysis rejects the input or a
-verified property fails, 2 on parse or usage errors.
+verified property fails, 2 on parse or usage errors, a malformed state
+file, or an input nested past the recursion limit.
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
 
 from .chor_semantics import cc_enabled
 from .choreography import END, UsedProceduresViolated, format_path, program_wf_dec
@@ -33,73 +32,53 @@ from .surface import (
     print_chor, print_sp,
 )
 from .values import EMPTY_STATE, State, state_from_json, state_to_json
-from .verification import NotStronglyProjectable, check_property
-
-_PROPERTIES = ("complete", "sound", "determinism", "diamond", "progress",
-               "termination", "all")
+from .verification import _CHECKS, NotStronglyProjectable, check_property
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; the check set is filled from the input file."""
-
-    command: str
-    path: str
-    state_path: Optional[str] = None
-    seed: int = 0
-    depth: int = 10
-    max_steps: int = 100
-    out_format: str = "text"
-    out_path: Optional[str] = None
-    scheduler: str = "first"
-    property_name: str = "all"
-    check_set: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.depth < 0 or self.max_steps < 0:
-            raise ValueError("depth and max-steps must be nonnegative")
-
-    def initial_state(self) -> State:
-        if self.state_path is None:
-            return EMPTY_STATE
-        with open(self.state_path, encoding="utf-8") as handle:
-            return state_from_json(json.load(handle))
+def _initial_state(args) -> State:
+    if args.state is None:
+        return EMPTY_STATE
+    with open(args.state, encoding="utf-8") as handle:
+        return state_from_json(json.load(handle))
 
 
-def _load_cc(config: RunConfig) -> SourceFile:
-    return parse_cc_file(Path(config.path).read_text(encoding="utf-8"))
+def _load_cc(args) -> SourceFile:
+    return parse_cc_file(Path(args.path).read_text(encoding="utf-8"))
 
 
-def cmd_check(config: RunConfig) -> int:
-    source = _load_cc(config)
+def _span(source: SourceFile, scope: str, path) -> str:
+    """`` (span)`` of the node at ``path`` under ``scope``, or ``""``."""
+    root = ("main",) if scope == "main" else ("proc", scope)
+    span = source.span_at(root + path) if path is not None else None
+    return f" ({span})" if span else ""
+
+
+def cmd_check(args) -> int:
+    source = _load_cc(args)
     try:
         report = program_wf_dec(source.program, source.def_names)
     except UsedProceduresViolated as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if config.out_format == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json()))
     elif report.ok:
         print("ok")
     else:
         where = "main" if report.scope == "main" else f"procedure {report.scope}"
-        root = ("main",) if report.scope == "main" else ("proc", report.scope)
-        span = source.span_at(root + report.path) if report.path is not None else None
-        at = f" at {format_path(report.path)}" + (f" ({span})" if span else "")
+        at = f" at {format_path(report.path)}" + _span(source, report.scope, report.path)
         print(f"error: clause {report.clause} violated in {where}{at}: {report.detail}")
     return 0 if report.ok else 1
 
 
-def cmd_project(config: RunConfig) -> int:
-    source = _load_cc(config)
+def cmd_project(args) -> int:
+    source = _load_cc(args)
     result = epp(source.program, source.def_names)
     if isinstance(result, EppFailure):
-        root = ("main",) if result.scope == "main" else ("proc", result.scope)
-        span = source.span_at(root + result.diagnostic.path)
-        where = f" ({span})" if span else ""
+        where = _span(source, result.scope, result.diagnostic.path)
         print(f"error: {result}{where}", file=sys.stderr)
         return 1
-    out = Path(config.out_path) if config.out_path else Path(config.path).with_suffix(".sp")
+    out = Path(args.out) if args.out else Path(args.path).with_suffix(".sp")
     out.write_text(print_sp(result), encoding="utf-8")
     manifest = {f"{name}@{proc}": print_behaviour(body)
                 for (name, proc), body in result.defs.items()}
@@ -110,61 +89,52 @@ def cmd_project(config: RunConfig) -> int:
     return 0
 
 
-def _emit_step(rich, fmt: str) -> None:
-    label = forget(rich)
-    if fmt == "json":
-        print(json.dumps({"label": transition_to_json(label), "rich": rich_to_json(rich)}))
-    else:
-        print(transition_text(label))
+def _drive(args, term, enabled, terminated) -> int:
+    """Run from ``term`` until no transition is enabled or ``--max-steps``
+    have been taken, printing each step and the final status and state.
 
-
-def _emit_final(status: str, state: State, fmt: str) -> None:
-    if fmt == "json":
+    ``enabled(term, state)`` lists (rich label, term, state) transitions;
+    ``terminated(term)`` tells a finished term from a stuck one.
+    """
+    state = _initial_state(args)
+    rng = random.Random(args.seed)
+    for _ in range(args.max_steps):
+        steps = enabled(term, state)
+        if not steps:
+            break
+        pick = rng.randrange(len(steps)) if args.scheduler == "random" else 0
+        rich, term, state = steps[pick]
+        label = forget(rich)
+        if args.format == "json":
+            print(json.dumps({"label": transition_to_json(label), "rich": rich_to_json(rich)}))
+        else:
+            print(transition_text(label))
+    status = ("terminated" if terminated(term) else
+              "stuck" if not enabled(term, state) else "bound")
+    if args.format == "json":
         print(json.dumps({"status": status, "state": state_to_json(state)}))
     else:
         print(f"{status}; state {json.dumps(state_to_json(state))}")
-
-
-def cmd_run(config: RunConfig) -> int:
-    source = _load_cc(config)
-    state = config.initial_state()
-    rng = random.Random(config.seed)
-    chor = source.program.main
-    defs = source.program.defs
-    for _ in range(config.max_steps):
-        enabled = cc_enabled(defs, chor, state)
-        if not enabled:
-            break
-        pick = rng.randrange(len(enabled)) if config.scheduler == "random" else 0
-        rich, chor, state = enabled[pick]
-        _emit_step(rich, config.out_format)
-    _emit_final("terminated" if chor == END else
-                "stuck" if not cc_enabled(defs, chor, state) else "bound",
-                state, config.out_format)
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    program = parse_sp_file(Path(config.path).read_text(encoding="utf-8")).program
-    state = config.initial_state()
-    rng = random.Random(config.seed)
-    network, defs = program.network, program.defs
-    for _ in range(config.max_steps):
-        enabled = sp_enabled(defs, network, state)
-        if not enabled:
-            break
-        pick = rng.randrange(len(enabled)) if config.scheduler == "random" else 0
-        rich, network, state = enabled[pick]
-        _emit_step(rich, config.out_format)
-    _emit_final("terminated" if not network.support() else
-                "stuck" if not sp_enabled(defs, network, state) else "bound",
-                state, config.out_format)
-    return 0
+def cmd_run(args) -> int:
+    program = _load_cc(args).program
+    return _drive(args, program.main,
+                  lambda chor, state: cc_enabled(program.defs, chor, state),
+                  lambda chor: chor == END)
 
 
-def cmd_step(config: RunConfig) -> int:
-    source = _load_cc(config)
-    state = config.initial_state()
+def cmd_simulate(args) -> int:
+    program = parse_sp_file(Path(args.path).read_text(encoding="utf-8")).program
+    return _drive(args, program.network,
+                  lambda network, state: sp_enabled(program.defs, network, state),
+                  lambda network: not network.support())
+
+
+def cmd_step(args) -> int:
+    source = _load_cc(args)
+    state = _initial_state(args)
     chor = source.program.main
     defs = source.program.defs
     while True:
@@ -191,16 +161,16 @@ def cmd_step(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    source = _load_cc(config)
-    state = config.initial_state()
+def cmd_verify(args) -> int:
+    source = _load_cc(args)
+    state = _initial_state(args)
     try:
-        reports = check_property(config.property_name, source.program, state,
-                                 config.depth, source.def_names)
+        reports = check_property(args.property, source.program, state,
+                                 args.depth, source.def_names)
     except NotStronglyProjectable as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if config.out_format == "json":
+    if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:
         for report in reports:
@@ -225,66 +195,46 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="choreographic programming toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True):
+    def common(p, fmt, state=True):
         if state:
             p.add_argument("--state", help="initial state as a JSON file")
-        p.add_argument("--format", choices=("text", "json"), default=None)
+        p.add_argument("--format", choices=("text", "json"), default=fmt)
 
     p = sub.add_parser("check", help="well-formedness diagnostics")
     p.add_argument("path")
-    common(p, state=False)
-    p.set_defaults(default_format="text")
+    common(p, "text", state=False)
 
     p = sub.add_parser("project", help="endpoint projection")
     p.add_argument("path")
     p.add_argument("--out", help="output .sp path")
-    common(p, state=False)
-    p.set_defaults(default_format="text")
+    common(p, "text", state=False)
 
     for name in ("run", "simulate"):
         p = sub.add_parser(name, help=f"{name} and print the trace")
         p.add_argument("path")
-        common(p)
+        common(p, "json")
         p.add_argument("--scheduler", choices=("first", "random"), default="first")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-steps", type=int, default=100)
-        p.set_defaults(default_format="json")
 
     p = sub.add_parser("step", help="interactive stepping")
     p.add_argument("path")
-    common(p)
-    p.set_defaults(default_format="text")
+    common(p, "text")
 
     p = sub.add_parser("verify", help="bounded verification")
     p.add_argument("path")
-    common(p)
-    p.add_argument("--property", choices=_PROPERTIES, default="all")
+    common(p, "json")
+    p.add_argument("--property", choices=(*_CHECKS, "all"), default="all")
     p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(default_format="json")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        path=args.path,
-        state_path=getattr(args, "state", None),
-        seed=getattr(args, "seed", 0),
-        depth=getattr(args, "depth", 10),
-        max_steps=getattr(args, "max_steps", 100),
-        out_format=args.format if args.format is not None else args.default_format,
-        out_path=getattr(args, "out", None),
-        scheduler=getattr(args, "scheduler", "first"),
-        property_name=getattr(args, "property", "all"),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        if any(getattr(args, bound, 0) < 0 for bound in ("depth", "max_steps")):
+            raise ValueError("depth and max-steps must be nonnegative")
+        return _COMMANDS[args.command](args)
     except ParseError as err:
         print(f"{args.path}:{err}", file=sys.stderr)
         return 2
@@ -294,6 +244,11 @@ def main(argv=None) -> int:
         return 0
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The parser, projection and semantics recurse once per nesting
+        # level; inputs deeper than the interpreter's limit are rejected.
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,7 @@ procedure name on the choreography side and a per-process procedure copy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Union
+from typing import Callable, FrozenSet, Sequence, Union
 
 from .values import ProcessName, SelLabel, Value, VarName, value_text, value_to_json
 
@@ -81,6 +81,18 @@ def label_processes(label: RichLabel) -> FrozenSet[ProcessName]:
     if isinstance(label, (RCom, RSel)):
         return frozenset((label.sender, label.receiver))
     return frozenset((label.proc,))
+
+
+def multistep(step: Callable, conf, labels: Sequence[TransitionLabel]) -> list:
+    """Fold ``step`` (configuration and label to the list of successor
+    configurations) over a label list, dropping duplicate configurations.
+
+    The empty list yields ``[conf]``; the order is that of first occurrence.
+    """
+    current = [conf]
+    for label in labels:
+        current = list(dict.fromkeys(succ for c in current for succ in step(c, label)))
+    return current
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .labels import RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget
+from .labels import (
+    RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, multistep,
+)
 from .processes import (
     BCall, BCond, Branch, Choose, DefSetB, Network, Recv, SPProgram, Send,
 )
@@ -36,7 +38,7 @@ def sp_step(defs: DefSetB, network: Network, state: State,
                     and receiver.var == label.var
                     and label.value == eval_on_state(sender.expr, state, label.sender)):
                 updated = network.put(label.sender, sender.cont).put(label.receiver, receiver.cont)
-                return updated, state.update(label.receiver, label.var, label.value)
+                return updated, state.put((label.receiver, label.var), label.value)
         return None
 
     if isinstance(label, RSel):
@@ -84,7 +86,7 @@ def sp_enabled(defs: DefSetB, network: Network,
                 value = eval_on_state(behaviour.expr, state, process)
                 updated = network.put(process, behaviour.cont).put(behaviour.peer, partner.cont)
                 out.append((RCom(process, value, behaviour.peer, partner.var), updated,
-                            state.update(behaviour.peer, partner.var, value)))
+                            state.put((behaviour.peer, partner.var), value)))
         elif isinstance(behaviour, Choose):
             partner = network.get(behaviour.peer)
             if isinstance(partner, Branch) and partner.peer == process:
@@ -114,17 +116,5 @@ def spp_step(conf: SPConfiguration, label: TransitionLabel) -> List[SPConfigurat
 
 def spp_multistep(conf: SPConfiguration,
                   labels: Sequence[TransitionLabel]) -> List[SPConfiguration]:
-    current = [conf]
-    for label in labels:
-        successors: List[SPConfiguration] = []
-        seen = set()
-        for c in current:
-            for succ in spp_step(c, label):
-                key = (succ.program.network, succ.state)
-                if key not in seen:
-                    seen.add(key)
-                    successors.append(succ)
-        current = successors
-        if not current:
-            break
-    return current
+    """Fold ``spp_step`` over a label list; the empty list yields the input."""
+    return multistep(spp_step, conf, labels)

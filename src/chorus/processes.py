@@ -9,9 +9,9 @@ pruned so extensional equality is plain ``==``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .values import BExpr, Expr, ProcessName, SelLabel, TargetProcName, VarName
+from .values import BExpr, Expr, ProcessName, SelLabel, TargetProcName, TotalMap, VarName
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,45 +104,11 @@ def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
     return True
 
 
-class Network:
+class Network(TotalMap):
     """Total map from process names to behaviours, default ``End``."""
 
-    __slots__ = ("_procs", "_hash")
-
-    def __init__(self, procs: Union[Mapping, Iterable] = ()):
-        pruned = {p: b for p, b in dict(procs).items() if b != B_END}
-        self._procs = pruned
-        self._hash = hash(frozenset(pruned.items()))
-
-    def get(self, process: ProcessName) -> Behaviour:
-        return self._procs.get(process, B_END)
-
-    def put(self, process: ProcessName, behaviour: Behaviour) -> "Network":
-        procs = dict(self._procs)
-        if behaviour == B_END:
-            procs.pop(process, None)
-        else:
-            procs[process] = behaviour
-        fresh = Network.__new__(Network)
-        fresh._procs = procs
-        fresh._hash = hash(frozenset(procs.items()))
-        return fresh
-
-    def support(self) -> Tuple[ProcessName, ...]:
-        return tuple(sorted(self._procs))
-
-    def items(self):
-        return sorted(self._procs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Network) and self._procs == other._procs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        inside = " | ".join(f"{p}[{b!r}]" for p, b in self.items())
-        return f"Network({inside or '0'})"
+    __slots__ = ()
+    DEFAULT = B_END
 
 
 EMPTY_NETWORK = Network()
@@ -163,10 +129,6 @@ def remove(network: Network, process: ProcessName) -> Network:
     return network.put(process, B_END)
 
 
-def network_eq(first: Network, second: Network) -> bool:
-    return first == second
-
-
 def network_disjoint(first: Network, second: Network) -> bool:
     """Every process is terminated in at least one of the two networks."""
     return not set(first.support()) & set(second.support())
@@ -176,38 +138,14 @@ def network_wf(network: Network) -> bool:
     return all(behaviour_wf(p, b) for p, b in network.items())
 
 
-class DefSetB:
+class DefSetB(TotalMap):
     """Total map from per-process procedure copies to behaviours, default End."""
 
-    __slots__ = ("_defs", "_hash")
-
-    def __init__(self, defs: Union[Mapping, Iterable] = ()):
-        pruned = {name: b for name, b in dict(defs).items() if b != B_END}
-        self._defs = pruned
-        self._hash = hash(frozenset(pruned.items()))
-
-    def get(self, name: TargetProcName) -> Behaviour:
-        return self._defs.get(name, B_END)
-
-    def support(self) -> Tuple[TargetProcName, ...]:
-        return tuple(sorted(self._defs))
-
-    def items(self):
-        return sorted(self._defs.items())
+    __slots__ = ()
+    DEFAULT = B_END
 
     def with_def(self, name: TargetProcName, behaviour: Behaviour) -> "DefSetB":
-        defs = dict(self._defs)
-        defs[name] = behaviour
-        return DefSetB(defs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DefSetB) and self._defs == other._defs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"DefSetB({self._defs!r})"
+        return self.put(name, behaviour)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
@@ -35,7 +36,7 @@ from .choreography import (
     RTCall, ccp_pn, program_wf,
 )
 from .processes import (
-    B_END, BCall, BCond, BEnd, Branch, BranchSlot, Behaviour, Choose, DefSetB,
+    B_END, BCall, BCond, Branch, BranchSlot, Behaviour, Choose, DefSetB,
     Network, Recv, SPProgram, Send,
 )
 from .values import ProcessName, ProcName, SelLabel
@@ -82,31 +83,34 @@ def _push(result: ProjectionResult, step: str) -> ProjectionResult:
 # --------------------------------------------------------------------------
 # Branching order
 
+# Prefix constructors: the fields (in constructor order, before ``cont``)
+# that two prefixes must share to merge, and the diagnostic's noun.
+_PREFIXES = {
+    Send: (attrgetter("peer", "expr", "ann"), "send"),
+    Recv: (attrgetter("peer", "var", "ann"), "receive"),
+    Choose: (attrgetter("peer", "label", "ann"), "selection"),
+}
+
+
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
     """``first >> second``: first has at least the branches of second."""
-    if isinstance(first, BEnd) and isinstance(second, BEnd):
-        return True
-    if isinstance(first, Send) and isinstance(second, Send):
-        return ((first.peer, first.expr, first.ann) == (second.peer, second.expr, second.ann)
-                and more_branches(first.cont, second.cont))
-    if isinstance(first, Recv) and isinstance(second, Recv):
-        return ((first.peer, first.var, first.ann) == (second.peer, second.var, second.ann)
-                and more_branches(first.cont, second.cont))
-    if isinstance(first, Choose) and isinstance(second, Choose):
-        return ((first.peer, first.label, first.ann) == (second.peer, second.label, second.ann)
-                and more_branches(first.cont, second.cont))
-    if isinstance(first, Branch) and isinstance(second, Branch):
-        if first.peer != second.peer:
-            return False
-        return (_slot_geq(first.left, second.left)
+    kind = type(first)
+    if kind is not type(second):
+        return False
+    prefix = _PREFIXES.get(kind)
+    if prefix is not None:
+        return prefix[0](first) == prefix[0](second) and more_branches(first.cont, second.cont)
+    if kind is Branch:
+        return (first.peer == second.peer
+                and _slot_geq(first.left, second.left)
                 and _slot_geq(first.right, second.right))
-    if isinstance(first, BCond) and isinstance(second, BCond):
+    if kind is BCond:
         return (first.guard == second.guard
                 and more_branches(first.then_branch, second.then_branch)
                 and more_branches(first.else_branch, second.else_branch))
-    if isinstance(first, BCall) and isinstance(second, BCall):
+    if kind is BCall:
         return first.name == second.name
-    return False
+    return True  # BEnd
 
 
 def _slot_geq(bigger: BranchSlot, smaller: BranchSlot) -> bool:
@@ -131,30 +135,19 @@ def more_branches_net(first: Network, second: Network) -> bool:
 # Merge
 
 def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
-    if isinstance(first, BEnd) and isinstance(second, BEnd):
-        return _ok(B_END)
-    if isinstance(first, Send) and isinstance(second, Send):
-        if (first.peer, first.expr, first.ann) != (second.peer, second.expr, second.ann):
-            return _fail("send prefixes differ")
+    kind = type(first)
+    if kind is not type(second):
+        return _fail(f"{kind.__name__} cannot merge with {type(second).__name__}")
+    prefix = _PREFIXES.get(kind)
+    if prefix is not None:
+        fields, noun = prefix
+        if fields(first) != fields(second):
+            return _fail(f"{noun} prefixes differ")
         inner = merge(first.cont, second.cont)
         if not inner.ok:
             return _push(inner, "cont")
-        return _ok(Send(first.peer, first.expr, first.ann, inner.behaviour))
-    if isinstance(first, Recv) and isinstance(second, Recv):
-        if (first.peer, first.var, first.ann) != (second.peer, second.var, second.ann):
-            return _fail("receive prefixes differ")
-        inner = merge(first.cont, second.cont)
-        if not inner.ok:
-            return _push(inner, "cont")
-        return _ok(Recv(first.peer, first.var, first.ann, inner.behaviour))
-    if isinstance(first, Choose) and isinstance(second, Choose):
-        if (first.peer, first.label, first.ann) != (second.peer, second.label, second.ann):
-            return _fail("selection prefixes differ")
-        inner = merge(first.cont, second.cont)
-        if not inner.ok:
-            return _push(inner, "cont")
-        return _ok(Choose(first.peer, first.label, first.ann, inner.behaviour))
-    if isinstance(first, Branch) and isinstance(second, Branch):
+        return _ok(kind(*fields(first), inner.behaviour))
+    if kind is Branch:
         if first.peer != second.peer:
             return _fail("branching sources differ")
         ok_left, left = _merge_slot(first.left, second.left, "left")
@@ -164,7 +157,7 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
         if not ok_right:
             return ProjectionResult(None, right)
         return _ok(Branch(first.peer, left, right))
-    if isinstance(first, BCond) and isinstance(second, BCond):
+    if kind is BCond:
         if first.guard != second.guard:
             return _fail("conditional guards differ")
         then_merged = merge(first.then_branch, second.then_branch)
@@ -174,11 +167,9 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
         if not else_merged.ok:
             return _push(else_merged, "else")
         return _ok(BCond(first.guard, then_merged.behaviour, else_merged.behaviour))
-    if isinstance(first, BCall) and isinstance(second, BCall):
-        if first.name != second.name:
-            return _fail("procedure copies differ")
-        return _ok(first)
-    return _fail(f"{type(first).__name__} cannot merge with {type(second).__name__}")
+    if kind is BCall and first.name != second.name:
+        return _fail("procedure copies differ")
+    return _ok(first)  # BEnd, or the same BCall
 
 
 def _merge_slot(first: BranchSlot, second: BranchSlot, side: str):

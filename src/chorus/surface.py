@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .choreography import (
-    CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction,
-    SelEta,
+    CCProgram, Call, Choreography, ComEta, Cond, DefSet, DEFAULT_PROCESS, End,
+    Interaction, SelEta,
 )
 from .processes import (
     BCall, BCond, BEnd, Branch, Behaviour, Choose, DefSetB, Network,
@@ -602,11 +602,8 @@ def print_behaviour(behaviour: Behaviour) -> str:
 
 def print_network(network: Network) -> str:
     if not network.support():
-        return f"{_PLACEHOLDER}[end]"
+        return f"{DEFAULT_PROCESS}[end]"
     return "\n| ".join(f"{p}[{print_behaviour(b)}]" for p, b in network.items())
-
-
-_PLACEHOLDER = "p0"
 
 
 def print_sp(program: SPProgram) -> str:

@@ -155,55 +155,71 @@ def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# States
+# Total maps and states
 
-class State:
-    """Total store from (process, variable) to values.
+class TotalMap:
+    """Immutable total map: keys without an entry read as the class's ``DEFAULT``.
 
-    Unmapped keys read as 0.  Entries holding the default are pruned on
-    construction and on update, so extensionally equal stores are also
-    structurally equal and ``==`` decides extensional equality.
+    Entries holding the default are pruned on construction and by ``put``,
+    so extensionally equal maps are also structurally equal and ``==``
+    decides extensional equality.  Maps of different classes never compare
+    equal, even with the same entries.
     """
 
     __slots__ = ("_entries", "_hash")
+    DEFAULT = None
 
     def __init__(self, entries: Union[Mapping, Iterable] = ()):
-        pruned = {key: value for key, value in dict(entries).items() if value != DEFAULT_VALUE}
-        self._entries = pruned
-        self._hash = hash(frozenset(pruned.items()))
+        default = self.DEFAULT
+        self._entries = {key: value for key, value in dict(entries).items() if value != default}
+        self._hash = hash(frozenset(self._entries.items()))
 
-    def lookup(self, process: ProcessName, var: VarName) -> Value:
-        return self._entries.get((process, var), DEFAULT_VALUE)
+    def get(self, key):
+        return self._entries.get(key, self.DEFAULT)
 
-    def update(self, process: ProcessName, var: VarName, value: Value) -> "State":
+    def put(self, key, value):
+        """A copy of the map with ``key`` mapped to ``value``."""
         entries = dict(self._entries)
-        if value == DEFAULT_VALUE:
-            entries.pop((process, var), None)
+        if value == self.DEFAULT:
+            entries.pop(key, None)
         else:
-            entries[(process, var)] = value
-        fresh = State.__new__(State)
+            entries[key] = value
+        fresh = object.__new__(type(self))
         fresh._entries = entries
         fresh._hash = hash(frozenset(entries.items()))
         return fresh
 
-    def env_for(self, process: ProcessName) -> Callable[[VarName], Value]:
-        return lambda var: self.lookup(process, var)
+    def support(self) -> tuple:
+        """The keys with an explicit entry, sorted."""
+        return tuple(sorted(self._entries))
 
-    def items(self):
-        return self._entries.items()
-
-    def support(self):
-        return sorted(self._entries)
+    def items(self) -> list:
+        return sorted(self._entries.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self._entries == other._entries
+        return type(other) is type(self) and self._entries == other._entries
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{p}.{x}={v!r}" for (p, x), v in sorted(self._entries.items()))
-        return f"State({inside})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class State(TotalMap):
+    """Total store from (process, variable) to values; unmapped keys read as 0."""
+
+    __slots__ = ()
+    DEFAULT = DEFAULT_VALUE
+
+    def lookup(self, process: ProcessName, var: VarName) -> Value:
+        return self._entries.get((process, var), DEFAULT_VALUE)
+
+    def update(self, process: ProcessName, var: VarName, value: Value) -> "State":
+        return self.put((process, var), value)
+
+    def env_for(self, process: ProcessName) -> Callable[[VarName], Value]:
+        return lambda var: self.lookup(process, var)
 
 
 EMPTY_STATE = State()
@@ -215,14 +231,6 @@ def eval_on_state(expr: Expr, state: State, process: ProcessName) -> Value:
 
 def eval_bexpr_on_state(bexpr: BExpr, state: State, process: ProcessName) -> bool:
     return eval_bexpr(bexpr, state.env_for(process))
-
-
-def state_update(state: State, process: ProcessName, var: VarName, value: Value) -> State:
-    return state.update(process, var, value)
-
-
-def state_eq(first: State, second: State) -> bool:
-    return first == second
 
 
 # --------------------------------------------------------------------------
@@ -252,10 +260,12 @@ def value_text(value: Value) -> str:
 
 
 def state_to_json(state: State) -> dict:
-    return {f"{p}.{x}": value_to_json(v) for (p, x), v in sorted(state.items())}
+    return {f"{p}.{x}": value_to_json(v) for (p, x), v in state.items()}
 
 
-def state_from_json(data: Mapping) -> State:
+def state_from_json(data) -> State:
+    if not isinstance(data, dict):
+        raise ValueError("a state is a JSON object with 'process.var' keys")
     entries = {}
     for key, raw in data.items():
         process, _, var = key.partition(".")

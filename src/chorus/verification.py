@@ -71,7 +71,8 @@ class _Node:
     enabled: list = field(default_factory=list)
 
 
-def _trace(node: _Node) -> List[dict]:
+def _trace(node) -> List[dict]:
+    """The labels from the root to ``node`` (a ``_Node`` or ``_GameNode``)."""
     steps = []
     while node.parent is not None:
         steps.append({"rich": rich_to_json(node.via),
@@ -109,17 +110,17 @@ def check_determinism(program: CCProgram, state: State, depth: int) -> VerifyRep
     for node in nodes:
         labels = [label for label, _, _ in node.enabled]
         if len(labels) != len(set(labels)):
-            return _meta_fail("determinism", nodes, node, depth,
-                              "a rich label was enumerated twice")
+            return _fail("determinism", node, None, len(nodes), depth,
+                         "a rich label was enumerated twice")
         successors: Dict[Choreography, RichLabel] = {}
         for label, chor, succ_state in node.enabled:
             stepped = cc_step(program.defs, node.chor, node.state, label)
             if stepped != (chor, succ_state):
-                return _meta_fail("determinism", nodes, node, depth,
-                                  f"enumeration and step disagree on {rich_text(label)}")
+                return _fail("determinism", node, None, len(nodes), depth,
+                             f"enumeration and step disagree on {rich_text(label)}")
             if chor in successors:
-                return _meta_fail(
-                    "determinism", nodes, node, depth,
+                return _fail(
+                    "determinism", node, None, len(nodes), depth,
                     f"labels {rich_text(successors[chor])} and {rich_text(label)} "
                     "reach the same choreography")
             successors[chor] = label
@@ -138,8 +139,8 @@ def check_diamond(program: CCProgram, state: State, depth: int) -> VerifyReport:
                 after_ab = cc_step(defs, chor_a, state_a, label_b)
                 after_ba = cc_step(defs, chor_b, state_b, label_a)
                 if after_ab is None or after_ba is None or after_ab != after_ba:
-                    return _meta_fail(
-                        "diamond", nodes, node, depth,
+                    return _fail(
+                        "diamond", node, None, len(nodes), depth,
                         f"{rich_text(label_a)} and {rich_text(label_b)} do not commute")
     return VerifyReport("diamond", True, len(nodes), depth)
 
@@ -151,8 +152,8 @@ def check_progress(program: CCProgram, state: State, depth: int) -> VerifyReport
         if node.chor == END or node.enabled:
             continue
         if program_wf(CCProgram(program.defs, node.chor)):
-            return _meta_fail("progress", nodes, node, depth,
-                              "well-formed configuration is stuck before End")
+            return _fail("progress", node, None, len(nodes), depth,
+                         "well-formed configuration is stuck before End")
     return VerifyReport("progress", True, len(nodes), depth)
 
 
@@ -166,17 +167,22 @@ def check_termination_unique(program: CCProgram, state: State, depth: int) -> Ve
         if terminal is None:
             terminal = node
         elif node.state != terminal.state:
-            report = _meta_fail("termination_unique", nodes, node, depth,
-                                "two terminated runs end in different states")
+            report = _fail("termination_unique", node, None, len(nodes), depth,
+                           "two terminated runs end in different states")
             report.counterexample["other_trace"] = _trace(terminal)
             return report
     return VerifyReport("termination_unique", True, len(nodes), depth)
 
 
-def _meta_fail(name: str, nodes: list, node: _Node, depth: int,
-               reason: str) -> VerifyReport:
+def _fail(name: str, node, failing: Optional[RichLabel], explored: int, depth: int,
+          reason: str) -> VerifyReport:
+    """A failed report whose counterexample replays the path to ``node``,
+    then the ``failing`` label unless it is None."""
     counterexample = {"trace": _trace(node), "reason": reason}
-    return VerifyReport(name, False, len(nodes), depth, counterexample, reason)
+    if failing is not None:
+        counterexample["failing"] = {"rich": rich_to_json(failing),
+                                     "label": transition_to_json(forget(failing))}
+    return VerifyReport(name, False, explored, depth, counterexample, reason)
 
 
 # --------------------------------------------------------------------------
@@ -205,25 +211,6 @@ class _GameNode:
     dist: int
     parent: Optional["_GameNode"] = None
     via: Optional[RichLabel] = None
-
-
-def _game_trace(node: _GameNode) -> List[dict]:
-    steps = []
-    while node.parent is not None:
-        steps.append({"rich": rich_to_json(node.via),
-                      "label": transition_to_json(forget(node.via))})
-        node = node.parent
-    steps.reverse()
-    return steps
-
-
-def _game_fail(name: str, node: _GameNode, extra_label: Optional[RichLabel],
-               nodes: int, depth: int, reason: str) -> VerifyReport:
-    counterexample = {"trace": _game_trace(node), "reason": reason}
-    if extra_label is not None:
-        counterexample["failing"] = {"rich": rich_to_json(extra_label),
-                                     "label": transition_to_json(forget(extra_label))}
-    return VerifyReport(name, False, nodes, depth, counterexample, reason)
 
 
 def _run_game(name: str, program: CCProgram, state: State, depth: int,
@@ -256,39 +243,39 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
             for label, chor, succ_state in cc_enabled(defs, node.chor, node.state):
                 stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
                 if stepped is None:
-                    return _game_fail(
+                    return _fail(
                         name, node, label, explored, depth,
                         f"network cannot match choreography step {rich_text(label)}")
                 net, net_state = stepped
                 if net_state != succ_state:
-                    return _game_fail(name, node, label, explored, depth,
-                                      "matched step ends in a different state")
+                    return _fail(name, node, label, explored, depth,
+                                 "matched step ends in a different state")
                 children.append((label, chor, succ_state, net))
         else:
             for sp_rich, net, net_state in sp_enabled(net_defs, node.net, node.state):
                 label = _cc_label(sp_rich)
                 if label is None:
-                    return _game_fail(
+                    return _fail(
                         name, node, sp_rich, explored, depth,
                         f"network call {rich_text(sp_rich)} is not the caller's own copy")
                 stepped = cc_step(defs, node.chor, node.state, label)
                 if stepped is None:
-                    return _game_fail(
+                    return _fail(
                         name, node, sp_rich, explored, depth,
                         f"choreography cannot match network step {rich_text(sp_rich)}")
                 chor, succ_state = stepped
                 if succ_state != net_state:
-                    return _game_fail(name, node, sp_rich, explored, depth,
-                                      "matched step ends in a different state")
+                    return _fail(name, node, sp_rich, explored, depth,
+                                 "matched step ends in a different state")
                 children.append((label, chor, succ_state, net))
 
         for label, chor, succ_state, net in children:
             projection = epp_c(defs, processes, chor)
             if isinstance(projection, EppFailure):
-                return _game_fail(name, node, label, explored, depth,
-                                  f"successor is not projectable: {projection}")
+                return _fail(name, node, label, explored, depth,
+                             f"successor is not projectable: {projection}")
             if not more_branches_net(net, projection):
-                return _game_fail(
+                return _fail(
                     name, node, label, explored, depth,
                     "matched network dropped below the projection of the successor")
             key = (chor, succ_state, net)

@@ -16,7 +16,7 @@ from chorus import (
     Branch, CCConfiguration, CCProgram, ComEta, DefSet, END, EppFailure,
     Interaction, Lit, Network, RCall, SPConfiguration, SPProgram, SelEta,
     State, TCom, TSel, TTau, cc_enabled, cc_step, ccp_multistep, epp,
-    gen_program, merge, more_branches, more_branches_net, network_eq,
+    gen_program, merge, more_branches, more_branches_net,
     program_wf, program_wf_dec, sp_enabled, sp_step, spp_multistep,
 )
 from chorus.cli import main
@@ -57,7 +57,7 @@ def test_criterion_1_golden_projection():
     with criterion(1, "golden projection", 1.0):
         projected = epp(auth_program())
         assert not isinstance(projected, EppFailure)
-        assert network_eq(projected.network, auth_expected_network())
+        assert projected.network == auth_expected_network()
         assert not projected.defs.support()
 
 
@@ -174,7 +174,7 @@ def test_criterion_5_order_laws_and_step_preservation(corpus):
             assert more_branches_net(mid_net, low_net)
             assert more_branches_net(top_net, low_net)
             if more_branches_net(mid_net, top_net):
-                assert network_eq(mid_net, top_net)
+                assert mid_net == top_net
             nets.append(top_net)
 
         # Adding branches preserves every transition: 200 (network, step)
@@ -299,7 +299,7 @@ def test_criterion_9_deadlock_exhibit(corpus):
         from chorus.processes import DefSetB
 
         parsed = parse_sp((PROGRAMS / "deadlock.sp").read_text(encoding="utf-8"))
-        assert network_eq(parsed.network, deadlock_network())
+        assert parsed.network == deadlock_network()
         assert sp_enabled(parsed.defs, parsed.network, EMPTY_STATE) == []
         assert sp_enabled(DefSetB(), deadlock_network(), EMPTY_STATE) == []
 

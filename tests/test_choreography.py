@@ -68,8 +68,6 @@ def test_default_defs():
     defs = DefSet()
     assert defs.vars("anything") == (DEFAULT_PROCESS,)
     assert defs.body("anything") == END
-    # Explicit entries equal to the default are pruned.
-    assert DefSet({"X": ((DEFAULT_PROCESS,), END)}) == DefSet()
 
 
 def test_well_ann_and_program_wf():

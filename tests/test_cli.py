@@ -3,7 +3,7 @@ from pathlib import Path
 
 from chorus import (
     CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
-    network_eq, parse_sp, spp_multistep,
+    parse_sp, spp_multistep,
 )
 from chorus.cli import main
 from chorus.values import SelLabel
@@ -61,7 +61,7 @@ def test_project_golden(tmp_path, capsys):
     out = tmp_path / "auth.sp"
     assert main(["project", AUTH, "--out", str(out)]) == 0
     projected = parse_sp(out.read_text(encoding="utf-8"))
-    assert network_eq(projected.network, auth_expected_network())
+    assert projected.network == auth_expected_network()
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest == {}
 
@@ -151,3 +151,22 @@ def test_step_interactive(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[0] call(FileTransfer,c)" in out
     assert "[1] call(FileTransfer,s)" in out
+
+
+def test_state_file_must_hold_an_object(tmp_path, capsys):
+    for text in ("[1]", '"x"'):
+        state = _write(tmp_path, "st.json", text)
+        assert main(["run", FT, "--state", state]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
+    cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 2000 + "end }\n")
+    sp = _write(tmp_path, "deep.sp",
+                "p[" + "q!0; " * 2000 + "end]\n| q[" + "p?x; " * 2000 + "end]\n")
+    for argv in (["check", cc], ["simulate", sp]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -1,9 +1,8 @@
 import random
 
 from chorus import (
-    B_END, BCond, BTRUE, Branch, DefSetB, Lit, Network, Recv, Send,
-    behaviour_wf, network_disjoint, network_eq, network_wf, par, remove,
-    singleton,
+    B_END, BCond, BTRUE, Branch, Lit, Network, Recv, Send, behaviour_wf,
+    network_disjoint, network_wf, par, remove, singleton,
 )
 from chorus.processes import EMPTY_NETWORK, behaviour_depth
 
@@ -12,8 +11,8 @@ from helpers import auth_expected_network, gen_behaviour
 
 def test_par_identity():
     net = auth_expected_network()
-    assert network_eq(par(net, EMPTY_NETWORK), net)
-    assert network_eq(par(EMPTY_NETWORK, net), net)
+    assert par(net, EMPTY_NETWORK) == net
+    assert par(EMPTY_NETWORK, net) == net
 
 
 def test_par_left_bias_on_overlap():
@@ -29,15 +28,14 @@ def test_par_commutes_on_disjoint_supports():
         left = Network({"a": gen_behaviour(rng, 3), "b": gen_behaviour(rng, 2)})
         right = Network({"c": gen_behaviour(rng, 3)})
         assert network_disjoint(left, right)
-        assert network_eq(par(left, right), par(right, left))
+        assert par(left, right) == par(right, left)
 
 
 def test_par_associative():
     rng = random.Random(4)
     for _ in range(50):
         nets = [Network({p: gen_behaviour(rng, 2)}) for p in "abc"]
-        assert network_eq(par(par(nets[0], nets[1]), nets[2]),
-                          par(nets[0], par(nets[1], nets[2])))
+        assert par(par(nets[0], nets[1]), nets[2]) == par(nets[0], par(nets[1], nets[2]))
 
 
 def test_remove_absorbs_singleton():
@@ -45,15 +43,7 @@ def test_remove_absorbs_singleton():
     for _ in range(20):
         net = Network({"a": gen_behaviour(rng, 2), "b": gen_behaviour(rng, 2)})
         b = gen_behaviour(rng, 3)
-        assert network_eq(remove(par(singleton("p", b), net), "p"), remove(net, "p"))
-
-
-def test_network_canonical_and_eq():
-    assert Network({"p": B_END}) == EMPTY_NETWORK
-    assert singleton("p", B_END).support() == ()
-    net = auth_expected_network()
-    assert network_eq(net, Network(dict(net.items())))
-    assert hash(net) == hash(Network(dict(net.items())))
+        assert remove(par(singleton("p", b), net), "p") == remove(net, "p")
 
 
 def test_behaviour_wf():
@@ -71,9 +61,3 @@ def test_behaviour_depth_sees_branch_slots():
     assert behaviour_depth(deep) == 3
     assert behaviour_depth(B_END) == 1
 
-
-def test_defsetb_defaults_and_canonical():
-    defs = DefSetB({("X", "p"): Send("q", Lit(1), "", B_END), ("X", "q"): B_END})
-    assert defs.get(("X", "q")) == B_END
-    assert defs.get(("missing", "p")) == B_END
-    assert defs.support() == (("X", "p"),)

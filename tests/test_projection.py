@@ -7,7 +7,7 @@ from chorus import (
     ComEta, Cond, DefSet, DefSetB, END, EppFailure, Lit, Network, RCom,
     RCond, Recv, SelEta, Send, Var, behaviour_wf, bproj, cc_enabled,
     cc_step, ccp_pn, epp, epp_c, gen_program, merge, more_branches,
-    more_branches_net, network_eq, projectable_b, projectable_p, singleton,
+    more_branches_net, projectable_b, projectable_p, singleton,
     str_proj, str_proj_p,
 )
 from chorus.values import EMPTY_STATE
@@ -124,7 +124,7 @@ def test_bproj_end():
 def test_golden_projection_matches_expected_network():
     projected = epp(auth_program())
     assert not isinstance(projected, EppFailure)
-    assert network_eq(projected.network, auth_expected_network())
+    assert projected.network == auth_expected_network()
     assert projected.defs == DefSetB()
 
 

@@ -5,7 +5,7 @@ import pytest
 from chorus import (
     And, B_END, BCall, BLit, Branch, ComEta, Cond, DefSet, END, Eq,
     Interaction, Leq, Lit, Network, Not, ParseError, Plus, RTCall, Send,
-    Var, network_eq, parse_cc, parse_sp, print_cc, print_chor,
+    Var, parse_cc, parse_sp, print_cc, print_chor,
     print_network, print_sp, program_wf,
 )
 from chorus.surface import parse_cc_file, print_behaviour, tokenize
@@ -98,7 +98,7 @@ def test_parse_sp_round_trips():
 
 def test_parse_sp_end_is_empty_network():
     program = parse_sp("p[end]")
-    assert network_eq(program.network, Network())
+    assert program.network == Network()
     assert print_network(program.network) == "p0[end]"
 
 

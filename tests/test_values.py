@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from chorus import (
-    And, BFALSE, BTRUE, EMPTY_STATE, Eq, Fst, Leq, Lit, Not, Pair, Plus,
-    Snd, State, Succ, Var, eval_bexpr, eval_expr, state_eq, state_update,
+    And, B_END, BFALSE, BTRUE, DefSet, DefSetB, EMPTY_STATE, END, Eq, Fst,
+    Leq, Lit, Network, Not, Pair, Plus, Send, Snd, State, Succ, Var,
+    eval_bexpr, eval_expr,
 )
+from chorus.choreography import DEFAULT_PROCESS
 from chorus.values import (
     eval_on_state, leftmost_nat, state_from_json, state_to_json,
     value_from_json, value_to_json,
@@ -59,17 +63,17 @@ def test_eval_on_state_uses_default():
 
 
 def test_state_update_prunes_defaults():
-    assert state_update(EMPTY_STATE, "p", "x", 0) == EMPTY_STATE
-    state = state_update(EMPTY_STATE, "p", "x", 3)
+    assert EMPTY_STATE.update("p", "x", 0) == EMPTY_STATE
+    state = EMPTY_STATE.update("p", "x", 3)
     assert state.lookup("p", "x") == 3
-    assert state_update(state, "p", "x", 0) == EMPTY_STATE
+    assert state.update("p", "x", 0) == EMPTY_STATE
 
 
 def test_state_eq_last_write_wins():
     base = State({("q", "y"): 1})
-    twice = state_update(state_update(base, "p", "x", 1), "p", "x", 2)
-    once = state_update(base, "p", "x", 2)
-    assert state_eq(twice, once)
+    twice = base.update("p", "x", 1).update("p", "x", 2)
+    once = base.update("p", "x", 2)
+    assert twice == once
 
 
 def test_state_eq_ignores_explicit_defaults():
@@ -79,16 +83,16 @@ def test_state_eq_ignores_explicit_defaults():
     right = State({("q", "y"): 2})
     keys = set(dict(left.items())) | set(dict(right.items()))
     assert all(left.lookup(*k) == right.lookup(*k) for k in keys)
-    assert state_eq(left, right)
+    assert left == right
     assert hash(left) == hash(right)
 
 
 def test_state_eq_is_equivalence():
     states = [EMPTY_STATE, State({("p", "x"): 1}), State({("p", "x"): 1, ("q", "y"): (1, 2)})]
     for s in states:
-        assert state_eq(s, s)
-    assert state_eq(states[1], State({("p", "x"): 1}))
-    assert not state_eq(states[1], states[2])
+        assert s == s
+    assert states[1] == State({("p", "x"): 1})
+    assert states[1] != states[2]
 
 
 def test_canonical_invariant_after_updates():
@@ -96,8 +100,41 @@ def test_canonical_invariant_after_updates():
     state = EMPTY_STATE
     for _ in range(200):
         value = rng.choice([0, 1, 2, (1, 2), (0, (1, 0))])
-        state = state_update(state, rng.choice("pq"), rng.choice("xyz"), value)
+        state = state.update(rng.choice("pq"), rng.choice("xyz"), value)
         assert all(v != 0 for _, v in state.items())
+
+
+SEND = Send("q", Lit(1), "", B_END)
+
+
+# (map class, a key, a value as given, the value as stored, the default)
+@pytest.mark.parametrize("cls, key, given, stored, default", [
+    pytest.param(State, ("p", "x"), (0, 2), (0, 2), 0, id="State"),
+    pytest.param(DefSet, "X", (("s", "c", "s"), END), (("c", "s"), END),
+                 ((DEFAULT_PROCESS,), END), id="DefSet"),
+    pytest.param(Network, "p", SEND, SEND, B_END, id="Network"),
+    pytest.param(DefSetB, ("X", "p"), SEND, SEND, B_END, id="DefSetB"),
+])
+def test_total_map_laws(cls, key, given, stored, default):
+    empty = cls()
+    one = cls({key: given})
+    # Construction canonicalises (DefSet sorts and dedupes process lists).
+    assert one.get(key) == stored and empty.get(key) == default
+    assert one.support() == (key,) and one.items() == [(key, stored)]
+    # Default entries are pruned on construction and by put.
+    assert cls({key: default}) == empty and cls({key: default}).support() == ()
+    assert one.put(key, default) == empty and one.put(key, default).support() == ()
+    # Put is copy-on-write, and put-then-put-default restores the original.
+    assert empty.put(key, stored) == one and empty.get(key) == default
+    assert empty.put(key, stored).put(key, default) == empty
+    # Equal maps have equal hashes.
+    for same in (empty.put(key, stored), cls(dict(one.items()))):
+        assert same == one and hash(same) == hash(one)
+    assert hash(one.put(key, default)) == hash(empty)
+    # Maps of different classes are unequal, even with the same entries.
+    for other in (State, DefSet, Network, DefSetB):
+        if other is not cls:
+            assert other() != empty and other().put(key, stored) != one
 
 
 def test_value_json_round_trip():

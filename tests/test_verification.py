@@ -5,7 +5,7 @@ import pytest
 from chorus import (
     B_END, Branch, CCConfiguration, CCProgram, DefSet, END, EppFailure,
     GenParams, Network, NotStronglyProjectable, SPConfiguration, SPProgram,
-    TTau, ccp_multistep, ccp_pn, epp, gen_program, initial, network_eq,
+    TTau, ccp_multistep, ccp_pn, epp, gen_program, initial,
     print_cc, program_wf, projectable_p, spp_multistep, str_proj_p,
 )
 from chorus.values import EMPTY_STATE, SelLabel
