@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .choreography import (
-    CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction,
-    RTCall, SelEta, eta_processes,
+    CALL_BIT, CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction,
+    RTCall, SelEta, PROCESS_BIT, eta_processes,
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, label_processes,
@@ -106,52 +106,73 @@ def cc_enabled(defs: DefSet, chor: Choreography,
     The order is deterministic: the head rule first, then delayed
     transitions in syntactic depth order (join labels iterate processes in
     canonical order).
+
+    By the delay rules, a transition inside a node is enabled only if its
+    processes are disjoint from those of every instruction above the node.
+    Each of its processes lies in the node's ``bits`` or, if the node holds
+    a ``Call``, in ``defs.call_bits()``; so the walk skips every node whose
+    processes are all blocked, and a step costs the nodes above that
+    frontier.  Runs of interactions are walked in a loop, without recursion.
     """
+    return _enabled(defs, defs.call_bits(), chor, state, CALL_BIT)
+
+
+def _wrap(spine: List[Interaction], chor: Choreography) -> Choreography:
+    for node in reversed(spine):
+        chor = Interaction(node.eta, node.ann, chor)
+    return chor
+
+
+def _enabled(defs: DefSet, calls: int, chor: Choreography, state: State,
+             blocked: int) -> List[Tuple[RichLabel, Choreography, State]]:
+    """The transitions of ``chor`` that avoid ``blocked``, which holds ``CALL_BIT``;
+    ``calls`` is ``defs.call_bits()``.  Only interactions continue the loop."""
     out: List[Tuple[RichLabel, Choreography, State]] = []
-    if isinstance(chor, Interaction):
-        eta = chor.eta
-        if isinstance(eta, ComEta):
-            value = eval_on_state(eta.expr, state, eta.sender)
-            out.append((RCom(eta.sender, value, eta.receiver, eta.var), chor.cont,
-                        state.put((eta.receiver, eta.var), value)))
-        else:
-            out.append((RSel(eta.sender, eta.receiver, eta.label), chor.cont, state))
-        blocked = eta_processes(eta)
-        for label, cont, succ_state in cc_enabled(defs, chor.cont, state):
-            if label_processes(label).isdisjoint(blocked):
-                out.append((label, Interaction(eta, chor.ann, cont), succ_state))
-    elif isinstance(chor, Cond):
-        if eval_bexpr_on_state(chor.guard, state, chor.proc):
-            out.append((RCond(chor.proc), chor.then_branch, state))
-        else:
-            out.append((RCond(chor.proc), chor.else_branch, state))
-        for label, then_cont, succ_state in cc_enabled(defs, chor.then_branch, state):
-            if chor.proc not in label_processes(label):
+    spine: List[Interaction] = []
+    while (chor.bits | (calls if chor.bits & CALL_BIT else 0)) & ~blocked:
+        if isinstance(chor, Interaction):
+            eta = chor.eta
+            bits = PROCESS_BIT[eta.sender] | PROCESS_BIT[eta.receiver]
+            if not bits & blocked:
+                if isinstance(eta, ComEta):
+                    value = eval_on_state(eta.expr, state, eta.sender)
+                    label, succ_state = (RCom(eta.sender, value, eta.receiver, eta.var),
+                                         state.put((eta.receiver, eta.var), value))
+                else:
+                    label, succ_state = RSel(eta.sender, eta.receiver, eta.label), state
+                out.append((label, _wrap(spine, chor.cont), succ_state))
+            spine.append(chor)
+            blocked |= bits
+            chor = chor.cont
+            continue
+        if isinstance(chor, Cond):
+            bit = PROCESS_BIT[chor.proc]
+            if not bit & blocked:
+                branch = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
+                          else chor.else_branch)
+                out.append((RCond(chor.proc), _wrap(spine, branch), state))
+            for label, then_cont, succ_state in _enabled(defs, calls, chor.then_branch,
+                                                         state, blocked | bit):
                 other = cc_step(defs, chor.else_branch, state, label)
                 if other is not None and other[1] == succ_state:
-                    out.append((label,
-                                Cond(chor.proc, chor.guard, then_cont, other[0]),
-                                succ_state))
-    elif isinstance(chor, Call):
-        procs = defs.vars(chor.name)
-        body = defs.body(chor.name)
+                    succ = Cond(chor.proc, chor.guard, then_cont, other[0])
+                    out.append((label, _wrap(spine, succ), succ_state))
+            break
+        # A join: the first process of a Call, or a pending one of a runtime term.
+        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
+                       else (chor.pending, chor.body))
         for process in procs:
-            if len(procs) == 1:
-                succ: Choreography = body
-            else:
-                succ = RTCall(chor.name, tuple(p for p in procs if p != process), body)
-            out.append((RCall(chor.name, process), succ, state))
-    elif isinstance(chor, RTCall):
-        for process in chor.pending:
-            if len(chor.pending) == 1:
-                succ = chor.body
-            else:
-                succ = RTCall(chor.name,
-                              tuple(p for p in chor.pending if p != process), chor.body)
-            out.append((RCall(chor.name, process), succ, state))
-        for label, body_cont, succ_state in cc_enabled(defs, chor.body, state):
-            if label_processes(label).isdisjoint(chor.pending):
-                out.append((label, RTCall(chor.name, chor.pending, body_cont), succ_state))
+            if not PROCESS_BIT[process] & blocked:
+                rest = tuple(p for p in procs if p != process)
+                succ = body if len(procs) == 1 else RTCall(chor.name, rest, body)
+                out.append((RCall(chor.name, process), _wrap(spine, succ), state))
+        if isinstance(chor, RTCall):
+            pending = sum(PROCESS_BIT[p] for p in chor.pending)
+            for label, body_cont, succ_state in _enabled(defs, calls, body, state,
+                                                         blocked | pending):
+                succ = RTCall(chor.name, chor.pending, body_cont)
+                out.append((label, _wrap(spine, succ), succ_state))
+        break
     return out
 
 

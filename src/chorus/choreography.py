@@ -12,10 +12,31 @@ first violated clause for diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from .values import BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName
+
+
+class _BitTable(dict):
+    """Append-only intern table from process names to bits: a name takes a
+    fresh bit when first looked up and keeps it.  Bit positions depend on
+    lookup order, so they never reach any output."""
+
+    def __init__(self):
+        super().__init__()
+        self._fresh = itertools.count(1)  # next() is atomic, so no two names share a bit
+
+    def __missing__(self, process: ProcessName) -> int:
+        return self.setdefault(process, 1 << next(self._fresh))
+
+
+# Every choreography node has ``bits``, which ``==``, hash and repr ignore:
+# the ``PROCESS_BIT`` of each process its subtree mentions, plus ``CALL_BIT``
+# if the subtree has a ``Call``.
+CALL_BIT = 1
+PROCESS_BIT = _BitTable()
 
 
 # --------------------------------------------------------------------------
@@ -48,6 +69,11 @@ class Interaction:
     eta: Eta
     ann: str
     cont: "Choreography"
+    bits: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", PROCESS_BIT[self.eta.sender]
+                           | PROCESS_BIT[self.eta.receiver] | self.cont.bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,11 +82,17 @@ class Cond:
     guard: BExpr
     then_branch: "Choreography"
     else_branch: "Choreography"
+    bits: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", PROCESS_BIT[self.proc]
+                           | self.then_branch.bits | self.else_branch.bits)
 
 
 @dataclass(frozen=True, slots=True)
 class Call:
     name: ProcName
+    bits = CALL_BIT
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,15 +100,18 @@ class RTCall:
     name: ProcName
     pending: Tuple[ProcessName, ...]
     body: "Choreography"
+    bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Canonical form: the pending list behaves as a set.
-        object.__setattr__(self, "pending", tuple(sorted(set(self.pending))))
+        pending = tuple(sorted(set(self.pending)))
+        object.__setattr__(self, "pending", pending)
+        object.__setattr__(self, "bits", sum(PROCESS_BIT[p] for p in pending) | self.body.bits)
 
 
 @dataclass(frozen=True, slots=True)
 class End:
-    pass
+    bits = 0
 
 
 Choreography = Union[Interaction, Cond, Call, RTCall, End]
@@ -97,7 +132,7 @@ class DefSet(TotalMap):
     duplicate-free; ``put`` stores its entry as given.
     """
 
-    __slots__ = ()
+    __slots__ = ("_bits",)
     DEFAULT = _DEFAULT_DEF
 
     def __init__(self, defs: Union[Mapping, Iterable] = ()):
@@ -115,6 +150,15 @@ class DefSet(TotalMap):
 
     def with_def(self, name: ProcName, procs: Iterable[ProcessName], body: Choreography) -> "DefSet":
         return DefSet({**self._entries, name: (procs, body)})
+
+    def call_bits(self) -> int:
+        """Bit set of the processes that can join a call, computed on first use:
+        those of each defined procedure, and ``DEFAULT_PROCESS``."""
+        bits = getattr(self, "_bits", None)
+        if bits is None:
+            procs = {DEFAULT_PROCESS, *(p for ps, _ in self._entries.values() for p in ps)}
+            bits = self._bits = sum(PROCESS_BIT[p] for p in procs)
+        return bits
 
 
 @dataclass(frozen=True)

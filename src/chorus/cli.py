@@ -246,8 +246,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser, projection and semantics recurse once per nesting
-        # level; inputs deeper than the interpreter's limit are rejected.
+        # Well-formedness, projection and the printers recurse once per
+        # interaction; inputs deeper than the interpreter's limit are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
 

@@ -229,7 +229,7 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
         if not merged.ok:
             return _fail(
                 f"conditional at {chor.proc} is ambiguous for {process}: "
-                f"{merged.failure}")
+                f"{merged.failure.reason}")
         return merged
 
     if isinstance(chor, Call):

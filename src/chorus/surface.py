@@ -298,15 +298,22 @@ class SourceFile:
     text: str
     program: CCProgram
     def_names: Tuple[str, ...]
-    spans: Dict[Tuple[str, ...], Span] = field(default_factory=dict)
+    # Keyed by (spine, number of "cont" steps along it), in linear space.
+    # Spines are ("main",), ("proc", NAME) and (spine, index, "then"|"else").
+    spans: Dict[tuple, Span] = field(default_factory=dict)
 
     def span_at(self, path: Tuple[str, ...]) -> Optional[Span]:
-        return self.spans.get(tuple(path))
+        path = tuple(path)
+        cut = 1 if path[:1] == ("main",) else 2
+        spine, index = path[:cut], 0
+        for step in path[cut:]:
+            spine, index = (spine, index + 1) if step == "cont" else ((spine, index, step), 0)
+        return self.spans.get((spine, index))
 
 
 def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
-    spans: Dict[Tuple[str, ...], Span] = {}
+    spans: Dict[tuple, Span] = {}
     defs = {}
     names = []
     while parser.at("def"):
@@ -337,51 +344,59 @@ def parse_cc(text: str) -> CCProgram:
     return parse_cc_file(text).program
 
 
-def _parse_chor(parser: _Parser, path: Tuple[str, ...],
-                spans: Dict[Tuple[str, ...], Span]) -> Choreography:
-    start = parser.peek()
-    if parser.accept("end"):
-        spans[path] = start.span
-        return End()
-    if parser.accept("call"):
-        name = parser.name("procedure name")
-        spans[path] = Span(start.line, start.col, name.line, name.col + len(name.text))
-        return Call(name.text)
-    if parser.accept("if"):
-        proc = parser.name("process name").text
-        parser.expect(".")
-        guard = parser.bexpr()
-        parser.expect("then")
-        parser.expect("{")
-        then_branch = _parse_chor(parser, path + ("then",), spans)
-        parser.expect("}")
-        parser.expect("else")
-        parser.expect("{")
-        else_branch = _parse_chor(parser, path + ("else",), spans)
-        close = parser.expect("}")
-        spans[path] = Span(start.line, start.col, close.line, close.col + 1)
-        return Cond(proc, guard, then_branch, else_branch)
+def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, Span]) -> Choreography:
+    """Read a run of interactions in a loop; only conditionals recurse."""
+    prefix = []
+    while True:
+        key = (spine, len(prefix))
+        start = parser.peek()
+        if parser.accept("end"):
+            spans[key] = start.span
+            chor: Choreography = End()
+            break
+        if parser.accept("call"):
+            name = parser.name("procedure name")
+            spans[key] = Span(start.line, start.col, name.line, name.col + len(name.text))
+            chor = Call(name.text)
+            break
+        if parser.accept("if"):
+            proc = parser.name("process name").text
+            parser.expect(".")
+            guard = parser.bexpr()
+            parser.expect("then")
+            parser.expect("{")
+            then_branch = _parse_chor(parser, key + ("then",), spans)
+            parser.expect("}")
+            parser.expect("else")
+            parser.expect("{")
+            else_branch = _parse_chor(parser, key + ("else",), spans)
+            close = parser.expect("}")
+            spans[key] = Span(start.line, start.col, close.line, close.col + 1)
+            chor = Cond(proc, guard, then_branch, else_branch)
+            break
 
-    sender = parser.name("process name").text
-    if parser.accept("->"):
-        receiver = parser.name("process name").text
-        parser.expect("[")
-        label = parser.label()
-        parser.expect("]")
-        eta = SelEta(sender, receiver, label)
-    else:
-        parser.expect(".")
-        expr = parser.expr()
-        parser.expect("->")
-        receiver = parser.name("process name").text
-        parser.expect(".")
-        var = parser.name("variable name").text
-        eta = ComEta(sender, expr, receiver, var)
-    ann = parser.annot()
-    semi = parser.expect(";")
-    spans[path] = Span(start.line, start.col, semi.line, semi.col + 1)
-    cont = _parse_chor(parser, path + ("cont",), spans)
-    return Interaction(eta, ann, cont)
+        sender = parser.name("process name").text
+        if parser.accept("->"):
+            receiver = parser.name("process name").text
+            parser.expect("[")
+            label = parser.label()
+            parser.expect("]")
+            eta = SelEta(sender, receiver, label)
+        else:
+            parser.expect(".")
+            expr = parser.expr()
+            parser.expect("->")
+            receiver = parser.name("process name").text
+            parser.expect(".")
+            var = parser.name("variable name").text
+            eta = ComEta(sender, expr, receiver, var)
+        ann = parser.annot()
+        semi = parser.expect(";")
+        spans[key] = Span(start.line, start.col, semi.line, semi.col + 1)
+        prefix.append((eta, ann))
+    for eta, ann in reversed(prefix):
+        chor = Interaction(eta, ann, chor)
+    return chor
 
 
 # --------------------------------------------------------------------------
@@ -432,57 +447,61 @@ def parse_sp(text: str) -> SPProgram:
 
 
 def _parse_behaviour(parser: _Parser) -> Behaviour:
-    if parser.accept("end"):
-        return BEnd()
-    if parser.accept("call"):
-        name = parser.name("procedure name").text
-        parser.expect("@")
-        proc = parser.name("process name").text
-        return BCall((name, proc))
-    if parser.accept("if"):
-        guard = parser.bexpr()
-        parser.expect("then")
-        parser.expect("{")
-        then_branch = _parse_behaviour(parser)
-        parser.expect("}")
-        parser.expect("else")
-        parser.expect("{")
-        else_branch = _parse_behaviour(parser)
-        parser.expect("}")
-        return BCond(guard, then_branch, else_branch)
+    """Read a run of prefixes in a loop; only conditionals and offers recurse."""
+    prefixes = []
+    while True:
+        if parser.accept("end"):
+            behaviour: Behaviour = BEnd()
+            break
+        if parser.accept("call"):
+            name = parser.name("procedure name").text
+            parser.expect("@")
+            proc = parser.name("process name").text
+            behaviour = BCall((name, proc))
+            break
+        if parser.accept("if"):
+            guard = parser.bexpr()
+            parser.expect("then")
+            parser.expect("{")
+            then_branch = _parse_behaviour(parser)
+            parser.expect("}")
+            parser.expect("else")
+            parser.expect("{")
+            else_branch = _parse_behaviour(parser)
+            parser.expect("}")
+            behaviour = BCond(guard, then_branch, else_branch)
+            break
 
-    peer = parser.name("process name").text
-    if parser.accept("!"):
-        expr = parser.expr()
-        ann = parser.annot()
+        peer = parser.name("process name").text
+        if parser.accept("!"):
+            kind, arg = Send, parser.expr()
+        elif parser.accept("?"):
+            kind, arg = Recv, parser.name("variable name").text
+        elif parser.accept("(+)"):
+            kind, arg = Choose, parser.label()
+        else:
+            parser.expect("&")
+            parser.expect("{")
+            slots = {}
+            if not parser.at("}"):
+                while True:
+                    tok = parser.peek()
+                    label = parser.label()
+                    if label in slots:
+                        raise ParseError(f"offer {label.value} given twice", tok.span)
+                    ann = parser.annot()
+                    parser.expect(":")
+                    slots[label] = (ann, _parse_behaviour(parser))
+                    if not parser.accept("|"):
+                        break
+            parser.expect("}")
+            behaviour = Branch(peer, slots.get(SelLabel.LEFT), slots.get(SelLabel.RIGHT))
+            break
+        prefixes.append((kind, peer, arg, parser.annot()))
         parser.expect(";")
-        return Send(peer, expr, ann, _parse_behaviour(parser))
-    if parser.accept("?"):
-        var = parser.name("variable name").text
-        ann = parser.annot()
-        parser.expect(";")
-        return Recv(peer, var, ann, _parse_behaviour(parser))
-    if parser.accept("(+)"):
-        label = parser.label()
-        ann = parser.annot()
-        parser.expect(";")
-        return Choose(peer, label, ann, _parse_behaviour(parser))
-    parser.expect("&")
-    parser.expect("{")
-    slots = {}
-    if not parser.at("}"):
-        while True:
-            tok = parser.peek()
-            label = parser.label()
-            if label in slots:
-                raise ParseError(f"offer {label.value} given twice", tok.span)
-            ann = parser.annot()
-            parser.expect(":")
-            slots[label] = (ann, _parse_behaviour(parser))
-            if not parser.accept("|"):
-                break
-    parser.expect("}")
-    return Branch(peer, slots.get(SelLabel.LEFT), slots.get(SelLabel.RIGHT))
+    for kind, peer, arg, ann in reversed(prefixes):
+        behaviour = kind(peer, arg, ann, behaviour)
+    return behaviour
 
 
 # --------------------------------------------------------------------------

@@ -163,7 +163,8 @@ class TotalMap:
     Entries holding the default are pruned on construction and by ``put``,
     so extensionally equal maps are also structurally equal and ``==``
     decides extensional equality.  Maps of different classes never compare
-    equal, even with the same entries.
+    equal, even with the same entries.  The hash is computed on first use,
+    so building a map never hashes its values.
     """
 
     __slots__ = ("_entries", "_hash")
@@ -172,7 +173,7 @@ class TotalMap:
     def __init__(self, entries: Union[Mapping, Iterable] = ()):
         default = self.DEFAULT
         self._entries = {key: value for key, value in dict(entries).items() if value != default}
-        self._hash = hash(frozenset(self._entries.items()))
+        self._hash = None
 
     def get(self, key):
         return self._entries.get(key, self.DEFAULT)
@@ -186,7 +187,7 @@ class TotalMap:
             entries[key] = value
         fresh = object.__new__(type(self))
         fresh._entries = entries
-        fresh._hash = hash(frozenset(entries.items()))
+        fresh._hash = None
         return fresh
 
     def support(self) -> tuple:
@@ -200,6 +201,8 @@ class TotalMap:
         return type(other) is type(self) and self._entries == other._entries
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._entries.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -6,8 +6,12 @@ import random
 from chorus import (
     B_END, BCall, BCond, BLit, Branch, Behaviour, CCProgram, Call, Choose,
     ComEta, Cond, DefSet, END, Eq, Fst, Interaction, Leq, Lit, Network,
-    Pair, Recv, RTCall, SelEta, SelLabel, Send, Snd, State, Var,
+    Pair, RCall, RCom, RCond, RSel, Recv, RTCall, SelEta, SelLabel, Send, Snd,
+    State, Var, cc_step, eval_on_state,
 )
+from chorus.choreography import eta_processes
+from chorus.labels import label_processes
+from chorus.values import eval_bexpr_on_state
 
 LEFT, RIGHT = SelLabel.LEFT, SelLabel.RIGHT
 
@@ -231,3 +235,58 @@ def wf_oracle(program: CCProgram) -> bool:
         if not _pn_oracle(body, defs.vars) <= set(procs):
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# Reference enumerator: every transition of the whole tree, then filtered by
+# the delay rules at each level.  ``chorus.cc_enabled`` must return the same
+# list, in the same order, while skipping subtrees whose processes are all
+# blocked.
+
+def cc_enabled_unpruned(defs, chor, state):
+    out = []
+    if isinstance(chor, Interaction):
+        eta = chor.eta
+        if isinstance(eta, ComEta):
+            value = eval_on_state(eta.expr, state, eta.sender)
+            out.append((RCom(eta.sender, value, eta.receiver, eta.var), chor.cont,
+                        state.put((eta.receiver, eta.var), value)))
+        else:
+            out.append((RSel(eta.sender, eta.receiver, eta.label), chor.cont, state))
+        blocked = eta_processes(eta)
+        for label, cont, succ_state in cc_enabled_unpruned(defs, chor.cont, state):
+            if label_processes(label).isdisjoint(blocked):
+                out.append((label, Interaction(eta, chor.ann, cont), succ_state))
+    elif isinstance(chor, Cond):
+        if eval_bexpr_on_state(chor.guard, state, chor.proc):
+            out.append((RCond(chor.proc), chor.then_branch, state))
+        else:
+            out.append((RCond(chor.proc), chor.else_branch, state))
+        for label, then_cont, succ_state in cc_enabled_unpruned(defs, chor.then_branch, state):
+            if chor.proc not in label_processes(label):
+                other = cc_step(defs, chor.else_branch, state, label)
+                if other is not None and other[1] == succ_state:
+                    out.append((label,
+                                Cond(chor.proc, chor.guard, then_cont, other[0]),
+                                succ_state))
+    elif isinstance(chor, Call):
+        procs = defs.vars(chor.name)
+        body = defs.body(chor.name)
+        for process in procs:
+            if len(procs) == 1:
+                succ = body
+            else:
+                succ = RTCall(chor.name, tuple(p for p in procs if p != process), body)
+            out.append((RCall(chor.name, process), succ, state))
+    elif isinstance(chor, RTCall):
+        for process in chor.pending:
+            if len(chor.pending) == 1:
+                succ = chor.body
+            else:
+                succ = RTCall(chor.name,
+                              tuple(p for p in chor.pending if p != process), chor.body)
+            out.append((RCall(chor.name, process), succ, state))
+        for label, body_cont, succ_state in cc_enabled_unpruned(defs, chor.body, state):
+            if label_processes(label).isdisjoint(chor.pending):
+                out.append((label, RTCall(chor.name, chor.pending, body_cont), succ_state))
+    return out

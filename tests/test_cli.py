@@ -162,11 +162,26 @@ def test_state_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
+    # check and project still recurse once per interaction.
     cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 2000 + "end }\n")
-    sp = _write(tmp_path, "deep.sp",
-                "p[" + "q!0; " * 2000 + "end]\n| q[" + "p?x; " * 2000 + "end]\n")
-    for argv in (["check", cc], ["simulate", sp]):
+    for argv in (["check", cc], ["project", cc]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
+    cc = _write(tmp_path, "long.cc",
+                "main { " + "p.succ(x) -> q.x; q.succ(x) -> p.x; " * 2500 + "end }\n")
+    sp = _write(tmp_path, "deep.sp",
+                "p[" + "q!0; " * 2000 + "end]\n| q[" + "p?x; " * 2000 + "end]\n")
+    for argv, steps, final in (
+            (["run", cc, "--max-steps", "5000"], 5000,
+             {"status": "terminated", "state": {"p.x": 5000, "q.x": 4999}}),
+            (["simulate", sp, "--max-steps", "2000"], 2000,
+             {"status": "terminated", "state": {}})):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == steps + 1
+        assert json.loads(lines[-1]) == final

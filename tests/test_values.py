@@ -107,15 +107,16 @@ def test_canonical_invariant_after_updates():
 SEND = Send("q", Lit(1), "", B_END)
 
 
-# (map class, a key, a value as given, the value as stored, the default)
-@pytest.mark.parametrize("cls, key, given, stored, default", [
-    pytest.param(State, ("p", "x"), (0, 2), (0, 2), 0, id="State"),
+# (map class, a key, a value as given, the value as stored, the default,
+#  a second key)
+@pytest.mark.parametrize("cls, key, given, stored, default, key2", [
+    pytest.param(State, ("p", "x"), (0, 2), (0, 2), 0, ("q", "y"), id="State"),
     pytest.param(DefSet, "X", (("s", "c", "s"), END), (("c", "s"), END),
-                 ((DEFAULT_PROCESS,), END), id="DefSet"),
-    pytest.param(Network, "p", SEND, SEND, B_END, id="Network"),
-    pytest.param(DefSetB, ("X", "p"), SEND, SEND, B_END, id="DefSetB"),
+                 ((DEFAULT_PROCESS,), END), "Y", id="DefSet"),
+    pytest.param(Network, "p", SEND, SEND, B_END, "q", id="Network"),
+    pytest.param(DefSetB, ("X", "p"), SEND, SEND, B_END, ("Y", "q"), id="DefSetB"),
 ])
-def test_total_map_laws(cls, key, given, stored, default):
+def test_total_map_laws(cls, key, given, stored, default, key2):
     empty = cls()
     one = cls({key: given})
     # Construction canonicalises (DefSet sorts and dedupes process lists).
@@ -131,10 +132,28 @@ def test_total_map_laws(cls, key, given, stored, default):
     for same in (empty.put(key, stored), cls(dict(one.items()))):
         assert same == one and hash(same) == hash(one)
     assert hash(one.put(key, default)) == hash(empty)
+    # The hash is computed on first use: a chain of puts, hashed at any point
+    # or never, equals the same map built in one go, with the same hash.
+    hashed = empty.put(key2, stored)
+    hash(hashed)
+    for chained in (empty.put(key2, stored).put(key, stored), hashed.put(key, stored)):
+        at_once = cls({key: stored, key2: stored})
+        assert chained == at_once and hash(chained) == hash(at_once)
     # Maps of different classes are unequal, even with the same entries.
     for other in (State, DefSet, Network, DefSetB):
         if other is not cls:
             assert other() != empty and other().put(key, stored) != one
+
+
+def test_network_does_not_hash_behaviours():
+    deep = B_END
+    for _ in range(5000):
+        deep = Send("q", Lit(1), "", deep)
+    with pytest.raises(RecursionError):
+        hash(deep)
+    network = Network({"p": deep})
+    assert network.put("q", deep).support() == ("p", "q")
+    assert network.put("p", B_END) == Network()
 
 
 def test_value_json_round_trip():
