@@ -214,3 +214,117 @@ def test_diamond_on_independent_communications():
     program = CCProgram(DefSet(), chor)
     assert check_diamond(program, EMPTY_STATE, 4).passed
     assert check_determinism(program, EMPTY_STATE, 4).passed
+
+
+# --------------------------------------------------------------------------
+# Meta-check failure paths: a patched enumerator or step function makes each
+# meta-check fail, and the whole report is pinned.
+
+def _step(sender, value, receiver, var):
+    return {"rich": {"kind": "com", "from": sender, "to": receiver, "value": value,
+                     "var": var},
+            "label": {"kind": "com", "from": sender, "to": receiver, "value": value}}
+
+
+def _fork_program():
+    """o1 tells o2, then o1 -> s1 and o2 -> s2 may run in either order."""
+    from chorus import ComEta, Lit
+    from helpers import seq
+
+    return CCProgram(DefSet(), seq(ComEta("o1", Lit(0), "o2", "z"),
+                                   ComEta("o1", Lit(1), "s1", "x"),
+                                   ComEta("o2", Lit(2), "s2", "y"), END))
+
+
+def _where_forked(change):
+    """cc_enabled, with ``change`` applied wherever two labels are enabled."""
+    from chorus.chor_semantics import cc_enabled
+
+    def patched(defs, chor, state):
+        enabled = cc_enabled(defs, chor, state)
+        return change(enabled) if len(enabled) >= 2 else enabled
+    return patched
+
+
+def _patch_duplicate(monkeypatch):
+    monkeypatch.setattr("chorus.verification.cc_enabled",
+                        _where_forked(lambda enabled: enabled + enabled[:1]))
+
+
+def _patch_step_refuses_s2(monkeypatch):
+    from chorus.chor_semantics import cc_step
+
+    monkeypatch.setattr(
+        "chorus.verification.cc_step",
+        lambda defs, chor, state, label:
+            None if label.receiver == "s2" else cc_step(defs, chor, state, label))
+
+
+def _patch_same_successor(monkeypatch):
+    collapsed = _where_forked(
+        lambda enabled: [(label, enabled[0][1], state) for label, _, state in enabled])
+    monkeypatch.setattr("chorus.verification.cc_enabled", collapsed)
+    monkeypatch.setattr(
+        "chorus.verification.cc_step",
+        lambda defs, chor, state, label: next(
+            ((c, s) for l, c, s in collapsed(defs, chor, state) if l == label), None))
+
+
+def _patch_stuck(monkeypatch):
+    monkeypatch.setattr("chorus.verification.cc_enabled", _where_forked(lambda enabled: []))
+
+
+def _patch_two_ends(monkeypatch):
+    monkeypatch.setattr(
+        "chorus.verification.cc_enabled",
+        _where_forked(lambda enabled: [(label, END, state) for label, _, state in enabled]))
+
+
+_FIRST = [_step("o1", 0, "o2", "z")]
+
+META_FAILURES = {
+    "duplicated_label": (
+        _patch_duplicate, "determinism", check_determinism, 5,
+        {"trace": _FIRST, "reason": "a rich label was enumerated twice"}),
+    "step_disagrees": (
+        _patch_step_refuses_s2, "determinism", check_determinism, 5,
+        {"trace": _FIRST, "reason": "enumeration and step disagree on com(o2,2,s2,y)"}),
+    "same_successor": (
+        _patch_same_successor, "determinism", check_determinism, 6,
+        {"trace": _FIRST, "reason": "labels com(o1,1,s1,x) and com(o2,2,s2,y) "
+                                    "reach the same choreography"}),
+    "no_commute": (
+        _patch_step_refuses_s2, "diamond", check_diamond, 5,
+        {"trace": _FIRST, "reason": "com(o1,1,s1,x) and com(o2,2,s2,y) do not commute"}),
+    "stuck": (
+        _patch_stuck, "progress", check_progress, 2,
+        {"trace": _FIRST, "reason": "well-formed configuration is stuck before End"}),
+    "two_terminal_states": (
+        _patch_two_ends, "termination_unique", check_termination_unique, 4,
+        {"trace": _FIRST + [_step("o2", 2, "s2", "y")],
+         "reason": "two terminated runs end in different states",
+         "other_trace": _FIRST + [_step("o1", 1, "s1", "x")]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(META_FAILURES))
+def test_meta_check_failure_reports(monkeypatch, case):
+    from chorus.verification import check_property
+
+    patch, name, check, nodes, counterexample = META_FAILURES[case]
+    expected = {"property": name, "verdict": "fail", "nodes": nodes, "depth": 4,
+                "counterexample": counterexample, "detail": counterexample["reason"]}
+    program = _fork_program()
+    patch(monkeypatch)
+    assert check(program, EMPTY_STATE, 4).to_json() == expected
+    key = "termination" if name == "termination_unique" else name
+    [report] = check_property(key, program, EMPTY_STATE, 4)
+    assert report.to_json() == expected
+
+
+def test_meta_checks_pass_on_fork_program():
+    program = _fork_program()
+    for check in (check_determinism, check_diamond, check_progress,
+                  check_termination_unique):
+        report = check(program, EMPTY_STATE, 4)
+        assert report.passed and report.nodes == 5
