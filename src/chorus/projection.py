@@ -257,20 +257,16 @@ def projectable_b(defs: DefSet, chor: Choreography, process: ProcessName) -> boo
 
 def projectable_c(defs: DefSet, chor: Choreography,
                   processes: Iterable[ProcessName]) -> bool:
-    return all(projectable_b(defs, chor, p) for p in processes)
+    return not isinstance(epp_c(defs, processes, chor), EppFailure)
 
 
 def projectable_d(defs: DefSet, check_set: Iterable[ProcName] = ()) -> bool:
     """Each procedure's body is projectable for its own processes."""
-    for name in sorted(set(defs.support()) | set(check_set)):
-        if not projectable_c(defs, defs.body(name), defs.vars(name)):
-            return False
-    return True
+    return not isinstance(epp_d(defs, check_set), EppFailure)
 
 
 def projectable_p(program: CCProgram, check_set: Iterable[ProcName] = ()) -> bool:
-    return (projectable_c(program.defs, program.main, sorted(ccp_pn(program)))
-            and projectable_d(program.defs, check_set))
+    return not isinstance(epp(program, check_set), EppFailure)
 
 
 # --------------------------------------------------------------------------

@@ -406,12 +406,10 @@ def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, Span]) -> Chor
 class SPSourceFile:
     text: str
     program: SPProgram
-    spans: Dict[Tuple, Span] = field(default_factory=dict)
 
 
 def parse_sp_file(text: str) -> SPSourceFile:
     parser = _Parser(text)
-    spans: Dict[Tuple, Span] = {}
     defs = {}
     while parser.at("def"):
         start = parser.expect("def")
@@ -422,8 +420,7 @@ def parse_sp_file(text: str) -> SPSourceFile:
             raise ParseError(f"procedure copy {name}@{proc} defined twice", start.span)
         parser.expect("{")
         body = _parse_behaviour(parser)
-        close = parser.expect("}")
-        spans[("def", name, proc)] = Span(start.line, start.col, close.line, close.col + 1)
+        parser.expect("}")
         defs[(name, proc)] = body
     procs = {}
     while True:
@@ -431,15 +428,14 @@ def parse_sp_file(text: str) -> SPSourceFile:
         proc = parser.name("process name").text
         parser.expect("[")
         behaviour = _parse_behaviour(parser)
-        close = parser.expect("]")
-        spans[("net", proc)] = Span(start.line, start.col, close.line, close.col + 1)
+        parser.expect("]")
         if proc in procs:
             raise ParseError(f"process {proc} given two behaviours", start.span)
         procs[proc] = behaviour
         if not parser.accept("|"):
             break
     parser.eof()
-    return SPSourceFile(text, SPProgram(DefSetB(defs), Network(procs)), spans)
+    return SPSourceFile(text, SPProgram(DefSetB(defs), Network(procs)))
 
 
 def parse_sp(text: str) -> SPProgram:

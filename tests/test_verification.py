@@ -328,3 +328,34 @@ def test_meta_checks_pass_on_fork_program():
                   check_termination_unique):
         report = check(program, EMPTY_STATE, 4)
         assert report.passed and report.nodes == 5
+
+
+def test_check_property_all_explores_one_graph(monkeypatch):
+    """The four meta-checks scan one shared graph: with ``all`` they call
+    cc_enabled once per configuration, on top of the completeness game."""
+    from chorus.chor_semantics import cc_enabled
+    from chorus.verification import check_property
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cc_enabled(*args)
+
+    monkeypatch.setattr("chorus.verification.cc_enabled", counted)
+    cases = [(auth_program(), auth_state(True), ()),
+             (file_transfer_program(), EMPTY_STATE, ("FileTransfer",))]
+    cases += [(program, EMPTY_STATE, program.defs.support())
+              for program in map(gen_program, range(6))]
+    for program, state, names in cases:
+        calls.clear()
+        check_property("complete", program, state, 8, names)
+        game_calls = len(calls)
+        calls.clear()
+        reports = check_property("all", program, state, 8, names)
+        assert all(report.passed for report in reports)
+        [nodes] = {report.nodes for report in reports[2:]}
+        assert len(calls) - game_calls == nodes
+        calls.clear()
+        [report] = check_property("diamond", program, state, 8)
+        assert report.nodes == nodes == len(calls)
