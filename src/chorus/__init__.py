@@ -24,8 +24,7 @@ from .labels import (
 from .chor_semantics import CCConfiguration, cc_enabled, cc_step, ccp_multistep, ccp_step
 from .processes import (
     B_END, BCall, BCond, BEnd, Branch, Behaviour, Choose, DefSetB, Network,
-    Recv, SPProgram, Send, behaviour_wf, network_disjoint, network_wf, par,
-    remove, singleton,
+    Recv, SPProgram, Send, behaviour_wf, singleton,
 )
 from .proc_semantics import SPConfiguration, sp_enabled, sp_step, spp_multistep, spp_step
 from .projection import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from .values import BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName
@@ -170,31 +171,40 @@ class CCProgram:
 # --------------------------------------------------------------------------
 # Tree walking
 
-def walk(chor: Choreography, path: Tuple[str, ...] = ()):
-    """Yield every (path, node) pair depth-first, left to right."""
-    yield path, chor
-    if isinstance(chor, Interaction):
-        yield from walk(chor.cont, path + ("cont",))
-    elif isinstance(chor, Cond):
-        yield from walk(chor.then_branch, path + ("then",))
-        yield from walk(chor.else_branch, path + ("else",))
-    elif isinstance(chor, RTCall):
-        yield from walk(chor.body, path + ("body",))
+# Each node kind's children in order, as (path step, field).  The read-only
+# passes below learn a node's children here and nowhere else.
+CHILDREN = {
+    Interaction: (("cont", "cont"),),
+    Cond: (("then", "then_branch"), ("else", "else_branch")),
+    RTCall: (("body", "body"),),
+    Call: (),
+    End: (),
+}
+
+
+def _walk(chor: Choreography):
+    """Yield (node, link) pre-order, left to right, in a loop.  A link is None
+    at the root, else (path step, the parent's link)."""
+    stack = [(chor, None)]
+    while stack:
+        node, link = stack.pop()
+        yield node, link
+        for step, name in reversed(CHILDREN[type(node)]):
+            stack.append((getattr(node, name), (step, link)))
+
+
+def walk(chor: Choreography):
+    """Every node of ``chor``, pre-order, left to right."""
+    return map(itemgetter(0), _walk(chor))
 
 
 def node_at(chor: Choreography, path: Iterable[str]) -> Choreography:
     node = chor
     for step in path:
-        if isinstance(node, Interaction) and step == "cont":
-            node = node.cont
-        elif isinstance(node, Cond) and step == "then":
-            node = node.then_branch
-        elif isinstance(node, Cond) and step == "else":
-            node = node.else_branch
-        elif isinstance(node, RTCall) and step == "body":
-            node = node.body
-        else:
+        name = dict(CHILDREN[type(node)]).get(step)
+        if name is None:
             raise KeyError(f"no node at step {step!r} of {path!r}")
+        node = getattr(node, name)
     return node
 
 
@@ -205,9 +215,18 @@ def format_path(path: Tuple[str, ...]) -> str:
 # --------------------------------------------------------------------------
 # Well-formedness clauses
 
-def _first(chor: Choreography, bad: Callable[[Choreography], bool]) -> Optional[Tuple[str, ...]]:
-    """Path of the first node, depth-first and left to right, that is ``bad``."""
-    return next((path for path, node in walk(chor) if bad(node)), None)
+def _first(chor: Choreography, bad: Callable[[Choreography], bool]
+           ) -> Optional[Tuple[Tuple[str, ...], Choreography]]:
+    """(path, node) of the first node, pre-order and left to right, that is
+    ``bad``.  Only that node's path is built, from its parent links."""
+    for node, link in _walk(chor):
+        if bad(node):
+            path = []
+            while link is not None:
+                step, link = link
+                path.append(step)
+            return tuple(reversed(path)), node
+    return None
 
 
 def _self_comm(node: Choreography) -> bool:
@@ -253,17 +272,17 @@ def consistent(names: Callable[[ProcName], FrozenSet[ProcessName]], chor: Choreo
 def ccc_pn(chor: Choreography,
            names: Callable[[ProcName], FrozenSet[ProcessName]]) -> FrozenSet[ProcessName]:
     """Processes occurring in a choreography, given each procedure's processes."""
-    if isinstance(chor, Interaction):
-        return eta_processes(chor.eta) | ccc_pn(chor.cont, names)
-    if isinstance(chor, Cond):
-        return (frozenset((chor.proc,))
-                | ccc_pn(chor.then_branch, names)
-                | ccc_pn(chor.else_branch, names))
-    if isinstance(chor, Call):
-        return frozenset(names(chor.name))
-    if isinstance(chor, RTCall):
-        return frozenset(chor.pending) | ccc_pn(chor.body, names)
-    return frozenset()
+    out = set()
+    for node in walk(chor):
+        if isinstance(node, Interaction):
+            out.update((node.eta.sender, node.eta.receiver))
+        elif isinstance(node, Cond):
+            out.add(node.proc)
+        elif isinstance(node, Call):
+            out.update(names(node.name))
+        elif isinstance(node, RTCall):
+            out.update(node.pending)
+    return frozenset(out)
 
 
 def ccp_pn(program: CCProgram) -> FrozenSet[ProcessName]:
@@ -299,26 +318,17 @@ def program_wf(program: CCProgram) -> bool:
 
 def used_procedures_c(chor: Choreography, allowed: Iterable[ProcName]) -> bool:
     allowed = set(allowed)
-    for _, node in walk(chor):
-        if isinstance(node, (Call, RTCall)) and node.name not in allowed:
-            return False
-    return True
+    return all(node.name in allowed for node in walk(chor) if isinstance(node, (Call, RTCall)))
 
 
 def used_procedures(program: CCProgram, allowed: Iterable[ProcName]) -> bool:
     """The program only calls procedures in ``allowed``, which are themselves
     closed under calls; everything else is defined as End."""
     allowed = set(allowed)
-    if not used_procedures_c(program.main, allowed):
-        return False
-    for name in allowed:
-        if not used_procedures_c(program.defs.body(name), allowed):
-            return False
-    for name in program.defs.support():
-        if name not in allowed:
-            if program.defs.body(name) != END or not program.defs.vars(name):
-                return False
-    return True
+    reached = (program.main, *(program.defs.body(name) for name in allowed))
+    return (all(used_procedures_c(chor, allowed) for chor in reached)
+            and all(program.defs.body(name) == END and program.defs.vars(name)
+                    for name in program.defs.support() if name not in allowed))
 
 
 class UsedProceduresViolated(Exception):
@@ -356,26 +366,26 @@ def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfRepor
             f"program calls procedures outside the check set {sorted(set(check_set))!r}")
 
     main = program.main
-    path = _first(main, _self_comm)
-    if path is not None:
-        return WfReport(False, "no_self_comm", "main", path, "interaction with itself")
-    path = _first(main, _empty_pending)
-    if path is not None:
-        return WfReport(False, "no_empty_ann", "main", path, "runtime term with no pending processes")
-    path = _first(main, _escapes(program.defs.names))
-    if path is not None:
-        node = node_at(main, path)
+    found = _first(main, _self_comm)
+    if found:
+        return WfReport(False, "no_self_comm", "main", found[0], "interaction with itself")
+    found = _first(main, _empty_pending)
+    if found:
+        return WfReport(False, "no_empty_ann", "main", found[0],
+                        "runtime term with no pending processes")
+    found = _first(main, _escapes(program.defs.names))
+    if found:
+        path, node = found
         return WfReport(False, "consistent", "main", path,
                         f"pending processes escape procedure {node.name}")
-
     for name in sorted(set(program.defs.support()) | set(check_set)):
         body = program.defs.body(name)
-        path = _first(body, _self_comm)
-        if path is not None:
-            return WfReport(False, "no_self_comm", name, path, "interaction with itself")
-        path = _first(body, _runtime_term)
-        if path is not None:
-            return WfReport(False, "initial", name, path, "runtime term in a procedure body")
+        found = _first(body, _self_comm)
+        if found:
+            return WfReport(False, "no_self_comm", name, found[0], "interaction with itself")
+        found = _first(body, _runtime_term)
+        if found:
+            return WfReport(False, "initial", name, found[0], "runtime term in a procedure body")
         if not well_ann(program, name):
             procs = program.defs.vars(name)
             if not procs:

@@ -152,6 +152,8 @@ def cmd_step(args) -> int:
             break
         try:
             pick = int(line)
+            if pick < 0:
+                raise IndexError(pick)
             rich, chor, state = enabled[pick]
         except (ValueError, IndexError):
             print("enter one of the listed indices, or q to quit")
@@ -246,8 +248,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Well-formedness, projection and the printers recurse once per
-        # interaction; inputs deeper than the interpreter's limit are rejected.
+        # Projection, the hash of its memo's key and the printers recurse once
+        # per interaction; inputs deeper than the interpreter's limit are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Process behaviours, networks, and network algebra.
+"""Process behaviours and networks.
 
 A behaviour is the local program of one process.  Branching terms store
 their two optional offers in order (left, right), each as an
@@ -71,22 +71,6 @@ Behaviour = Union[BEnd, Send, Recv, Choose, Branch, BCond, BCall]
 B_END = BEnd()
 
 
-def behaviour_depth(behaviour: Behaviour) -> int:
-    """AST depth; branch slots count like any other subterm."""
-    if isinstance(behaviour, (Send, Recv, Choose)):
-        return 1 + behaviour_depth(behaviour.cont)
-    if isinstance(behaviour, Branch):
-        depths = [0]
-        for slot in (behaviour.left, behaviour.right):
-            if slot is not None:
-                depths.append(behaviour_depth(slot[1]))
-        return 1 + max(depths)
-    if isinstance(behaviour, BCond):
-        return 1 + max(behaviour_depth(behaviour.then_branch),
-                       behaviour_depth(behaviour.else_branch))
-    return 1
-
-
 def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
     """No action in the behaviour names ``process`` as its own peer."""
     if isinstance(behaviour, (Send, Recv, Choose)):
@@ -116,26 +100,6 @@ EMPTY_NETWORK = Network()
 
 def singleton(process: ProcessName, behaviour: Behaviour) -> Network:
     return Network({process: behaviour})
-
-
-def par(first: Network, second: Network) -> Network:
-    """Left-biased union: the first network wins where both are defined."""
-    procs = {p: second.get(p) for p in second.support()}
-    procs.update({p: first.get(p) for p in first.support()})
-    return Network(procs)
-
-
-def remove(network: Network, process: ProcessName) -> Network:
-    return network.put(process, B_END)
-
-
-def network_disjoint(first: Network, second: Network) -> bool:
-    """Every process is terminated in at least one of the two networks."""
-    return not set(first.support()) & set(second.support())
-
-
-def network_wf(network: Network) -> bool:
-    return all(behaviour_wf(p, b) for p, b in network.items())
 
 
 class DefSetB(TotalMap):

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction,
-    RTCall, ccp_pn, program_wf,
+    RTCall, ccp_pn, format_path, program_wf, walk,
 )
 from .processes import (
     B_END, BCall, BCond, Branch, BranchSlot, Behaviour, Choose, DefSetB,
@@ -48,8 +48,7 @@ class Diagnostic:
     path: Tuple[str, ...]
 
     def __str__(self) -> str:
-        where = "/".join(self.path) if self.path else "<root>"
-        return f"{self.reason} (at {where})"
+        return f"{self.reason} (at {format_path(self.path)})"
 
 
 @dataclass(frozen=True)
@@ -275,28 +274,22 @@ def projectable_p(program: CCProgram, check_set: Iterable[ProcName] = ()) -> boo
 def str_proj(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
     """Projectability strengthened over runtime terms so transitions preserve it.
 
-    A runtime term additionally requires that, for every process still to
-    join, the projection of the procedure's definition sits above the
-    projection of the term's body in the branching order (both defined).
+    Every conditional must be projectable, and every runtime term requires
+    that, for every process still to join, the projection of the procedure's
+    definition sits above the projection of the term's body in the branching
+    order (both defined).
     """
-    if isinstance(chor, Interaction):
-        return str_proj(defs, chor.cont, process)
-    if isinstance(chor, Cond):
-        return (str_proj(defs, chor.then_branch, process)
-                and str_proj(defs, chor.else_branch, process)
-                and projectable_b(defs, chor, process))
-    if isinstance(chor, RTCall):
-        if not str_proj(defs, chor.body, process):
+    for node in walk(chor):
+        if isinstance(node, Cond) and not projectable_b(defs, node, process):
             return False
-        for joiner in chor.pending:
-            from_def = bproj(defs, defs.body(chor.name), joiner)
-            from_body = bproj(defs, chor.body, joiner)
-            if not (from_def.ok and from_body.ok):
-                return False
-            if not more_branches(from_def.behaviour, from_body.behaviour):
-                return False
-        return True
-    return True  # Call, End
+        if isinstance(node, RTCall):
+            for joiner in node.pending:
+                from_def = bproj(defs, defs.body(node.name), joiner)
+                from_body = bproj(defs, node.body, joiner)
+                if not (from_def.ok and from_body.ok
+                        and more_branches(from_def.behaviour, from_body.behaviour)):
+                    return False
+    return True
 
 
 def str_proj_p(program: CCProgram, check_set: Iterable[ProcName] = ()) -> bool:

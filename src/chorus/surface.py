@@ -36,8 +36,10 @@ trace output, and the parser rejects that form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import takewhile
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, DEFAULT_PROCESS, End,
@@ -57,10 +59,6 @@ _KEYWORDS = frozenset((
     "true", "false", "succ", "fst", "snd", "pair", "rt_call",
 ))
 
-_SYMBOLS = ("(+)", "->", "==", "<=", "&&", "!", "?", "@", ";", ":", ",",
-            ".", "{", "}", "(", ")", "[", "]", "+", "|", "&")
-
-
 @dataclass(frozen=True)
 class Span:
     line: int
@@ -72,8 +70,7 @@ class Span:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | nat | string | sym | eof
     text: str
     line: int
@@ -96,68 +93,49 @@ class ParseError(Exception):
         return f"{self.span}: {self.message}{note}"
 
 
+# Blanks, then one alternative per token class, tried in order; no
+# alternative starts with a blank, so trailing blanks match nothing.  ``\w``
+# is exactly ``str.isalnum`` or "_"; ``tokenize`` splits words with
+# ``str.isdigit`` and ``str.isalpha``, since ``\d`` is not ``str.isdigit``.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<newline>\n) | (?P<comment>\#[^\n]*)
+  | (?P<string>"(?:[^"\\]|\\.)*") | (?P<open>")
+  | (?P<word>\w+) | (?P<sym>\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]) | (?P<stray>[^ \t\r]))
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < length and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            j, raw = i + 1, []
-            while j < length and text[j] != '"':
-                if text[j] == "\\" and j + 1 < length:
-                    raw.append(text[j:j + 2])
-                    j += 2
-                else:
-                    raw.append(text[j])
-                    j += 1
-            if j >= length:
-                raise ParseError("unterminated string", Span(start_line, start_col, line, col))
-            literal = text[i:j + 1]
+    tokens: List[Token] = []
+    line, line_start, pos, kind = 1, 0, 0, None
+    while (match := _TOKEN.match(text, pos)) is not None:  # None: only blanks are left
+        kind = match.lastgroup
+        lexeme, pos = match[kind], match.end()
+        col = pos - len(lexeme) - line_start + 1
+        if kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(Token("ident", lexeme, line, col))
+        elif kind == "word" and lexeme[0].isdigit():
+            # A nat is a run of str.isdigit; the rest of the word is read next.
+            nat = "".join(takewhile(str.isdigit, lexeme))
+            pos += len(nat) - len(lexeme)
+            tokens.append(Token("nat", nat, line, col))
+        elif kind == "sym":
+            tokens.append(Token("sym", lexeme, line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "string":
             try:
-                value = json.loads(literal)
+                tokens.append(Token("string", json.loads(lexeme), line, col))
             except json.JSONDecodeError:
-                raise ParseError(f"bad string literal {literal}",
-                                 Span(start_line, start_col, line, col)) from None
-            tokens.append(Token("string", value, start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < length and text[j].isdigit():
-                j += 1
-            tokens.append(Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"stray character {ch!r}", Span(line, col, line, col + 1))
+                raise ParseError(f"bad string literal {lexeme}",
+                                 Span(line, col, line, col)) from None
+        elif kind == "open":
+            raise ParseError("unterminated string", Span(line, col, line, col))
+        elif kind in ("word", "stray"):  # a word from a character such as "½"
+            raise ParseError(f"stray character {lexeme[0]!r}", Span(line, col, line, col + 1))
+    # A comment does not move the column, so the end of input after a final
+    # comment sits where that comment starts.
+    if kind != "comment":
+        col = len(text) - line_start + 1
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -167,8 +145,9 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # Nothing consumes the eof token, so ``pos`` never passes it.
+        return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
         tok = self.peek()
@@ -181,11 +160,10 @@ class _Parser:
         return False
 
     def expect(self, text: str) -> Token:
+        tok = self.peek()
         if not self.at(text):
-            tok = self.peek()
             raise ParseError(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
                              tok.span, (text,))
-        tok = self.peek()
         self.pos += 1
         return tok
 

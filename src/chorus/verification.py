@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -226,15 +227,14 @@ def _cc_label(label: RichLabel) -> Optional[RichLabel]:
 
 
 def _run_game(name: str, program: CCProgram, state: State, depth: int,
-              check_set: Iterable[str], initial_network: Optional[Network],
-              initial_defs: Optional[DefSetB]) -> VerifyReport:
+              check_set: Iterable[str] = (), initial_network: Optional[Network] = None,
+              initial_defs: Optional[DefSetB] = None) -> VerifyReport:
     """In ``complete`` the choreography moves and the network matches each
     move; in ``sound`` the network moves and the choreography matches."""
     check_set = tuple(check_set)
     if not str_proj_p(program, check_set):
         raise NotStronglyProjectable(
             "the projection game needs a well-formed, strongly projectable program")
-    clear_projection_cache()
     defs = program.defs
     processes = ccp_pn(program)
     projected = epp(program, check_set)
@@ -295,6 +295,7 @@ def check_epp_complete(program: CCProgram, state: State, depth: int,
                        initial_network: Optional[Network] = None,
                        initial_defs: Optional[DefSetB] = None) -> VerifyReport:
     """Every choreography step is matched by its projection."""
+    clear_projection_cache()
     return _run_game("complete", program, state, depth, check_set, initial_network, initial_defs)
 
 
@@ -303,12 +304,15 @@ def check_epp_sound(program: CCProgram, state: State, depth: int,
                     initial_network: Optional[Network] = None,
                     initial_defs: Optional[DefSetB] = None) -> VerifyReport:
     """Every step of the projection is matched by the choreography."""
+    clear_projection_cache()
     return _run_game("sound", program, state, depth, check_set, initial_network, initial_defs)
 
 
+# The games here leave the projection memo alone: ``check_property`` clears
+# it once per call, so the two games share it.
 _CHECKS = {
-    "complete": check_epp_complete,
-    "sound": check_epp_sound,
+    "complete": partial(_run_game, "complete"),
+    "sound": partial(_run_game, "sound"),
     "determinism": _determinism,
     "diamond": _diamond,
     "progress": _progress,
@@ -319,7 +323,9 @@ _CHECKS = {
 def check_property(name: str, program: CCProgram, state: State, depth: int,
                    check_set: Iterable[str] = ()) -> List[VerifyReport]:
     """Run one named check, or all of them in a fixed order.  The meta-checks
-    scan one configuration graph, explored once per call."""
+    scan one configuration graph, explored once per call; the projection
+    games share one projection memo, cleared once per call."""
+    clear_projection_cache()
     reports, graph = [], None
     for key in (_CHECKS if name == "all" else [name]):
         check = _CHECKS[key]

@@ -1,6 +1,7 @@
 """Shared builders and seeded random generators for the test suite."""
 from __future__ import annotations
 
+import json
 import random
 
 from chorus import (
@@ -11,6 +12,7 @@ from chorus import (
 )
 from chorus.choreography import eta_processes
 from chorus.labels import label_processes
+from chorus.surface import ParseError, Span, Token
 from chorus.values import eval_bexpr_on_state
 
 LEFT, RIGHT = SelLabel.LEFT, SelLabel.RIGHT
@@ -237,6 +239,19 @@ def wf_oracle(program: CCProgram) -> bool:
     return True
 
 
+def walk_reference(chor, path=()):
+    """The recursive walk that ``chorus.choreography.walk`` replaced: every
+    (path, node) pair, pre-order, left to right."""
+    yield path, chor
+    if isinstance(chor, Interaction):
+        yield from walk_reference(chor.cont, path + ("cont",))
+    elif isinstance(chor, Cond):
+        yield from walk_reference(chor.then_branch, path + ("then",))
+        yield from walk_reference(chor.else_branch, path + ("else",))
+    elif isinstance(chor, RTCall):
+        yield from walk_reference(chor.body, path + ("body",))
+
+
 # --------------------------------------------------------------------------
 # Reference enumerator: every transition of the whole tree, then filtered by
 # the delay rules at each level.  ``chorus.cc_enabled`` must return the same
@@ -290,3 +305,73 @@ def cc_enabled_unpruned(defs, chor, state):
             if label_processes(label).isdisjoint(chor.pending):
                 out.append((label, RTCall(chor.name, chor.pending, body_cont), succ_state))
     return out
+
+
+# --------------------------------------------------------------------------
+# Reference scanner: ``chorus.surface.tokenize`` must give the same tokens,
+# or raise the same ParseError (message, span and ``expected``).
+
+_REFERENCE_SYMBOLS = ("(+)", "->", "==", "<=", "&&", "!", "?", "@", ";", ":", ",",
+                      ".", "{", "}", "(", ")", "[", "]", "+", "|", "&")
+
+
+def tokenize_reference(text: str):
+    """The character-loop scanner that ``chorus.surface.tokenize`` replaced."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    length = len(text)
+    while i < length:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < length and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            j = i + 1
+            while j < length and text[j] != '"':
+                j += 2 if text[j] == "\\" and j + 1 < length else 1
+            if j >= length:
+                raise ParseError("unterminated string", Span(start_line, start_col, line, col))
+            literal = text[i:j + 1]
+            try:
+                value = json.loads(literal)
+            except json.JSONDecodeError:
+                raise ParseError(f"bad string literal {literal}",
+                                 Span(start_line, start_col, line, col)) from None
+            tokens.append(Token("string", value, start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < length and text[j].isdigit():
+                j += 1
+            tokens.append(Token("nat", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < length and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token("sym", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"stray character {ch!r}", Span(line, col, line, col + 1))
+    tokens.append(Token("eof", "", line, col))
+    return tokens

@@ -1,16 +1,16 @@
 import pytest
 
 from chorus import (
-    CCProgram, Call, ComEta, Cond, DefSet, END, Interaction, Lit, RTCall,
-    SelEta, SelLabel, UsedProceduresViolated, ccc_pn, ccp_pn, chor_wf,
-    consistent, initial, no_empty_ann, no_self_comm, program_wf,
-    program_wf_dec, used_procedures, well_ann,
+    BTRUE, CCProgram, Call, ComEta, Cond, DefSet, EMPTY_STATE, END, Interaction,
+    Lit, RTCall, SelEta, SelLabel, UsedProceduresViolated, cc_enabled, ccc_pn,
+    ccp_pn, chor_wf, consistent, gen_program, initial, no_empty_ann,
+    no_self_comm, program_wf, program_wf_dec, used_procedures, well_ann,
 )
-from chorus.choreography import DEFAULT_PROCESS, node_at, walk
+from chorus.choreography import DEFAULT_PROCESS, End, _first, node_at, walk
 
 from helpers import (
     auth_choreography, auth_program, file_transfer_body, file_transfer_program,
-    seq, wf_oracle,
+    seq, walk_reference, wf_oracle,
 )
 
 
@@ -51,6 +51,8 @@ def test_ccc_pn():
     assert ccc_pn(auth_choreography(), lambda n: frozenset()) == {"c", "ip", "s"}
     names = {"X": frozenset({"c", "s"})}
     assert ccc_pn(Call("X"), lambda n: names[n]) == {"c", "s"}
+    running = rt("X", ("p",), Interaction(ComEta("q", Lit(0), "r", "x"), "", END))
+    assert ccc_pn(running, lambda n: frozenset()) == {"p", "q", "r"}
 
 
 def test_ccp_pn():
@@ -99,6 +101,10 @@ def test_used_procedures():
     ft = file_transfer_program()
     assert used_procedures(ft, ("FileTransfer",))
     assert not used_procedures(ft, ())
+    # Procedures outside the set must be End with a nonempty process list.
+    assert used_procedures(CCProgram(DefSet({"Spare": (("c",), END)}), END), ())
+    assert not used_procedures(CCProgram(DefSet({"Spare": ((), END)}), END), ())
+    assert not used_procedures(CCProgram(DefSet({"Spare": (("c",), Call("Spare"))}), END), ())
 
 
 def test_program_wf_dec_accepts_file_transfer():
@@ -144,10 +150,40 @@ def test_wf_invariant_under_extra_end_procedures():
     assert program_wf_dec(extended, ("FileTransfer", "Spare")).ok
 
 
+def _walk_corpus():
+    """Choreographies with every node kind, runtime terms and shared nodes."""
+    yield auth_choreography()
+    yield file_transfer_body()
+    shared = seq(ComEta("p", Lit(0), "q", "x"), END)
+    yield Cond("p", BTRUE, shared, Cond("q", BTRUE, shared, shared))
+    for seed in range(40):
+        program = gen_program(seed)
+        yield from (program.defs.body(name) for name in program.defs.support())
+        chor, state = program.main, EMPTY_STATE
+        for step in range(6):
+            yield chor
+            enabled = cc_enabled(program.defs, chor, state)
+            if not enabled:
+                break
+            _, chor, state = enabled[(seed + step) % len(enabled)]
+
+
 def test_walk_and_node_at_agree():
-    chor = auth_choreography()
-    for path, node in walk(chor):
-        assert node_at(chor, path) == node
+    """``walk`` order, ``node_at`` and ``_first`` paths match the recursive
+    reference walk on every node."""
+    kinds = set()
+    for chor in _walk_corpus():
+        reference = list(walk_reference(chor))
+        assert [id(node) for node in walk(chor)] == [id(node) for _, node in reference]
+        for path, node in reference:
+            kinds.add(type(node))
+            assert node_at(chor, path) is node
+            first = next(p for p, n in reference if n is node)
+            assert _first(chor, lambda n, node=node: n is node) == (first, node)
+        assert _first(chor, lambda n: False) is None
+    assert kinds == {Interaction, Cond, Call, RTCall, End}
+    with pytest.raises(KeyError):
+        node_at(auth_choreography(), ("then",))
 
 
 def test_initial_implies_no_empty_ann_and_consistent():

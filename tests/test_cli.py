@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 from chorus import (
@@ -152,6 +153,14 @@ def test_step_interactive(tmp_path, capsys, monkeypatch):
     assert "[0] call(FileTransfer,c)" in out
     assert "[1] call(FileTransfer,s)" in out
 
+    # A negative index is not one of the listed ones, even where Python would
+    # read it from the end of the list.
+    monkeypatch.setattr("sys.stdin", io.StringIO("-1\n2\nx\n0\nq\n"))
+    assert main(["step", FT]) == 0
+    out = capsys.readouterr().out
+    assert out.count("enter one of the listed indices, or q to quit") == 3
+    assert re.findall(r"-- (.*)", out) == ["call(FileTransfer,c)"]
+
 
 def test_state_file_must_hold_an_object(tmp_path, capsys):
     for text in ("[1]", '"x"'):
@@ -162,13 +171,12 @@ def test_state_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
-    # check and project still recurse once per interaction.
+    # project still recurses once per interaction.
     cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 2000 + "end }\n")
-    for argv in (["check", cc], ["project", cc]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert captured.out == ""
+    assert main(["project", cc]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
@@ -176,6 +184,8 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
                 "main { " + "p.succ(x) -> q.x; q.succ(x) -> p.x; " * 2500 + "end }\n")
     sp = _write(tmp_path, "deep.sp",
                 "p[" + "q!0; " * 2000 + "end]\n| q[" + "p?x; " * 2000 + "end]\n")
+    assert main(["check", cc]) == 0
+    assert capsys.readouterr().out == "ok\n"
     for argv, steps, final in (
             (["run", cc, "--max-steps", "5000"], 5000,
              {"status": "terminated", "state": {"p.x": 5000, "q.x": 4999}}),
