@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .choreography import (
-    CALL_BIT, CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction,
-    RTCall, SelEta, PROCESS_BIT, eta_processes,
+    CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction, RTCall,
+    SelEta, PROCESS_BIT, eta_processes,
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, label_processes,
@@ -109,12 +109,12 @@ def cc_enabled(defs: DefSet, chor: Choreography,
 
     By the delay rules, a transition inside a node is enabled only if its
     processes are disjoint from those of every instruction above the node.
-    Each of its processes lies in the node's ``bits`` or, if the node holds
-    a ``Call``, in ``defs.call_bits()``; so the walk skips every node whose
-    processes are all blocked, and a step costs the nodes above that
-    frontier.  Runs of interactions are walked in a loop, without recursion.
+    Each of its processes lies in the node's ``bits`` (all bits if the node
+    holds a ``Call``); so the walk skips every node whose processes are all
+    blocked, and a step costs the nodes above that frontier.  Runs of
+    interactions are walked in a loop, without recursion.
     """
-    return _enabled(defs, defs.call_bits(), chor, state, CALL_BIT)
+    return _enabled(defs, chor, state, 0)
 
 
 def _wrap(spine: List[Interaction], chor: Choreography) -> Choreography:
@@ -123,13 +123,13 @@ def _wrap(spine: List[Interaction], chor: Choreography) -> Choreography:
     return chor
 
 
-def _enabled(defs: DefSet, calls: int, chor: Choreography, state: State,
+def _enabled(defs: DefSet, chor: Choreography, state: State,
              blocked: int) -> List[Tuple[RichLabel, Choreography, State]]:
-    """The transitions of ``chor`` that avoid ``blocked``, which holds ``CALL_BIT``;
-    ``calls`` is ``defs.call_bits()``.  Only interactions continue the loop."""
+    """The transitions of ``chor`` that avoid the processes in ``blocked``.
+    Only interactions continue the loop."""
     out: List[Tuple[RichLabel, Choreography, State]] = []
     spine: List[Interaction] = []
-    while (chor.bits | (calls if chor.bits & CALL_BIT else 0)) & ~blocked:
+    while chor.bits & ~blocked:
         if isinstance(chor, Interaction):
             eta = chor.eta
             bits = PROCESS_BIT[eta.sender] | PROCESS_BIT[eta.receiver]
@@ -151,8 +151,8 @@ def _enabled(defs: DefSet, calls: int, chor: Choreography, state: State,
                 branch = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
                           else chor.else_branch)
                 out.append((RCond(chor.proc), _wrap(spine, branch), state))
-            for label, then_cont, succ_state in _enabled(defs, calls, chor.then_branch,
-                                                         state, blocked | bit):
+            for label, then_cont, succ_state in _enabled(defs, chor.then_branch, state,
+                                                         blocked | bit):
                 other = cc_step(defs, chor.else_branch, state, label)
                 if other is not None and other[1] == succ_state:
                     succ = Cond(chor.proc, chor.guard, then_cont, other[0])
@@ -168,8 +168,7 @@ def _enabled(defs: DefSet, calls: int, chor: Choreography, state: State,
                 out.append((RCall(chor.name, process), _wrap(spine, succ), state))
         if isinstance(chor, RTCall):
             pending = sum(PROCESS_BIT[p] for p in chor.pending)
-            for label, body_cont, succ_state in _enabled(defs, calls, body, state,
-                                                         blocked | pending):
+            for label, body_cont, succ_state in _enabled(defs, body, state, blocked | pending):
                 succ = RTCall(chor.name, chor.pending, body_cont)
                 out.append((label, _wrap(spine, succ), succ_state))
         break

@@ -27,16 +27,15 @@ class _BitTable(dict):
 
     def __init__(self):
         super().__init__()
-        self._fresh = itertools.count(1)  # next() is atomic, so no two names share a bit
+        self._fresh = itertools.count()  # next() is atomic, so no two names share a bit
 
     def __missing__(self, process: ProcessName) -> int:
         return self.setdefault(process, 1 << next(self._fresh))
 
 
 # Every choreography node has ``bits``, which ``==``, hash and repr ignore:
-# the ``PROCESS_BIT`` of each process its subtree mentions, plus ``CALL_BIT``
-# if the subtree has a ``Call``.
-CALL_BIT = 1
+# the ``PROCESS_BIT`` of each process its subtree mentions, or every bit (-1)
+# if the subtree has a ``Call``, whose processes depend on the definitions.
 PROCESS_BIT = _BitTable()
 
 
@@ -93,7 +92,7 @@ class Cond:
 @dataclass(frozen=True, slots=True)
 class Call:
     name: ProcName
-    bits = CALL_BIT
+    bits = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +132,7 @@ class DefSet(TotalMap):
     duplicate-free; ``put`` stores its entry as given.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ()
     DEFAULT = _DEFAULT_DEF
 
     def __init__(self, defs: Union[Mapping, Iterable] = ()):
@@ -151,15 +150,6 @@ class DefSet(TotalMap):
 
     def with_def(self, name: ProcName, procs: Iterable[ProcessName], body: Choreography) -> "DefSet":
         return DefSet({**self._entries, name: (procs, body)})
-
-    def call_bits(self) -> int:
-        """Bit set of the processes that can join a call, computed on first use:
-        those of each defined procedure, and ``DEFAULT_PROCESS``."""
-        bits = getattr(self, "_bits", None)
-        if bits is None:
-            procs = {DEFAULT_PROCESS, *(p for ps, _ in self._entries.values() for p in ps)}
-            bits = self._bits = sum(PROCESS_BIT[p] for p in procs)
-        return bits
 
 
 @dataclass(frozen=True)

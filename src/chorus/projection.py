@@ -254,11 +254,6 @@ def projectable_b(defs: DefSet, chor: Choreography, process: ProcessName) -> boo
     return bproj(defs, chor, process).ok
 
 
-def projectable_c(defs: DefSet, chor: Choreography,
-                  processes: Iterable[ProcessName]) -> bool:
-    return not isinstance(epp_c(defs, processes, chor), EppFailure)
-
-
 def projectable_d(defs: DefSet, check_set: Iterable[ProcName] = ()) -> bool:
     """Each procedure's body is projectable for its own processes."""
     return not isinstance(epp_d(defs, check_set), EppFailure)

@@ -200,6 +200,8 @@ class _Parser:
     def expr_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "nat":
+            if not tok.text.isdecimal():  # int() reads exactly the isdecimal strings
+                raise ParseError(f"{tok.text!r} is not a decimal number", tok.span)
             self.pos += 1
             return Lit(int(tok.text))
         if self.accept("("):

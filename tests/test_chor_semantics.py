@@ -207,6 +207,11 @@ SPECIAL = {
     "undefined_call": CCProgram(DefSet(), seq(_com("a", "b"), Call("Missing"))),
     "undefined_call_blocked": CCProgram(
         DefSet(), seq(_com(DEFAULT_PROCESS, "b"), _com("c", "d"), Call("Missing"))),
+    # A defined procedure over DEFAULT_PROCESS whose processes are all blocked
+    # when the walk reaches the call: it enters the call and finds no join.
+    "defined_call_blocked": CCProgram(
+        DefSet({"Z": ((DEFAULT_PROCESS, "b"), seq(_com("b", DEFAULT_PROCESS), END))}),
+        seq(_com(DEFAULT_PROCESS, "b"), _com("c", "d"), Call("Z"))),
     # Steps inside a runtime term run ahead of its pending processes, and
     # the interactions before the call run ahead of the joins.
     "runtime_term": CCProgram(DefSet({"X": (("a", "b", "c"), _PIPE)}),
@@ -260,6 +265,9 @@ def test_special_cases_reach_the_pruned_rules():
     assert [label for label, _, _ in cc_enabled(defs, main, EMPTY_STATE)] == [
         RCom("a", 1, "b", "x"), RCall("Missing", DEFAULT_PROCESS)]
     program = SPECIAL["undefined_call_blocked"]
+    assert [label for label, _, _ in cc_enabled(program.defs, program.main, EMPTY_STATE)] == [
+        RCom(DEFAULT_PROCESS, 1, "b", "x"), RCom("c", 1, "d", "x")]
+    program = SPECIAL["defined_call_blocked"]
     assert [label for label, _, _ in cc_enabled(program.defs, program.main, EMPTY_STATE)] == [
         RCom(DEFAULT_PROCESS, 1, "b", "x"), RCom("c", 1, "d", "x")]
     program = SPECIAL["runtime_term_direct"]

@@ -162,6 +162,15 @@ def test_step_interactive(tmp_path, capsys, monkeypatch):
     assert re.findall(r"-- (.*)", out) == ["call(FileTransfer,c)"]
 
 
+def test_non_decimal_digits_exit_2_with_a_located_line(tmp_path, capsys):
+    for digit in ("\u00b2", "\u2460"):
+        path = _write(tmp_path, "digit.cc", f"main {{ p.{digit} -> q.x; end }}\n")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"{re.escape(path)}:1:10-1:11: .*\n", captured.err)
+
+
 def test_state_file_must_hold_an_object(tmp_path, capsys):
     for text in ("[1]", '"x"'):
         state = _write(tmp_path, "st.json", text)

@@ -164,3 +164,17 @@ def test_parse_error_spans_stay_inside_input():
         assert 1 <= span.line <= len(lines)
         assert span.col >= 1
         assert span.col <= len(lines[span.line - 1]) + 2
+
+
+def test_digits_that_are_not_decimal_are_parse_errors():
+    # The tokenizer reads a nat as a run of str.isdigit; int() needs str.isdecimal.
+    for digit in ("\u00b2", "\u2460"):  # superscript two, circled one
+        for parse, text in ((parse_cc, f"main {{ p.{digit} -> q.x; end }}"),
+                            (parse_sp, f"p[q!{digit}; end]")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            span = err.value.span
+            assert text[span.col - 1:span.end_col - 1] == digit
+    # Arabic-Indic three is decimal.
+    program = parse_cc("main { p.\u0663 -> q.x; end }")
+    assert program.main == Interaction(ComEta("p", Lit(3), "q", "x"), "", END)
