@@ -259,6 +259,18 @@ def test_pruned_enabled_matches_reference_on_generated_programs():
         _bfs_compare(gen_program(seed), EMPTY_STATE)
 
 
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_special_cases_are_deterministic_and_commute(name):
+    # cond_branches and nested_conds run cc_step through the delay rule for
+    # conditionals, which only these checks call on a delayed step.
+    from chorus.verification import check_property
+
+    for state in (EMPTY_STATE, State({("p", "g"): 1})):
+        reports = [check_property(prop, SPECIAL[name], state, 8)[0]
+                   for prop in ("determinism", "diamond")]
+        assert [report.passed for report in reports] == [True, True]
+
+
 def test_special_cases_reach_the_pruned_rules():
     assert not program_wf(SPECIAL["undeclared_processes"])
     defs, main = SPECIAL["undefined_call"].defs, SPECIAL["undefined_call"].main

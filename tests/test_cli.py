@@ -81,6 +81,19 @@ def test_project_unprojectable_reports_span(tmp_path, capsys):
     assert "2:3" in err  # the conditional starts at line 2, column 3
 
 
+def test_project_nested_failure_reports_path_and_span(tmp_path, capsys):
+    text = ("main {\n  if r.true then {\n    r.0 -> a.w;\n    if p.true then {\n"
+            "      a.1 -> p.y;\n      end\n    } else {\n      end\n    }\n"
+            "  } else {\n    r.0 -> a.w;\n    end\n  }\n}\n")
+    path = _write(tmp_path, "nested.cc", text)
+    assert main(["project", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: cannot project main for a: conditional at p is ambiguous for a: "
+        "Send cannot merge with BEnd (at then/cont) (4:5-9:6)\n")
+    assert captured.out == ""
+
+
 def test_run_trace_replays(tmp_path, capsys):
     state = _write(tmp_path, "st.json", json.dumps(
         {"c.creds": 7, "ip.secret": 7, "s.tok": 99}))

@@ -5,7 +5,7 @@ import pytest
 from chorus import (
     B_END, BCall, BCond, BFALSE, BTRUE, Branch, CCProgram, Call, Choose,
     ComEta, Cond, DefSet, DefSetB, END, EppFailure, Lit, Network, RCom,
-    RCond, Recv, SelEta, Send, Var, behaviour_wf, bproj, cc_enabled,
+    RCond, RTCall, Recv, SelEta, Send, Var, behaviour_wf, bproj, cc_enabled,
     cc_step, ccp_pn, epp, epp_c, gen_program, merge, more_branches,
     more_branches_net, projectable_b, projectable_p, singleton,
     str_proj, str_proj_p,
@@ -179,6 +179,47 @@ def test_epp_reports_first_failure():
     assert failure.scope == "main"
     assert failure.process == "q"
     assert failure.diagnostic.path == ()
+
+
+# An ambiguous conditional for ``a``, the first process in sorted order, and
+# the same ambiguity one merge further down: ``a`` decides the inner
+# conditionals, whose else branches differ.
+_AMBIGUOUS = Cond("p", BTRUE, seq(ComEta("a", Lit(1), "p", "y"), END), END)
+_AMBIGUOUS_ELSE = Cond("p", BTRUE, Cond("a", BTRUE, END, END),
+                       Cond("a", BTRUE, END, seq(ComEta("a", Lit(1), "r", "y"), END)))
+_TO_A = ComEta("r", Lit(0), "a", "w")
+_AMBIGUOUS_SEND = "conditional at p is ambiguous for a: Send cannot merge with BEnd"
+_BODY = DefSet({"X": (("a", "p", "r"), seq(ComEta("p", Lit(0), "a", "z"), _AMBIGUOUS_ELSE))})
+
+NESTED_FAILURES = {
+    "cont": (CCProgram(DefSet(), seq(_TO_A, _AMBIGUOUS)), "main", _AMBIGUOUS_SEND, ("cont",)),
+    "then": (CCProgram(DefSet(), Cond("r", BTRUE, seq(_TO_A, _AMBIGUOUS), seq(_TO_A, END))),
+             "main", _AMBIGUOUS_SEND, ("then", "cont")),
+    "else": (CCProgram(DefSet(), Cond("r", BTRUE, END, _AMBIGUOUS)),
+             "main", _AMBIGUOUS_SEND, ("else",)),
+    "procedure_body": (
+        CCProgram(_BODY, Call("X")), "X",
+        "conditional at p is ambiguous for a: BEnd cannot merge with Send", ("cont",)),
+    "runtime_body": (CCProgram(_BODY, RTCall("X", ("r",), seq(_TO_A, _AMBIGUOUS))),
+                     "main", _AMBIGUOUS_SEND, ("body", "cont")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_FAILURES))
+def test_nested_projection_failures(case):
+    program, scope, reason, path = NESTED_FAILURES[case]
+    chor = program.main if scope == "main" else program.defs.body(scope)
+    failure = bproj(program.defs, chor, "a").failure
+    assert (failure.reason, failure.path) == (reason, path)
+    assert str(epp(program)) == (
+        f"cannot project {scope} for a: {reason} (at {'/'.join(path)})")
+
+
+def test_merge_reports_differing_else_branches():
+    first, second = (bproj(DefSet(), branch, "a").unwrap()
+                     for branch in (_AMBIGUOUS_ELSE.then_branch, _AMBIGUOUS_ELSE.else_branch))
+    failure = merge(first, second).failure
+    assert (failure.reason, failure.path) == ("BEnd cannot merge with Send", ("else",))
 
 
 def test_bproj_preserves_behaviour_wf():

@@ -322,6 +322,96 @@ def test_meta_check_failure_reports(monkeypatch, case):
     assert report.to_json() == expected
 
 
+# Projection-game failure paths, patched the same way.  Each game fails on
+# o2 -> s2, which the fork program enables after its first step.
+
+def _to_s2(label):
+    return label.receiver == "s2"
+
+
+def _moved_s2(step):
+    """``step``, changing the state at s2.y after each step to s2."""
+    def patched(defs, term, state, label):
+        stepped = step(defs, term, state, label)
+        return (stepped[0], stepped[1].put(("s2", "y"), 9)) if _to_s2(label) else stepped
+    return patched
+
+
+def _patch_net_state(monkeypatch):
+    from chorus.proc_semantics import sp_step
+
+    monkeypatch.setattr("chorus.verification.sp_step", _moved_s2(sp_step))
+
+
+def _patch_chor_state(monkeypatch):
+    from chorus.chor_semantics import cc_step
+
+    monkeypatch.setattr("chorus.verification.cc_step", _moved_s2(cc_step))
+
+
+def _patch_foreign_call(monkeypatch):
+    from chorus import RCall
+    from chorus.proc_semantics import sp_enabled
+
+    monkeypatch.setattr(
+        "chorus.verification.sp_enabled",
+        lambda defs, net, state: [(RCall("X", label.sender) if _to_s2(label) else label, succ, st)
+                                  for label, succ, st in sp_enabled(defs, net, state)])
+
+
+def _patch_unprojectable(monkeypatch):
+    from chorus import BTRUE, ComEta, Cond, Lit
+    from chorus.chor_semantics import cc_enabled
+    from helpers import seq
+
+    ambiguous = seq(ComEta("s1", Lit(0), "s2", "v"),
+                    Cond("o1", BTRUE, seq(ComEta("o2", Lit(1), "o1", "y"), END), END))
+    monkeypatch.setattr(
+        "chorus.verification.cc_enabled",
+        lambda defs, chor, state: [(label, ambiguous if _to_s2(label) else succ, st)
+                                   for label, succ, st in cc_enabled(defs, chor, state)])
+
+
+_AT_S2 = {"rich": {"kind": "com", "from": "o2", "to": "s2", "value": 2, "var": "y"},
+          "label": {"kind": "com", "from": "o2", "to": "s2", "value": 2}}
+
+GAME_FAILURES = {
+    "complete_state_differs": (
+        _patch_net_state, "complete", check_epp_complete,
+        "matched step ends in a different state", _AT_S2),
+    "sound_state_differs": (
+        _patch_chor_state, "sound", check_epp_sound,
+        "matched step ends in a different state", _AT_S2),
+    "foreign_call": (
+        _patch_foreign_call, "sound", check_epp_sound,
+        "network call call(X,o2) is not the caller's own copy",
+        {"rich": {"kind": "call", "proc": "X", "at": "o2"},
+         "label": {"kind": "tau", "at": "o2"}}),
+    "unmatched_network_step": (
+        _patch_step_refuses_s2, "sound", check_epp_sound,
+        "choreography cannot match network step com(o2,2,s2,y)", _AT_S2),
+    "unprojectable_successor": (
+        _patch_unprojectable, "complete", check_epp_complete,
+        "successor is not projectable: cannot project main for o2: conditional at o1 "
+        "is ambiguous for o2: Send cannot merge with BEnd (at cont)", _AT_S2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAME_FAILURES))
+def test_game_failure_reports(monkeypatch, case):
+    from chorus.verification import check_property
+
+    patch, name, check, reason, failing = GAME_FAILURES[case]
+    expected = {"property": name, "verdict": "fail", "nodes": 2, "depth": 4,
+                "counterexample": {"trace": _FIRST, "reason": reason, "failing": failing},
+                "detail": reason}
+    program = _fork_program()
+    patch(monkeypatch)
+    assert check(program, EMPTY_STATE, 4).to_json() == expected
+    [report] = check_property(name, program, EMPTY_STATE, 4)
+    assert report.to_json() == expected
+
+
 def test_meta_checks_pass_on_fork_program():
     program = _fork_program()
     for check in (check_determinism, check_diamond, check_progress,
