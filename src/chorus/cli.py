@@ -248,8 +248,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Projection, the hash of its memo's key and the printers recurse once
-        # per interaction; inputs deeper than the interpreter's limit are rejected.
+        # verify's search hashes each configuration, and merge, cc_step and
+        # print_chor recurse, once per interaction; deeper inputs are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
 

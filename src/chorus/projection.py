@@ -32,7 +32,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
-    CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction,
+    CCProgram, Choreography, ComEta, Cond, DefSet, End, Interaction,
     RTCall, ccp_pn, format_path, program_wf, walk,
 )
 from .processes import (
@@ -74,9 +74,9 @@ def _fail(reason: str, path: Tuple[str, ...] = ()) -> ProjectionResult:
     return ProjectionResult(None, Diagnostic(reason, path))
 
 
-def _push(result: ProjectionResult, step: str) -> ProjectionResult:
+def _push(result: ProjectionResult, *steps: str) -> ProjectionResult:
     failure = result.failure
-    return ProjectionResult(None, Diagnostic(failure.reason, (step,) + failure.path))
+    return ProjectionResult(None, Diagnostic(failure.reason, steps + failure.path))
 
 
 # --------------------------------------------------------------------------
@@ -189,65 +189,64 @@ def _merge_slot(first: BranchSlot, second: BranchSlot, side: str):
 # --------------------------------------------------------------------------
 # Per-process projection
 
-@lru_cache(maxsize=None)
+# maxsize=0 stores and hashes nothing; it counts calls as misses for bench/layers.py.
+@lru_cache(maxsize=0)
 def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionResult:
-    """Project ``chor`` onto ``process``; partial because of merge."""
-    if isinstance(chor, End):
-        return _ok(B_END)
-
-    if isinstance(chor, Interaction):
-        inner = bproj(defs, chor.cont, process)
-        if not inner.ok:
-            return _push(inner, "cont")
-        eta = chor.eta
-        if isinstance(eta, ComEta):
-            if process == eta.sender:
-                return _ok(Send(eta.receiver, eta.expr, chor.ann, inner.behaviour))
-            if process == eta.receiver:
-                return _ok(Recv(eta.sender, eta.var, chor.ann, inner.behaviour))
-            return inner
-        if process == eta.sender:
-            return _ok(Choose(eta.receiver, eta.label, chor.ann, inner.behaviour))
-        if process == eta.receiver:
-            offer = (chor.ann, inner.behaviour)
-            if eta.label is SelLabel.LEFT:
-                return _ok(Branch(eta.sender, offer, None))
-            return _ok(Branch(eta.sender, None, offer))
-        return inner
-
-    if isinstance(chor, Cond):
+    """Project ``chor`` onto ``process``; partial because of merge.  Runs of
+    interactions, and runtime terms ``process`` has joined, are read in a
+    loop; only conditionals recurse."""
+    walked = []
+    while True:
+        kind = type(chor)
+        if kind is Interaction:
+            walked.append(chor)
+            chor = chor.cont
+        elif kind is RTCall and process not in chor.pending:
+            walked.append(chor)
+            chor = chor.body
+        else:
+            break
+    if kind is Cond:
         then_proj = bproj(defs, chor.then_branch, process)
         if not then_proj.ok:
-            return _push(then_proj, "then")
+            return _push(then_proj, *_steps(walked), "then")
         else_proj = bproj(defs, chor.else_branch, process)
         if not else_proj.ok:
-            return _push(else_proj, "else")
+            return _push(else_proj, *_steps(walked), "else")
         if process == chor.proc:
-            return _ok(BCond(chor.guard, then_proj.behaviour, else_proj.behaviour))
-        merged = merge(then_proj.behaviour, else_proj.behaviour)
-        if not merged.ok:
-            return _fail(
-                f"conditional at {chor.proc} is ambiguous for {process}: "
-                f"{merged.failure.reason}")
-        return merged
+            behaviour = BCond(chor.guard, then_proj.behaviour, else_proj.behaviour)
+        else:
+            merged = merge(then_proj.behaviour, else_proj.behaviour)
+            if not merged.ok:
+                return _fail(f"conditional at {chor.proc} is ambiguous for {process}: "
+                             f"{merged.failure.reason}", _steps(walked))
+            behaviour = merged.behaviour
+    elif kind is End:
+        behaviour = B_END
+    else:
+        # A call, or a runtime term: processes still to join call their copy.
+        joins = chor.pending if kind is RTCall else defs.vars(chor.name)
+        behaviour = BCall((chor.name, process)) if process in joins else B_END
+    for node in reversed(walked):
+        if type(node) is RTCall:
+            continue
+        eta = node.eta
+        if process == eta.sender:
+            behaviour = (Send(eta.receiver, eta.expr, node.ann, behaviour) if type(eta) is ComEta
+                         else Choose(eta.receiver, eta.label, node.ann, behaviour))
+        elif process == eta.receiver:
+            if type(eta) is ComEta:
+                behaviour = Recv(eta.sender, eta.var, node.ann, behaviour)
+            else:
+                offer = (node.ann, behaviour)
+                behaviour = (Branch(eta.sender, offer, None) if eta.label is SelLabel.LEFT
+                             else Branch(eta.sender, None, offer))
+    return _ok(behaviour)
 
-    if isinstance(chor, Call):
-        if process in defs.vars(chor.name):
-            return _ok(BCall((chor.name, process)))
-        return _ok(B_END)
 
-    # Runtime term: processes still to join call their copy, the others
-    # continue inside the already-running body.
-    if process in chor.pending:
-        return _ok(BCall((chor.name, process)))
-    inner = bproj(defs, chor.body, process)
-    if not inner.ok:
-        return _push(inner, "body")
-    return inner
-
-
-def clear_projection_cache() -> None:
-    bproj.cache_clear()
+def _steps(walked) -> Tuple[str, ...]:
+    """The path through ``walked``: ``cont`` past an interaction, ``body`` into a runtime term."""
+    return tuple("cont" if type(node) is Interaction else "body" for node in walked)
 
 
 def projectable_b(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:

@@ -568,31 +568,34 @@ def print_cc(program: CCProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ACTIONS = {Send: lambda b: f"{b.peer}!{print_expr(b.expr)}",
+            Recv: lambda b: f"{b.peer}?{b.var}",
+            Choose: lambda b: f"{b.peer}(+){b.label.value}"}
+
+
 def print_behaviour(behaviour: Behaviour) -> str:
+    """Runs of prefixes print in a loop; only offers and conditionals recurse."""
+    prefix = []
+    while type(behaviour) in _ACTIONS:
+        prefix.append(f"{_ACTIONS[type(behaviour)](behaviour)}{_ann_text(behaviour.ann)}; ")
+        behaviour = behaviour.cont
     if isinstance(behaviour, BEnd):
-        return "end"
-    if isinstance(behaviour, Send):
-        return (f"{behaviour.peer}!{print_expr(behaviour.expr)}{_ann_text(behaviour.ann)}; "
-                f"{print_behaviour(behaviour.cont)}")
-    if isinstance(behaviour, Recv):
-        return (f"{behaviour.peer}?{behaviour.var}{_ann_text(behaviour.ann)}; "
-                f"{print_behaviour(behaviour.cont)}")
-    if isinstance(behaviour, Choose):
-        return (f"{behaviour.peer}(+){behaviour.label.value}{_ann_text(behaviour.ann)}; "
-                f"{print_behaviour(behaviour.cont)}")
-    if isinstance(behaviour, Branch):
+        tail = "end"
+    elif isinstance(behaviour, Branch):
         slots = []
         for label, slot in ((SelLabel.LEFT, behaviour.left), (SelLabel.RIGHT, behaviour.right)):
             if slot is not None:
                 ann, cont = slot
                 slots.append(f"{label.value}{_ann_text(ann)}: {print_behaviour(cont)}")
-        return f"{behaviour.peer} & {{{' | '.join(slots)}}}"
-    if isinstance(behaviour, BCond):
-        return (f"if {print_bexpr(behaviour.guard)} "
+        tail = f"{behaviour.peer} & {{{' | '.join(slots)}}}"
+    elif isinstance(behaviour, BCond):
+        tail = (f"if {print_bexpr(behaviour.guard)} "
                 f"then {{ {print_behaviour(behaviour.then_branch)} }} "
                 f"else {{ {print_behaviour(behaviour.else_branch)} }}")
-    name, proc = behaviour.name
-    return f"call {name}@{proc}"
+    else:
+        name, proc = behaviour.name
+        tail = f"call {name}@{proc}"
+    return "".join(prefix) + tail
 
 
 def print_network(network: Network) -> str:

@@ -29,9 +29,7 @@ from .labels import (
 )
 from .proc_semantics import sp_enabled, sp_step
 from .processes import DefSetB, Network
-from .projection import (
-    EppFailure, clear_projection_cache, epp, epp_c, more_branches_net, str_proj_p,
-)
+from .projection import EppFailure, epp, epp_c, more_branches_net, str_proj_p
 from .values import State
 
 
@@ -295,7 +293,6 @@ def check_epp_complete(program: CCProgram, state: State, depth: int,
                        initial_network: Optional[Network] = None,
                        initial_defs: Optional[DefSetB] = None) -> VerifyReport:
     """Every choreography step is matched by its projection."""
-    clear_projection_cache()
     return _run_game("complete", program, state, depth, check_set, initial_network, initial_defs)
 
 
@@ -304,12 +301,9 @@ def check_epp_sound(program: CCProgram, state: State, depth: int,
                     initial_network: Optional[Network] = None,
                     initial_defs: Optional[DefSetB] = None) -> VerifyReport:
     """Every step of the projection is matched by the choreography."""
-    clear_projection_cache()
     return _run_game("sound", program, state, depth, check_set, initial_network, initial_defs)
 
 
-# The games here leave the projection memo alone: ``check_property`` clears
-# it once per call, so the two games share it.
 _CHECKS = {
     "complete": partial(_run_game, "complete"),
     "sound": partial(_run_game, "sound"),
@@ -323,9 +317,7 @@ _CHECKS = {
 def check_property(name: str, program: CCProgram, state: State, depth: int,
                    check_set: Iterable[str] = ()) -> List[VerifyReport]:
     """Run one named check, or all of them in a fixed order.  The meta-checks
-    scan one configuration graph, explored once per call; the projection
-    games share one projection memo, cleared once per call."""
-    clear_projection_cache()
+    scan one configuration graph, explored once per call."""
     reports, graph = [], None
     for key in (_CHECKS if name == "all" else [name]):
         check = _CHECKS[key]

@@ -193,9 +193,9 @@ def test_state_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
-    # project still recurses once per interaction.
+    # verify's search hashes each configuration, recursing once per interaction.
     cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 2000 + "end }\n")
-    assert main(["project", cc]) == 2
+    assert main(["verify", cc, "--depth", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
@@ -206,10 +206,15 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
                 "main { " + "p.succ(x) -> q.x; q.succ(x) -> p.x; " * 2500 + "end }\n")
     sp = _write(tmp_path, "deep.sp",
                 "p[" + "q!0; " * 2000 + "end]\n| q[" + "p?x; " * 2000 + "end]\n")
+    projected = str(tmp_path / "long_projected.sp")
     assert main(["check", cc]) == 0
     assert capsys.readouterr().out == "ok\n"
+    assert main(["project", cc, "--out", projected]) == 0
+    assert capsys.readouterr().out.startswith("wrote ")
     for argv, steps, final in (
             (["run", cc, "--max-steps", "5000"], 5000,
+             {"status": "terminated", "state": {"p.x": 5000, "q.x": 4999}}),
+            (["simulate", projected, "--max-steps", "5000"], 5000,
              {"status": "terminated", "state": {"p.x": 5000, "q.x": 4999}}),
             (["simulate", sp, "--max-steps", "2000"], 2000,
              {"status": "terminated", "state": {}})):

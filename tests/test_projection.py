@@ -222,6 +222,21 @@ def test_merge_reports_differing_else_branches():
     assert (failure.reason, failure.path) == ("BEnd cannot merge with Send", ("else",))
 
 
+def test_bproj_counts_calls_and_stores_nothing():
+    # bench/layers.py reads the declared projection.bproj.hit_ratio and
+    # .entries from bproj.cache_info(); without the wrapper they vanish from
+    # the traced result, so it stays until the benchmark reads them elsewhere.
+    from chorus import verification
+
+    misses = bproj.cache_info().misses
+    epp(auth_program())
+    info = bproj.cache_info()
+    assert (info.maxsize, info.currsize, info.hits) == (0, 0, 0)
+    assert info.misses > misses
+    assert [name for name in vars(verification)
+            if "cache" in name and not name.startswith("__")] == []
+
+
 def test_bproj_preserves_behaviour_wf():
     for seed in range(40):
         program = gen_program(seed)
