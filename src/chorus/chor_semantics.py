@@ -72,31 +72,18 @@ def cc_step(defs: DefSet, chor: Choreography, state: State,
                     return Cond(chor.proc, chor.guard, first[0], second[0]), first[1]
         return None
 
-    if isinstance(chor, Call):
-        if isinstance(label, RCall) and label.name == chor.name:
-            procs = defs.vars(chor.name)
-            if label.proc in procs:
-                body = defs.body(chor.name)
-                if len(procs) == 1:
-                    return body, state
-                remaining = tuple(p for p in procs if p != label.proc)
-                return RTCall(chor.name, remaining, body), state
-        return None
-
-    if isinstance(chor, RTCall):
-        if (isinstance(label, RCall) and label.name == chor.name
-                and label.proc in chor.pending):
-            if len(chor.pending) == 1:
-                return chor.body, state
-            remaining = tuple(p for p in chor.pending if p != label.proc)
-            return RTCall(chor.name, remaining, chor.body), state
-        if label_processes(label).isdisjoint(chor.pending):
+    if isinstance(chor, (Call, RTCall)):
+        # A join: the first process of a Call, or a pending one of a runtime term.
+        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
+                       else (chor.pending, chor.body))
+        if isinstance(label, RCall) and label.name == chor.name and label.proc in procs:
+            rest = tuple(p for p in procs if p != label.proc)
+            return (RTCall(chor.name, rest, body) if rest else body), state
+        if isinstance(chor, RTCall) and label_processes(label).isdisjoint(chor.pending):
             res = cc_step(defs, chor.body, state, label)
             if res is not None:
                 return RTCall(chor.name, chor.pending, res[0]), res[1]
-        return None
-
-    return None  # End: terminated choreographies have no transitions.
+    return None  # not enabled; End has no transitions
 
 
 def cc_enabled(defs: DefSet, chor: Choreography,
@@ -182,11 +169,9 @@ def ccp_step(conf: CCConfiguration, label: TransitionLabel) -> List[CCConfigurat
     several rich transitions.
     """
     defs = conf.program.defs
-    out = []
-    for rich, chor, state in cc_enabled(defs, conf.program.main, conf.state):
-        if forget(rich) == label:
-            out.append(CCConfiguration(CCProgram(defs, chor), state))
-    return out
+    return [CCConfiguration(CCProgram(defs, chor), state)
+            for rich, chor, state in cc_enabled(defs, conf.program.main, conf.state)
+            if forget(rich) == label]
 
 
 def ccp_multistep(conf: CCConfiguration,

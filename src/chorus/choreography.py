@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
-from .values import BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName
+from .values import (
+    HASH_PARTS, BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName, cached_hash,
+)
 
 
 class _BitTable(dict):
@@ -70,6 +72,8 @@ class Interaction:
     ann: str
     cont: "Choreography"
     bits: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
     def __post_init__(self):
         object.__setattr__(self, "bits", PROCESS_BIT[self.eta.sender]
@@ -83,6 +87,8 @@ class Cond:
     then_branch: "Choreography"
     else_branch: "Choreography"
     bits: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
     def __post_init__(self):
         object.__setattr__(self, "bits", PROCESS_BIT[self.proc]
@@ -101,6 +107,8 @@ class RTCall:
     pending: Tuple[ProcessName, ...]
     body: "Choreography"
     bits: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
     def __post_init__(self):
         # Canonical form: the pending list behaves as a set.
@@ -170,6 +178,12 @@ CHILDREN = {
     Call: (),
     End: (),
 }
+
+
+# The compared fields and the subtrees of each inner node kind, for ``cached_hash``.
+HASH_PARTS.update({kind: (attrgetter(*kind.__match_args__), subtrees) for kind, subtrees in (
+    (Interaction, lambda node: (node.cont,)), (RTCall, lambda node: (node.body,)),
+    (Cond, attrgetter("then_branch", "else_branch")))})
 
 
 def _walk(chor: Choreography):

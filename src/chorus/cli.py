@@ -248,8 +248,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # verify's search hashes each configuration, and merge, cc_step and
-        # print_chor recurse, once per interaction; deeper inputs are rejected.
+        # Nested conditionals and expressions, and a delayed step past a long
+        # run (cc_step), recurse once per level; deeper inputs are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
 

@@ -69,9 +69,7 @@ def forget(label: RichLabel) -> TransitionLabel:
         return TCom(label.sender, label.value, label.receiver)
     if isinstance(label, RSel):
         return TSel(label.sender, label.receiver, label.label)
-    if isinstance(label, RCond):
-        return TTau(label.proc)
-    if isinstance(label, RCall):
+    if isinstance(label, (RCond, RCall)):
         return TTau(label.proc)
     raise TypeError(f"not a rich label: {label!r}")
 

@@ -107,11 +107,9 @@ def sp_enabled(defs: DefSetB, network: Network,
 
 def spp_step(conf: SPConfiguration, label: TransitionLabel) -> List[SPConfiguration]:
     defs = conf.program.defs
-    out = []
-    for rich, network, state in sp_enabled(defs, conf.program.network, conf.state):
-        if forget(rich) == label:
-            out.append(SPConfiguration(SPProgram(defs, network), state))
-    return out
+    return [SPConfiguration(SPProgram(defs, network), state)
+            for rich, network, state in sp_enabled(defs, conf.program.network, conf.state)
+            if forget(rich) == label]
 
 
 def spp_multistep(conf: SPConfiguration,

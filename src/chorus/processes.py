@@ -8,10 +8,13 @@ pruned so extensional equality is plain ``==``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Tuple, Union
 
-from .values import BExpr, Expr, ProcessName, SelLabel, TargetProcName, TotalMap, VarName
+from .values import (
+    HASH_PARTS, BExpr, Expr, ProcessName, SelLabel, TargetProcName, TotalMap, VarName, cached_hash,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,6 +28,8 @@ class Send:
     expr: Expr
     ann: str
     cont: "Behaviour"
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +38,8 @@ class Recv:
     var: VarName
     ann: str
     cont: "Behaviour"
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +48,8 @@ class Choose:
     label: SelLabel
     ann: str
     cont: "Behaviour"
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
 
 # One offered continuation of a branching term.
@@ -52,6 +61,8 @@ class Branch:
     peer: ProcessName
     left: BranchSlot
     right: BranchSlot
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +70,8 @@ class BCond:
     guard: BExpr
     then_branch: "Behaviour"
     else_branch: "Behaviour"
+    _hash: int = field(init=False, compare=False, repr=False)
+    __hash__ = cached_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,20 +84,21 @@ Behaviour = Union[BEnd, Send, Recv, Choose, Branch, BCond, BCall]
 B_END = BEnd()
 
 
+# The compared fields and the subterms of each behaviour kind, for ``cached_hash``.
+HASH_PARTS.update({kind: (attrgetter(*kind.__match_args__), subterms) for kind, subterms in (
+    *((prefix, lambda node: (node.cont,)) for prefix in (Send, Recv, Choose)),
+    (Branch, lambda node: [slot[1] for slot in (node.left, node.right) if slot is not None]),
+    (BCond, attrgetter("then_branch", "else_branch")))})
+
+
 def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
     """No action in the behaviour names ``process`` as its own peer."""
-    if isinstance(behaviour, (Send, Recv, Choose)):
-        return behaviour.peer != process and behaviour_wf(process, behaviour.cont)
-    if isinstance(behaviour, Branch):
-        if behaviour.peer == process:
+    stack = [behaviour]
+    while stack:
+        node = stack.pop()
+        if getattr(node, "peer", None) == process:
             return False
-        for slot in (behaviour.left, behaviour.right):
-            if slot is not None and not behaviour_wf(process, slot[1]):
-                return False
-        return True
-    if isinstance(behaviour, BCond):
-        return (behaviour_wf(process, behaviour.then_branch)
-                and behaviour_wf(process, behaviour.else_branch))
+        stack += HASH_PARTS[type(node)][1](node) if type(node) in HASH_PARTS else ()
     return True
 
 

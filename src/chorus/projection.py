@@ -36,8 +36,7 @@ from .choreography import (
     RTCall, ccp_pn, format_path, program_wf, walk,
 )
 from .processes import (
-    B_END, BCall, BCond, Branch, BranchSlot, Behaviour, Choose, DefSetB,
-    Network, Recv, SPProgram, Send,
+    B_END, BCall, BCond, Branch, Behaviour, Choose, DefSetB, Network, Recv, SPProgram, Send,
 )
 from .values import ProcessName, ProcName, SelLabel
 
@@ -92,17 +91,22 @@ _PREFIXES = {
 
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
-    """``first >> second``: first has at least the branches of second."""
+    """``first >> second``: first has at least the branches of second.  Runs
+    of prefixes are read in a loop; only branchings and conditionals recurse."""
+    while type(first) in _PREFIXES and type(first) is type(second):
+        fields = _PREFIXES[type(first)][0]
+        if fields(first) != fields(second):
+            return False
+        first, second = first.cont, second.cont
     kind = type(first)
     if kind is not type(second):
         return False
-    prefix = _PREFIXES.get(kind)
-    if prefix is not None:
-        return prefix[0](first) == prefix[0](second) and more_branches(first.cont, second.cont)
     if kind is Branch:
-        return (first.peer == second.peer
-                and _slot_geq(first.left, second.left)
-                and _slot_geq(first.right, second.right))
+        # A missing offer is below anything; a present one needs one with its annotation above.
+        return first.peer == second.peer and all(
+            small is None or (big is not None and big[0] == small[0]
+                              and more_branches(big[1], small[1]))
+            for big, small in ((first.left, second.left), (first.right, second.right)))
     if kind is BCond:
         return (first.guard == second.guard
                 and more_branches(first.then_branch, second.then_branch)
@@ -112,50 +116,54 @@ def more_branches(first: Behaviour, second: Behaviour) -> bool:
     return True  # BEnd
 
 
-def _slot_geq(bigger: BranchSlot, smaller: BranchSlot) -> bool:
-    # A missing offer is below anything; a present offer needs a present
-    # offer with the same annotation above it.
-    if smaller is None:
-        return True
-    if bigger is None:
-        return False
-    return bigger[0] == smaller[0] and more_branches(bigger[1], smaller[1])
-
-
 def more_branches_net(first: Network, second: Network) -> bool:
     """Pointwise branching order over the union of supports."""
-    for process in set(first.support()) | set(second.support()):
-        if not more_branches(first.get(process), second.get(process)):
-            return False
-    return True
+    return all(more_branches(first.get(process), second.get(process))
+               for process in {*first.support(), *second.support()})
 
 
 # --------------------------------------------------------------------------
 # Merge
 
 def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
+    """Runs of prefixes are read in a loop; only branchings and conditionals
+    recurse.  A failure's path (``cont`` steps, then the inner path) is built last."""
+    walked = []
+    while type(first) in _PREFIXES and type(first) is type(second):
+        fields, noun = _PREFIXES[type(first)]
+        if fields(first) != fields(second):
+            return _fail(f"{noun} prefixes differ", ("cont",) * len(walked))
+        walked.append(first)
+        first, second = first.cont, second.cont
+    merged = _merge_node(first, second)
+    if not merged.ok:
+        return _push(merged, *("cont",) * len(walked))
+    behaviour = merged.behaviour
+    for node in reversed(walked):
+        behaviour = type(node)(*_PREFIXES[type(node)][0](node), behaviour)
+    return _ok(behaviour)
+
+
+def _merge_node(first: Behaviour, second: Behaviour) -> ProjectionResult:
     kind = type(first)
     if kind is not type(second):
         return _fail(f"{kind.__name__} cannot merge with {type(second).__name__}")
-    prefix = _PREFIXES.get(kind)
-    if prefix is not None:
-        fields, noun = prefix
-        if fields(first) != fields(second):
-            return _fail(f"{noun} prefixes differ")
-        inner = merge(first.cont, second.cont)
-        if not inner.ok:
-            return _push(inner, "cont")
-        return _ok(kind(*fields(first), inner.behaviour))
     if kind is Branch:
         if first.peer != second.peer:
             return _fail("branching sources differ")
-        ok_left, left = _merge_slot(first.left, second.left, "left")
-        if not ok_left:
-            return ProjectionResult(None, left)
-        ok_right, right = _merge_slot(first.right, second.right, "right")
-        if not ok_right:
-            return ProjectionResult(None, right)
-        return _ok(Branch(first.peer, left, right))
+        slots = []
+        for side, mine, theirs in (("left", first.left, second.left),
+                                   ("right", first.right, second.right)):
+            if mine is None or theirs is None:
+                slots.append(mine or theirs)
+                continue
+            if mine[0] != theirs[0]:
+                return _fail("offer annotations differ", (side,))
+            inner = merge(mine[1], theirs[1])
+            if not inner.ok:
+                return _push(inner, side)
+            slots.append((mine[0], inner.behaviour))
+        return _ok(Branch(first.peer, *slots))
     if kind is BCond:
         if first.guard != second.guard:
             return _fail("conditional guards differ")
@@ -169,21 +177,6 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
     if kind is BCall and first.name != second.name:
         return _fail("procedure copies differ")
     return _ok(first)  # BEnd, or the same BCall
-
-
-def _merge_slot(first: BranchSlot, second: BranchSlot, side: str):
-    if first is None and second is None:
-        return True, None
-    if first is None:
-        return True, second
-    if second is None:
-        return True, first
-    if first[0] != second[0]:
-        return False, Diagnostic("offer annotations differ", (side,))
-    inner = merge(first[1], second[1])
-    if not inner.ok:
-        return False, Diagnostic(inner.failure.reason, (side,) + inner.failure.path)
-    return True, (first[0], inner.behaviour)
 
 
 # --------------------------------------------------------------------------

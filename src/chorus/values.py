@@ -155,7 +155,35 @@ def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Total maps and states
+# Cached hashes of syntax trees, total maps and states
+
+# Each syntax-tree kind with a cached hash: (its compared fields, its
+# subtrees), as functions of a node; ``choreography`` and ``processes`` fill
+# it in.
+HASH_PARTS: dict = {}
+
+
+def cached_hash(node) -> int:
+    """``__hash__`` of the kinds in ``HASH_PARTS``: the ``_hash`` slot, which
+    constructors leave unset.  An unset slot gets the hash of the node's kind
+    and fields once its subtrees' slots are set: one tuple hash if they are,
+    else the unset slots below are filled first, bottom-up in a loop."""
+    try:
+        return node._hash
+    except AttributeError:
+        stack = [node]
+    while stack:
+        top = stack.pop()
+        unhashed = top is not None and [tree for tree in HASH_PARTS[type(top)][1](top)
+                                        if type(tree) in HASH_PARTS and not hasattr(tree, "_hash")]
+        if unhashed:  # come back to top, under the None, once they are hashed
+            stack += (top, None, *unhashed)
+            continue
+        if top is None:
+            top = stack.pop()
+        object.__setattr__(top, "_hash", hash((type(top), HASH_PARTS[type(top)][0](top))))
+    return node._hash
+
 
 class TotalMap:
     """Immutable total map: keys without an entry read as the class's ``DEFAULT``.
@@ -196,6 +224,11 @@ class TotalMap:
 
     def items(self) -> list:
         return sorted(self._entries.items())
+
+    def differs(self, other: "TotalMap") -> set:
+        """The keys whose entries here and in ``other`` are not one object."""
+        mine, theirs = self._entries, other._entries
+        return {key for key in mine.keys() | theirs.keys() if mine.get(key) is not theirs.get(key)}
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._entries == other._entries

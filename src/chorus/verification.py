@@ -25,11 +25,13 @@ from .choreography import (
     CCProgram, Choreography, END, ccp_pn, program_wf,
 )
 from .labels import (
-    RCall, RichLabel, forget, rich_text, rich_to_json, transition_to_json,
+    RCall, RCom, RSel, RichLabel, forget, rich_text, rich_to_json, transition_to_json,
 )
 from .proc_semantics import sp_enabled, sp_step
 from .processes import DefSetB, Network
-from .projection import EppFailure, epp, epp_c, more_branches_net, str_proj_p
+from .projection import (
+    EppFailure, bproj, epp, epp_c, more_branches, more_branches_net, str_proj_p,
+)
 from .values import State
 
 
@@ -69,6 +71,7 @@ class _Node:
     dist: int
     parent: Optional["_Node"] = None
     via: Optional[RichLabel] = None
+    proj: Optional[Network] = None  # in the games: chor's projection, once net is checked above it
 
 
 class _Mismatch(Exception):
@@ -78,19 +81,20 @@ class _Mismatch(Exception):
 def _bfs(root: _Node, expand, nodes: List[_Node]) -> None:
     """Breadth-first search from ``root``, appending each node to ``nodes``
     as it is dequeued.  ``expand(node)`` returns the node's children as
-    ``(label, chor, state, net)``; a child is queued unless its
-    configuration was seen before.  If ``expand`` raises, the search ends
-    and ``nodes`` ends with the node it was expanding."""
+    ``(label, chor, state, net, proj)``; a child is queued unless its
+    configuration ``(chor, state, net)`` was seen before.  If ``expand``
+    raises, the search ends and ``nodes`` ends with the node it was
+    expanding."""
     queue = deque([root])
     visited = {(root.chor, root.state, root.net)}
     while queue:
         node = queue.popleft()
         nodes.append(node)
-        for label, chor, state, net in expand(node):
+        for label, chor, state, net, proj in expand(node):
             key = (chor, state, net)
             if key not in visited:
                 visited.add(key)
-                queue.append(_Node(chor, state, net, node.dist + 1, node, label))
+                queue.append(_Node(chor, state, net, node.dist + 1, node, label, proj))
 
 
 def _trace(node: _Node) -> List[dict]:
@@ -113,7 +117,7 @@ def _explore(program: CCProgram, state: State, depth: int) -> List[Tuple[_Node, 
     def expand(node):
         enabled = cc_enabled(program.defs, node.chor, node.state)
         graph.append((node, enabled))
-        return [(*move, None) for move in enabled] if node.dist < depth else ()
+        return [(*move, None, None) for move in enabled] if node.dist < depth else ()
 
     _bfs(_Node(program.main, state, None, 0), expand, [])
     return graph
@@ -159,9 +163,7 @@ def _diamond(program: CCProgram, graph: list, depth: int) -> VerifyReport:
 def _progress(program: CCProgram, graph: list, depth: int) -> VerifyReport:
     """Well-formed reachable configurations are stuck only at End."""
     for node, enabled in graph:
-        if node.chor == END or enabled:
-            continue
-        if program_wf(CCProgram(program.defs, node.chor)):
+        if node.chor != END and not enabled and program_wf(CCProgram(program.defs, node.chor)):
             return _fail("progress", node, len(graph), depth,
                          "well-formed configuration is stuck before End")
     return VerifyReport("progress", True, len(graph), depth)
@@ -179,20 +181,13 @@ def _termination_unique(program: CCProgram, graph: list, depth: int) -> VerifyRe
     return VerifyReport("termination_unique", True, len(graph), depth)
 
 
-def check_determinism(program: CCProgram, state: State, depth: int) -> VerifyReport:
-    return _determinism(program, _explore(program, state, depth), depth)
+def _on_own_graph(check):
+    """``check`` as a function of (program, state, depth): it explores its own graph."""
+    return lambda program, state, depth: check(program, _explore(program, state, depth), depth)
 
 
-def check_diamond(program: CCProgram, state: State, depth: int) -> VerifyReport:
-    return _diamond(program, _explore(program, state, depth), depth)
-
-
-def check_progress(program: CCProgram, state: State, depth: int) -> VerifyReport:
-    return _progress(program, _explore(program, state, depth), depth)
-
-
-def check_termination_unique(program: CCProgram, state: State, depth: int) -> VerifyReport:
-    return _termination_unique(program, _explore(program, state, depth), depth)
+check_determinism, check_diamond, check_progress, check_termination_unique = map(
+    _on_own_graph, (_determinism, _diamond, _progress, _termination_unique))
 
 
 def _fail(name: str, node: _Node, explored: int, depth: int, reason: str,
@@ -210,27 +205,27 @@ def _fail(name: str, node: _Node, explored: int, depth: int, reason: str,
 # Projection games
 
 def _sp_label(label: RichLabel) -> RichLabel:
-    if isinstance(label, RCall):
-        return RCall((label.name, label.proc), label.proc)
-    return label
+    return RCall((label.name, label.proc), label.proc) if isinstance(label, RCall) else label
 
 
 def _cc_label(label: RichLabel) -> Optional[RichLabel]:
-    if isinstance(label, RCall):
-        name = label.name
-        if not (isinstance(name, tuple) and len(name) == 2 and name[1] == label.proc):
-            return None
-        return RCall(name[0], label.proc)
-    return label
+    if not isinstance(label, RCall):
+        return label
+    name = label.name
+    own = isinstance(name, tuple) and len(name) == 2 and name[1] == label.proc
+    return RCall(name[0], label.proc) if own else None
 
 
 def _run_game(name: str, program: CCProgram, state: State, depth: int,
               check_set: Iterable[str] = (), initial_network: Optional[Network] = None,
-              initial_defs: Optional[DefSetB] = None) -> VerifyReport:
+              initial_defs: Optional[DefSetB] = None, moves: Optional[dict] = None
+              ) -> VerifyReport:
     """In ``complete`` the choreography moves and the network matches each
-    move; in ``sound`` the network moves and the choreography matches."""
+    move; in ``sound`` the network moves and the choreography matches.
+    ``check_property("all")`` passes ``moves``, each configuration's enabled
+    list from its graph, once it has checked strong projectability."""
     check_set = tuple(check_set)
-    if not str_proj_p(program, check_set):
+    if moves is None and not str_proj_p(program, check_set):
         raise NotStronglyProjectable(
             "the projection game needs a well-formed, strongly projectable program")
     defs = program.defs
@@ -238,14 +233,17 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
     projected = epp(program, check_set)
     assert not isinstance(projected, EppFailure)
     net_defs = initial_defs if initial_defs is not None else projected.defs
-    net0 = initial_network if initial_network is not None else projected.network
+    # A root network the caller passes in is not known to be above the projection.
+    root = (_Node(program.main, state, initial_network, 0) if initial_network is not None
+            else _Node(program.main, state, projected.network, 0, proj=projected.network))
 
     def expand(node):
         if node.dist >= depth:
             return ()
         children: List[Tuple[RichLabel, Choreography, State, Network]] = []
         if name == "complete":
-            for label, chor, succ_state in cc_enabled(defs, node.chor, node.state):
+            for label, chor, succ_state in (cc_enabled(defs, node.chor, node.state)
+                                            if moves is None else moves[node.chor, node.state]):
                 stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
                 if stepped is None:
                     raise _Mismatch(
@@ -271,42 +269,55 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
                     raise _Mismatch("matched step ends in a different state", sp_rich)
                 children.append((label, chor, succ_state, net))
         # Every child, seen before or not, must stay above its projection.
-        for label, chor, _, net in children:
-            projection = epp_c(defs, processes, chor)
-            if isinstance(projection, EppFailure):
-                raise _Mismatch(f"successor is not projectable: {projection}", label)
-            if not more_branches_net(net, projection):
-                raise _Mismatch(
-                    "matched network dropped below the projection of the successor", label)
-        return children
+        return [(label, chor, succ_state, net,
+                 _checked_projection(defs, processes, node, label, chor, net))
+                for label, chor, succ_state, net in children]
 
     nodes: List[_Node] = []
     try:
-        _bfs(_Node(program.main, state, net0, 0), expand, nodes)
+        _bfs(root, expand, nodes)
     except _Mismatch as mismatch:
         return _fail(name, nodes[-1], len(nodes), depth, *mismatch.args)
     return VerifyReport(name, True, len(nodes), depth)
 
 
-def check_epp_complete(program: CCProgram, state: State, depth: int,
-                       check_set: Iterable[str] = (),
-                       initial_network: Optional[Network] = None,
-                       initial_defs: Optional[DefSetB] = None) -> VerifyReport:
-    """Every choreography step is matched by its projection."""
-    return _run_game("complete", program, state, depth, check_set, initial_network, initial_defs)
+def _checked_projection(defs, processes, parent: _Node, label: RichLabel,
+                        chor: Choreography, net: Network) -> Network:
+    """The projection of ``parent``'s child ``chor``; ``_Mismatch`` unless
+    ``net`` is pointwise above it.  Projection skips an interaction at each
+    process it does not name, also under a conditional or in a runtime term,
+    so after a communication or a selection only its two processes are
+    projected again (in name order, as ``epp_c`` goes), and the order is
+    checked where the network or the projection is not the checked parent's."""
+    if parent.proj is None or type(label) not in (RCom, RSel):
+        proj = epp_c(defs, processes, chor)
+        above = isinstance(proj, EppFailure) or more_branches_net(net, proj)
+    else:
+        proj = parent.proj
+        for process in sorted((label.sender, label.receiver)):
+            result = bproj(defs, chor, process)
+            if not result.ok:
+                proj = EppFailure("main", process, result.failure)
+                break
+            proj = proj.put(process, result.behaviour)
+        above = isinstance(proj, EppFailure) or all(
+            more_branches(net.get(process), proj.get(process))
+            for process in net.differs(parent.net) | proj.differs(parent.proj))
+    if isinstance(proj, EppFailure):
+        raise _Mismatch(f"successor is not projectable: {proj}", label)
+    if not above:
+        raise _Mismatch("matched network dropped below the projection of the successor", label)
+    return proj
 
 
-def check_epp_sound(program: CCProgram, state: State, depth: int,
-                    check_set: Iterable[str] = (),
-                    initial_network: Optional[Network] = None,
-                    initial_defs: Optional[DefSetB] = None) -> VerifyReport:
-    """Every step of the projection is matched by the choreography."""
-    return _run_game("sound", program, state, depth, check_set, initial_network, initial_defs)
-
+# Every choreography step is matched by its projection (complete), and
+# every step of the projection by the choreography (sound).
+check_epp_complete = partial(_run_game, "complete")
+check_epp_sound = partial(_run_game, "sound")
 
 _CHECKS = {
-    "complete": partial(_run_game, "complete"),
-    "sound": partial(_run_game, "sound"),
+    "complete": check_epp_complete,
+    "sound": check_epp_sound,
     "determinism": _determinism,
     "diamond": _diamond,
     "progress": _progress,
@@ -317,12 +328,16 @@ _CHECKS = {
 def check_property(name: str, program: CCProgram, state: State, depth: int,
                    check_set: Iterable[str] = ()) -> List[VerifyReport]:
     """Run one named check, or all of them in a fixed order.  The meta-checks
-    scan one configuration graph, explored once per call."""
-    reports, graph = [], None
+    scan one configuration graph, explored once per call; with ``all`` the
+    completeness game reads its moves there too."""
+    check_set, reports, graph, moves = tuple(check_set), [], None, None
+    if name == "all" and str_proj_p(program, check_set):  # else the first game raises
+        graph = _explore(program, state, depth)
+        moves = {(node.chor, node.state): enabled for node, enabled in graph}
     for key in (_CHECKS if name == "all" else [name]):
         check = _CHECKS[key]
         if key in ("complete", "sound"):
-            reports.append(check(program, state, depth, check_set))
+            reports.append(check(program, state, depth, check_set, moves=moves))
         else:
             graph = graph or _explore(program, state, depth)
             reports.append(check(program, graph, depth))

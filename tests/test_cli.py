@@ -193,12 +193,24 @@ def test_state_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
-    # verify's search hashes each configuration, recursing once per interaction.
-    cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 2000 + "end }\n")
-    assert main(["verify", cc, "--depth", "4"]) == 2
+    # The parser recurses once per nested parenthesis.
+    nested = "(" * 1500 + "1" + ")" * 1500
+    cc = _write(tmp_path, "deep.cc", f"main {{ p.{nested} -> q.x; end }}\n")
+    assert main(["check", cc]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_project_merges_long_branches_in_a_loop(tmp_path, capsys):
+    # r takes no part in the conditional: its two branch projections, each
+    # 1,500 receives long, are merged.
+    body = "q.0 -> r.x; " * 1500 + "end"
+    cc = _write(tmp_path, "branches.cc",
+                f"main {{ if p.true then {{ {body} }} else {{ {body} }} }}\n")
+    assert main(["project", cc]) == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+    assert (tmp_path / "branches.sp").read_text().count("q?x; ") == 1500
 
 
 def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
@@ -211,6 +223,9 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
     assert capsys.readouterr().out == "ok\n"
     assert main(["project", cc, "--out", projected]) == 0
     assert capsys.readouterr().out.startswith("wrote ")
+    assert main(["verify", cc, "--depth", "4"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [report["verdict"] for report in reports] == ["pass"] * 6
     for argv, steps, final in (
             (["run", cc, "--max-steps", "5000"], 5000,
              {"status": "terminated", "state": {"p.x": 5000, "q.x": 4999}}),

@@ -145,15 +145,31 @@ def test_total_map_laws(cls, key, given, stored, default, key2):
             assert other() != empty and other().put(key, stored) != one
 
 
-def test_network_does_not_hash_behaviours():
+def _deep_send(n):
     deep = B_END
-    for _ in range(5000):
+    for _ in range(n):
         deep = Send("q", Lit(1), "", deep)
-    with pytest.raises(RecursionError):
+    return deep
+
+
+def test_network_does_not_hash_behaviours(monkeypatch):
+    deep = _deep_send(5000)
+
+    def refuse(behaviour):
+        raise AssertionError("a behaviour was hashed")
+
+    monkeypatch.setattr(Send, "__hash__", refuse)
+    with pytest.raises(AssertionError):
         hash(deep)
     network = Network({"p": deep})
     assert network.put("q", deep).support() == ("p", "q")
     assert network.put("p", B_END) == Network()
+
+
+def test_deep_behaviours_hash():
+    deep = _deep_send(5000)
+    assert hash(deep) == hash(_deep_send(5000))
+    assert hash(Network({"p": deep})) == hash(Network({"p": _deep_send(5000)}))
 
 
 def test_value_json_round_trip():

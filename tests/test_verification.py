@@ -372,6 +372,32 @@ def _patch_unprojectable(monkeypatch):
                                    for label, succ, st in cc_enabled(defs, chor, state)])
 
 
+def _bystander_dropped(step):
+    """``step``, also dropping s1's behaviour after each step to s2."""
+    def patched(*args):
+        stepped = step(*args)
+        if stepped is None or not _to_s2(args[-1]):
+            return stepped
+        return stepped[0].put("s1", B_END), stepped[1]
+    return patched
+
+
+def _patch_bystander_complete(monkeypatch):
+    from chorus.proc_semantics import sp_step
+
+    monkeypatch.setattr("chorus.verification.sp_step", _bystander_dropped(sp_step))
+
+
+def _patch_bystander_sound(monkeypatch):
+    from chorus.proc_semantics import sp_enabled
+
+    def enabled(defs, net, state):
+        return [(label, succ.put("s1", B_END) if _to_s2(label) else succ, st)
+                for label, succ, st in sp_enabled(defs, net, state)]
+    monkeypatch.setattr("chorus.verification.sp_enabled", enabled)
+
+
+
 _AT_S2 = {"rich": {"kind": "com", "from": "o2", "to": "s2", "value": 2, "var": "y"},
           "label": {"kind": "com", "from": "o2", "to": "s2", "value": 2}}
 
@@ -394,6 +420,13 @@ GAME_FAILURES = {
         _patch_unprojectable, "complete", check_epp_complete,
         "successor is not projectable: cannot project main for o2: conditional at o1 "
         "is ambiguous for o2: Send cannot merge with BEnd (at cont)", _AT_S2),
+    # A network step that also changes a third process is checked there too.
+    "bystander_dropped_complete": (
+        _patch_bystander_complete, "complete", check_epp_complete,
+        "matched network dropped below the projection of the successor", _AT_S2),
+    "bystander_dropped_sound": (
+        _patch_bystander_sound, "sound", check_epp_sound,
+        "matched network dropped below the projection of the successor", _AT_S2),
 }
 
 
@@ -421,8 +454,9 @@ def test_meta_checks_pass_on_fork_program():
 
 
 def test_check_property_all_explores_one_graph(monkeypatch):
-    """The four meta-checks scan one shared graph: with ``all`` they call
-    cc_enabled once per configuration, on top of the completeness game."""
+    """The four meta-checks scan one shared graph, and the completeness game
+    reads its moves there: with ``all``, cc_enabled runs once per
+    configuration in all."""
     from chorus.chor_semantics import cc_enabled
     from chorus.verification import check_property
 
@@ -439,13 +473,99 @@ def test_check_property_all_explores_one_graph(monkeypatch):
               for program in map(gen_program, range(6))]
     for program, state, names in cases:
         calls.clear()
-        check_property("complete", program, state, 8, names)
-        game_calls = len(calls)
-        calls.clear()
         reports = check_property("all", program, state, 8, names)
         assert all(report.passed for report in reports)
         [nodes] = {report.nodes for report in reports[2:]}
-        assert len(calls) - game_calls == nodes
+        assert len(calls) == nodes
         calls.clear()
         [report] = check_property("diamond", program, state, 8)
         assert report.nodes == nodes == len(calls)
+
+
+
+# --------------------------------------------------------------------------
+# After a communication or a selection the games project only its two
+# processes again; the rest of the projection is the parent's.
+
+MERGE_HEAVY = {
+    # q -> r runs under p's conditional, and neither q nor r hears from p.
+    "bystander_without_selection": """main { s.1 -> t.x; if p.x == 0 then {
+        q.1 -> r.y; p.2 -> s.z; end } else { q.1 -> r.y; p.3 -> s.z; end } }""",
+    # a -> b runs inside a runtime term while c has not joined.
+    "runtime_term": """def X(a, b, c) { a.1 -> b.x; c.2 -> a.w; end }
+        main { d.1 -> a.z; call X }""",
+    # c's conditional step runs before a -> b; d's offers are merged for e.
+    "delayed_conditional": """main { a.1 -> b.x; if c.true then {
+        c -> d[left]; d.1 -> e.y; end } else { c -> d[right]; d.1 -> e.y; end } }""",
+}
+
+
+def _differential_games(monkeypatch):
+    """``check_property("all")``, checking the projection of every game node
+    and every game child against ``epp_c``; and the labels of the children
+    projected only in part."""
+    from chorus import RCom, RSel, epp_c, verification
+    from chorus.verification import check_property
+
+    partial_labels, playing = [], []
+    checked_projection, bfs = verification._checked_projection, verification._bfs
+
+    def differential(defs, processes, parent, label, chor, net):
+        projection = checked_projection(defs, processes, parent, label, chor, net)
+        assert projection == epp_c(defs, processes, chor)
+        if parent.proj is not None and isinstance(label, (RCom, RSel)):
+            partial_labels.append(label)
+        return projection
+
+    def nodes_checked(root, expand, nodes):
+        bfs(root, expand, nodes)
+        if root.net is not None:  # a game, not the meta graph
+            defs, processes = playing[-1].defs, ccp_pn(playing[-1])
+            assert all(node.proj == epp_c(defs, processes, node.chor) for node in nodes)
+
+    def run(program, depth, names):
+        playing.append(program)
+        return check_property("all", program, EMPTY_STATE, depth, names)
+
+    monkeypatch.setattr(verification, "_checked_projection", differential)
+    monkeypatch.setattr(verification, "_bfs", nodes_checked)
+    return run, partial_labels
+
+
+def _differential_cases():
+    from pathlib import Path
+
+    from chorus import parse_cc_file
+    from test_chor_semantics import SPECIAL
+
+    for seed in range(200):
+        program = gen_program(seed)
+        yield program, 8, program.defs.support()
+    for path in sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.cc")):
+        source = parse_cc_file(path.read_text())
+        for depth in (4, 10):
+            yield source.program, depth, source.def_names
+    for text in MERGE_HEAVY.values():
+        source = parse_cc_file(text)
+        yield source.program, 10, source.def_names
+    for program in SPECIAL.values():
+        if str_proj_p(program, program.defs.support()):
+            yield program, 8, program.defs.support()
+
+
+def test_games_project_only_the_participants_again(monkeypatch):
+    run, partial_labels = _differential_games(monkeypatch)
+    for program, depth, names in _differential_cases():
+        assert all(report.passed for report in run(program, depth, names))
+    assert len(partial_labels) > 1000
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_HEAVY))
+def test_merge_heavy_games_reuse_projections(monkeypatch, name):
+    from chorus import parse_cc_file
+
+    run, partial_labels = _differential_games(monkeypatch)
+    source = parse_cc_file(MERGE_HEAVY[name])
+    assert str_proj_p(source.program, source.def_names)
+    assert all(report.passed for report in run(source.program, 10, source.def_names))
+    assert partial_labels
