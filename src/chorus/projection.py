@@ -127,7 +127,8 @@ def more_branches_net(first: Network, second: Network) -> bool:
 
 def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
     """Runs of prefixes are read in a loop; only branchings and conditionals
-    recurse.  A failure's path (``cont`` steps, then the inner path) is built last."""
+    recurse.  A failure's path, the ``cont`` steps walked and then the path
+    inside, is built only on failure."""
     walked = []
     while type(first) in _PREFIXES and type(first) is type(second):
         fields, noun = _PREFIXES[type(first)]

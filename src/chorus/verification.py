@@ -222,8 +222,9 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
               ) -> VerifyReport:
     """In ``complete`` the choreography moves and the network matches each
     move; in ``sound`` the network moves and the choreography matches.
-    ``check_property("all")`` passes ``moves``, each configuration's enabled
-    list from its graph, once it has checked strong projectability."""
+    ``moves``, from ``check_property("all")`` once it has checked strong
+    projectability, maps each configuration within the bound to its enabled
+    list: the complete game reads its moves there."""
     check_set = tuple(check_set)
     if moves is None and not str_proj_p(program, check_set):
         raise NotStronglyProjectable(

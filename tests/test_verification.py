@@ -397,7 +397,6 @@ def _patch_bystander_sound(monkeypatch):
     monkeypatch.setattr("chorus.verification.sp_enabled", enabled)
 
 
-
 _AT_S2 = {"rich": {"kind": "com", "from": "o2", "to": "s2", "value": 2, "var": "y"},
           "label": {"kind": "com", "from": "o2", "to": "s2", "value": 2}}
 
@@ -482,7 +481,6 @@ def test_check_property_all_explores_one_graph(monkeypatch):
         assert report.nodes == nodes == len(calls)
 
 
-
 # --------------------------------------------------------------------------
 # After a communication or a selection the games project only its two
 # processes again; the rest of the projection is the parent's.
@@ -545,15 +543,13 @@ def _differential_cases():
         source = parse_cc_file(path.read_text())
         for depth in (4, 10):
             yield source.program, depth, source.def_names
-    for text in MERGE_HEAVY.values():
-        source = parse_cc_file(text)
-        yield source.program, 10, source.def_names
     for program in SPECIAL.values():
         if str_proj_p(program, program.defs.support()):
             yield program, 8, program.defs.support()
 
 
 def test_games_project_only_the_participants_again(monkeypatch):
+    # The merge-heavy programs run one by one below.
     run, partial_labels = _differential_games(monkeypatch)
     for program, depth, names in _differential_cases():
         assert all(report.passed for report in run(program, depth, names))
