@@ -20,7 +20,8 @@ over a list of observable labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction, RTCall,
@@ -86,9 +87,10 @@ def cc_step(defs: DefSet, chor: Choreography, state: State,
     return None  # not enabled; End has no transitions
 
 
-def cc_enabled(defs: DefSet, chor: Choreography,
-               state: State) -> List[Tuple[RichLabel, Choreography, State]]:
-    """All enabled rich labels with their successors.
+def cc_moves(defs: DefSet, chor: Choreography,
+             state: State) -> List[Callable[[], Tuple[RichLabel, Choreography, State]]]:
+    """The enabled transitions as moves: calling one builds its rich label,
+    successor and state; nothing is built for a move not called.
 
     The order is deterministic: the head rule first, then delayed
     transitions in syntactic depth order (join labels iterate processes in
@@ -99,35 +101,49 @@ def cc_enabled(defs: DefSet, chor: Choreography,
     Each of its processes lies in the node's ``bits`` (all bits if the node
     holds a ``Call``); so the walk skips every node whose processes are all
     blocked, and a step costs the nodes above that frontier.  Runs of
-    interactions are walked in a loop, without recursion.
+    interactions and runtime terms are walked in a loop, without recursion.
     """
     return _enabled(defs, chor, state, 0)
 
 
-def _wrap(spine: List[Interaction], chor: Choreography) -> Choreography:
-    for node in reversed(spine):
-        chor = Interaction(node.eta, node.ann, chor)
-    return chor
+def cc_enabled(defs: DefSet, chor: Choreography,
+               state: State) -> List[Tuple[RichLabel, Choreography, State]]:
+    """All enabled rich labels with their successors, in ``cc_moves`` order."""
+    return [move() for move in cc_moves(defs, chor, state)]
 
 
-def _enabled(defs: DefSet, chor: Choreography, state: State,
-             blocked: int) -> List[Tuple[RichLabel, Choreography, State]]:
-    """The transitions of ``chor`` that avoid the processes in ``blocked``.
-    Only interactions continue the loop."""
-    out: List[Tuple[RichLabel, Choreography, State]] = []
-    spine: List[Interaction] = []
+def _move(spine: list, length: int, label: Optional[RichLabel], chor: Choreography,
+          state: State) -> Tuple[RichLabel, Choreography, State]:
+    """A transition under the first ``length`` nodes of ``spine``, which are
+    interactions and runtime terms: by ``label`` to ``chor`` and ``state``,
+    or if ``label`` is None, by the head rule of ``chor`` from ``state``."""
+    if label is None and isinstance(chor, Cond):
+        label = RCond(chor.proc)
+        chor = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
+                else chor.else_branch)
+    elif label is None:
+        eta, chor = chor.eta, chor.cont
+        if isinstance(eta, ComEta):
+            value = eval_on_state(eta.expr, state, eta.sender)
+            label, state = (RCom(eta.sender, value, eta.receiver, eta.var),
+                            state.put((eta.receiver, eta.var), value))
+        else:
+            label = RSel(eta.sender, eta.receiver, eta.label)
+    for node in reversed(spine[:length]):
+        chor = (Interaction(node.eta, node.ann, chor) if isinstance(node, Interaction)
+                else RTCall(node.name, node.pending, chor))
+    return label, chor, state
+
+
+def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> list:
+    """The moves of ``chor`` that avoid the processes in ``blocked``.  A move
+    keeps the spine with its length when made, as the walk goes on appending."""
+    out, spine = [], []
     while chor.bits & ~blocked:
         if isinstance(chor, Interaction):
-            eta = chor.eta
-            bits = PROCESS_BIT[eta.sender] | PROCESS_BIT[eta.receiver]
+            bits = PROCESS_BIT[chor.eta.sender] | PROCESS_BIT[chor.eta.receiver]
             if not bits & blocked:
-                if isinstance(eta, ComEta):
-                    value = eval_on_state(eta.expr, state, eta.sender)
-                    label, succ_state = (RCom(eta.sender, value, eta.receiver, eta.var),
-                                         state.put((eta.receiver, eta.var), value))
-                else:
-                    label, succ_state = RSel(eta.sender, eta.receiver, eta.label), state
-                out.append((label, _wrap(spine, chor.cont), succ_state))
+                out.append(partial(_move, spine, len(spine), None, chor, state))
             spine.append(chor)
             blocked |= bits
             chor = chor.cont
@@ -135,15 +151,14 @@ def _enabled(defs: DefSet, chor: Choreography, state: State,
         if isinstance(chor, Cond):
             bit = PROCESS_BIT[chor.proc]
             if not bit & blocked:
-                branch = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
-                          else chor.else_branch)
-                out.append((RCond(chor.proc), _wrap(spine, branch), state))
-            for label, then_cont, succ_state in _enabled(defs, chor.then_branch, state,
-                                                         blocked | bit):
+                out.append(partial(_move, spine, len(spine), None, chor, state))
+            # Both branches must take the step to the same state: built here.
+            for move in _enabled(defs, chor.then_branch, state, blocked | bit):
+                label, then_cont, succ_state = move()
                 other = cc_step(defs, chor.else_branch, state, label)
                 if other is not None and other[1] == succ_state:
                     succ = Cond(chor.proc, chor.guard, then_cont, other[0])
-                    out.append((label, _wrap(spine, succ), succ_state))
+                    out.append(partial(_move, spine, len(spine), label, succ, succ_state))
             break
         # A join: the first process of a Call, or a pending one of a runtime term.
         procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
@@ -152,13 +167,14 @@ def _enabled(defs: DefSet, chor: Choreography, state: State,
             if not PROCESS_BIT[process] & blocked:
                 rest = tuple(p for p in procs if p != process)
                 succ = body if len(procs) == 1 else RTCall(chor.name, rest, body)
-                out.append((RCall(chor.name, process), _wrap(spine, succ), state))
-        if isinstance(chor, RTCall):
-            pending = sum(PROCESS_BIT[p] for p in chor.pending)
-            for label, body_cont, succ_state in _enabled(defs, body, state, blocked | pending):
-                succ = RTCall(chor.name, chor.pending, body_cont)
-                out.append((label, _wrap(spine, succ), succ_state))
-        break
+                out.append(partial(_move, spine, len(spine), RCall(chor.name, process),
+                                   succ, state))
+        if not isinstance(chor, RTCall):
+            break
+        # Steps in the body run ahead of the pending processes.
+        spine.append(chor)
+        blocked |= sum(PROCESS_BIT[p] for p in chor.pending)
+        chor = body
     return out
 
 

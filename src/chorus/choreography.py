@@ -299,9 +299,7 @@ def ccp_pn(program: CCProgram) -> FrozenSet[ProcessName]:
 
 def well_ann(program: CCProgram, name: ProcName) -> bool:
     procs = program.defs.vars(name)
-    if not procs:
-        return False
-    return ccc_pn(program.defs.body(name), program.defs.names) <= set(procs)
+    return bool(procs) and ccc_pn(program.defs.body(name), program.defs.names) <= set(procs)
 
 
 def program_wf(program: CCProgram) -> bool:

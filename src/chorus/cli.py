@@ -20,12 +20,13 @@ import json
 import os
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
-from .chor_semantics import cc_enabled
+from .chor_semantics import cc_enabled, cc_moves
 from .choreography import END, UsedProceduresViolated, format_path, program_wf_dec
 from .labels import forget, rich_text, rich_to_json, transition_text, transition_to_json
-from .proc_semantics import sp_enabled
+from .proc_semantics import sp_moves
 from .projection import EppFailure, epp
 from .surface import (
     ParseError, SourceFile, parse_cc_file, parse_sp_file, print_behaviour,
@@ -89,28 +90,29 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _drive(args, term, enabled, terminated) -> int:
+def _drive(args, term, moves, terminated) -> int:
     """Run from ``term`` until no transition is enabled or ``--max-steps``
     have been taken, printing each step and the final status and state.
 
-    ``enabled(term, state)`` lists (rich label, term, state) transitions;
-    ``terminated(term)`` tells a finished term from a stuck one.
+    ``moves(term, state)`` lists the enabled transitions as moves, each
+    building its (rich label, term, state) when called, so only the one
+    taken is built; ``terminated(term)`` tells a finished term from a stuck one.
     """
     state = _initial_state(args)
     rng = random.Random(args.seed)
     for _ in range(args.max_steps):
-        steps = enabled(term, state)
-        if not steps:
+        enabled = moves(term, state)
+        if not enabled:
             break
-        pick = rng.randrange(len(steps)) if args.scheduler == "random" else 0
-        rich, term, state = steps[pick]
+        pick = rng.randrange(len(enabled)) if args.scheduler == "random" else 0
+        rich, term, state = enabled[pick]()
         label = forget(rich)
         if args.format == "json":
             print(json.dumps({"label": transition_to_json(label), "rich": rich_to_json(rich)}))
         else:
             print(transition_text(label))
     status = ("terminated" if terminated(term) else
-              "stuck" if not enabled(term, state) else "bound")
+              "stuck" if not moves(term, state) else "bound")
     if args.format == "json":
         print(json.dumps({"status": status, "state": state_to_json(state)}))
     else:
@@ -120,15 +122,12 @@ def _drive(args, term, enabled, terminated) -> int:
 
 def cmd_run(args) -> int:
     program = _load_cc(args).program
-    return _drive(args, program.main,
-                  lambda chor, state: cc_enabled(program.defs, chor, state),
-                  lambda chor: chor == END)
+    return _drive(args, program.main, partial(cc_moves, program.defs), lambda chor: chor == END)
 
 
 def cmd_simulate(args) -> int:
     program = parse_sp_file(Path(args.path).read_text(encoding="utf-8")).program
-    return _drive(args, program.network,
-                  lambda network, state: sp_enabled(program.defs, network, state),
+    return _drive(args, program.network, partial(sp_moves, program.defs),
                   lambda network: not network.support())
 
 

@@ -10,7 +10,8 @@ over label lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, multistep,
@@ -70,39 +71,53 @@ def sp_step(defs: DefSetB, network: Network, state: State,
     return None
 
 
-def sp_enabled(defs: DefSetB, network: Network,
-               state: State) -> List[Tuple[RichLabel, Network, State]]:
-    """All enabled transitions, iterating processes in name order.
+def sp_moves(defs: DefSetB, network: Network,
+             state: State) -> List[Callable[[], Tuple[RichLabel, Network, State]]]:
+    """The enabled transitions as moves, iterating processes in name order;
+    calling one builds its rich label, network and state.
 
     Communications and selections are keyed by the sending process, so each
     appears exactly once.
     """
-    out: List[Tuple[RichLabel, Network, State]] = []
-    for process in network.support():
-        behaviour = network.get(process)
-        if isinstance(behaviour, Send):
-            partner = network.get(behaviour.peer)
-            if isinstance(partner, Recv) and partner.peer == process:
-                value = eval_on_state(behaviour.expr, state, process)
-                updated = network.put(process, behaviour.cont).put(behaviour.peer, partner.cont)
-                out.append((RCom(process, value, behaviour.peer, partner.var), updated,
-                            state.put((behaviour.peer, partner.var), value)))
-        elif isinstance(behaviour, Choose):
-            partner = network.get(behaviour.peer)
-            if isinstance(partner, Branch) and partner.peer == process:
-                slot = partner.left if behaviour.label is SelLabel.LEFT else partner.right
-                if slot is not None:
-                    updated = network.put(process, behaviour.cont).put(behaviour.peer, slot[1])
-                    out.append((RSel(process, behaviour.peer, behaviour.label), updated, state))
-        elif isinstance(behaviour, BCond):
-            if eval_bexpr_on_state(behaviour.guard, state, process):
-                out.append((RCond(process), network.put(process, behaviour.then_branch), state))
-            else:
-                out.append((RCond(process), network.put(process, behaviour.else_branch), state))
-        elif isinstance(behaviour, BCall):
-            out.append((RCall(behaviour.name, process),
-                        network.put(process, defs.get(behaviour.name)), state))
-    return out
+    return [partial(_fire, defs, network, state, process)
+            for process in network.support() if _ready(network, process)]
+
+
+def sp_enabled(defs: DefSetB, network: Network,
+               state: State) -> List[Tuple[RichLabel, Network, State]]:
+    """All enabled transitions with their successors, in ``sp_moves`` order."""
+    return [move() for move in sp_moves(defs, network, state)]
+
+
+def _ready(network: Network, process) -> bool:
+    behaviour = network.get(process)
+    if isinstance(behaviour, Send):
+        partner = network.get(behaviour.peer)
+        return isinstance(partner, Recv) and partner.peer == process
+    if isinstance(behaviour, Choose):
+        partner = network.get(behaviour.peer)
+        return (isinstance(partner, Branch) and partner.peer == process
+                and (partner.left if behaviour.label is SelLabel.LEFT else partner.right) is not None)
+    return isinstance(behaviour, (BCond, BCall))
+
+
+def _fire(defs: DefSetB, network: Network, state: State, process):
+    """The transition of ``process``, which ``_ready`` found enabled."""
+    behaviour = network.get(process)
+    if isinstance(behaviour, BCond):
+        branch = (behaviour.then_branch if eval_bexpr_on_state(behaviour.guard, state, process)
+                  else behaviour.else_branch)
+        return RCond(process), network.put(process, branch), state
+    if isinstance(behaviour, BCall):
+        return RCall(behaviour.name, process), network.put(process, defs.get(behaviour.name)), state
+    partner, updated = network.get(behaviour.peer), network.put(process, behaviour.cont)
+    if isinstance(behaviour, Choose):
+        slot = partner.left if behaviour.label is SelLabel.LEFT else partner.right
+        return (RSel(process, behaviour.peer, behaviour.label),
+                updated.put(behaviour.peer, slot[1]), state)
+    value = eval_on_state(behaviour.expr, state, process)
+    return (RCom(process, value, behaviour.peer, partner.var),
+            updated.put(behaviour.peer, partner.cont), state.put((behaviour.peer, partner.var), value))
 
 
 def spp_step(conf: SPConfiguration, label: TransitionLabel) -> List[SPConfiguration]:

@@ -159,12 +159,14 @@ class _Parser:
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at(text):
-            raise ParseError(f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                             tok.span, (text,))
-        self.pos += 1
+    def expect(self, *texts: str) -> Token:
+        """Consume ``texts`` in order; return the last token."""
+        for text in texts:
+            tok = self.tokens[self.pos]
+            if tok.text != text or tok.kind not in ("sym", "ident"):  # not self.at(text), inlined
+                raise ParseError(f"found {tok.text!r}" if tok.kind != "eof"
+                                 else "unexpected end of input", tok.span, (text,))
+            self.pos += 1
         return tok
 
     def name(self, what: str) -> Token:
@@ -209,20 +211,15 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "ident":
-            if tok.text in ("succ", "fst", "snd"):
+            if tok.text in ("succ", "fst", "snd", "pair"):
                 self.pos += 1
                 self.expect("(")
-                inner = self.expr()
+                args = [self.expr()]
+                if tok.text == "pair":
+                    self.expect(",")
+                    args.append(self.expr())
                 self.expect(")")
-                return {"succ": Succ, "fst": Fst, "snd": Snd}[tok.text](inner)
-            if tok.text == "pair":
-                self.pos += 1
-                self.expect("(")
-                left = self.expr()
-                self.expect(",")
-                right = self.expr()
-                self.expect(")")
-                return Pair(left, right)
+                return {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}[tok.text](*args)
             if tok.text not in _KEYWORDS:
                 self.pos += 1
                 return Var(tok.text)
@@ -305,14 +302,12 @@ def parse_cc_file(text: str) -> SourceFile:
         procs = [parser.name("process name").text]
         while parser.accept(","):
             procs.append(parser.name("process name").text)
-        parser.expect(")")
-        parser.expect("{")
+        parser.expect(")", "{")
         body = _parse_chor(parser, ("proc", name_tok.text), spans)
         parser.expect("}")
         defs[name_tok.text] = (tuple(procs), body)
         names.append(name_tok.text)
-    parser.expect("main")
-    parser.expect("{")
+    parser.expect("main", "{")
     main = _parse_chor(parser, ("main",), spans)
     parser.expect("}")
     parser.eof()
@@ -343,12 +338,9 @@ def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, Span]) -> Chor
             proc = parser.name("process name").text
             parser.expect(".")
             guard = parser.bexpr()
-            parser.expect("then")
-            parser.expect("{")
+            parser.expect("then", "{")
             then_branch = _parse_chor(parser, key + ("then",), spans)
-            parser.expect("}")
-            parser.expect("else")
-            parser.expect("{")
+            parser.expect("}", "else", "{")
             else_branch = _parse_chor(parser, key + ("else",), spans)
             close = parser.expect("}")
             spans[key] = Span(start.line, start.col, close.line, close.col + 1)
@@ -437,12 +429,9 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
             break
         if parser.accept("if"):
             guard = parser.bexpr()
-            parser.expect("then")
-            parser.expect("{")
+            parser.expect("then", "{")
             then_branch = _parse_behaviour(parser)
-            parser.expect("}")
-            parser.expect("else")
-            parser.expect("{")
+            parser.expect("}", "else", "{")
             else_branch = _parse_behaviour(parser)
             parser.expect("}")
             behaviour = BCond(guard, then_branch, else_branch)
@@ -456,8 +445,7 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
         elif parser.accept("(+)"):
             kind, arg = Choose, parser.label()
         else:
-            parser.expect("&")
-            parser.expect("{")
+            parser.expect("&", "{")
             slots = {}
             if not parser.at("}"):
                 while True:
@@ -528,25 +516,24 @@ def print_eta(eta) -> str:
 
 
 def _chor_lines(chor: Choreography, indent: int) -> List[str]:
+    """Runs of interactions print in a loop; only conditionals and runtime
+    terms recurse."""
     pad = "  " * indent
-    if isinstance(chor, End):
-        return [pad + "end"]
-    if isinstance(chor, Call):
-        return [pad + f"call {chor.name}"]
-    if isinstance(chor, Interaction):
-        head = pad + print_eta(chor.eta) + _ann_text(chor.ann) + ";"
-        return [head] + _chor_lines(chor.cont, indent)
+    out = []
+    while isinstance(chor, Interaction):
+        out.append(pad + print_eta(chor.eta) + _ann_text(chor.ann) + ";")
+        chor = chor.cont
+    if isinstance(chor, (End, Call)):
+        out.append(pad + ("end" if isinstance(chor, End) else f"call {chor.name}"))
+        return out
     if isinstance(chor, Cond):
-        guard = print_bexpr(chor.guard)
-        out = [pad + f"if {chor.proc}.{guard} then {{"]
+        out.append(pad + f"if {chor.proc}.{print_bexpr(chor.guard)} then {{")
         out += _chor_lines(chor.then_branch, indent + 1)
         out.append(pad + "} else {")
         out += _chor_lines(chor.else_branch, indent + 1)
-        out.append(pad + "}")
-        return out
-    # Runtime terms appear in traces only; this form is not parseable.
-    out = [pad + f"rt_call {chor.name} [{', '.join(chor.pending)}] {{"]
-    out += _chor_lines(chor.body, indent + 1)
+    else:  # Runtime terms appear in traces only; this form is not parseable.
+        out.append(pad + f"rt_call {chor.name} [{', '.join(chor.pending)}] {{")
+        out += _chor_lines(chor.body, indent + 1)
     out.append(pad + "}")
     return out
 

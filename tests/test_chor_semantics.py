@@ -10,6 +10,7 @@ from chorus import (
     parse_cc, program_wf,
 )
 from chorus import chor_semantics
+from chorus.chor_semantics import cc_moves
 from chorus.choreography import DEFAULT_PROCESS
 from chorus.values import EMPTY_STATE
 
@@ -177,7 +178,9 @@ def test_enabled_agrees_with_step_everywhere():
 
 def _bfs_compare(program, state, depth=8):
     """Compare ``cc_enabled`` with the reference at every configuration a
-    breadth-first search reaches within ``depth`` steps; return how many."""
+    breadth-first search reaches within ``depth`` steps; return how many.
+    Each move, called in any order and any number of times, builds the
+    transition ``cc_enabled`` lists at its place, which ``cc_step`` takes."""
     defs = program.defs
     frontier = [(program.main, state)]
     seen = set(frontier)
@@ -186,7 +189,11 @@ def _bfs_compare(program, state, depth=8):
         for chor, st in frontier:
             enabled = cc_enabled(defs, chor, st)
             assert enabled == cc_enabled_unpruned(defs, chor, st)
-            for _, succ, succ_state in enabled:
+            built = [(move(), move()) for move in reversed(cc_moves(defs, chor, st))]
+            assert all(first == second for first, second in built)
+            assert [first for first, _ in reversed(built)] == enabled
+            for label, succ, succ_state in enabled:
+                assert cc_step(defs, chor, st, label) == (succ, succ_state)
                 if level < depth and (succ, succ_state) not in seen:
                     seen.add((succ, succ_state))
                     following.append((succ, succ_state))

@@ -175,6 +175,15 @@ def test_step_interactive(tmp_path, capsys, monkeypatch):
     assert re.findall(r"-- (.*)", out) == ["call(FileTransfer,c)"]
 
 
+def test_step_prints_long_programs(tmp_path, capsys, monkeypatch):
+    import io
+    cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 20000 + "end }\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\nq\n"))
+    assert main(["step", cc]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\np.0 -> q.x;") == 19999 and out.count("  [0] com(p,0,q,x)") == 2
+
+
 def test_non_decimal_digits_exit_2_with_a_located_line(tmp_path, capsys):
     for digit in ("\u00b2", "\u2460"):
         path = _write(tmp_path, "digit.cc", f"main {{ p.{digit} -> q.x; end }}\n")

@@ -112,19 +112,25 @@ def test_run_hashes_nothing(monkeypatch, tmp_path, capsys, name):
     # Constructors leave the slot unset.
     assert not any(map(_is_hashed, walk(parse_cc(path.read_text()).main)))
     calls = _counted_hashes(monkeypatch)
-    reached = []
+    built = []
     import chorus.cli
 
-    enabled = chorus.cli.cc_enabled
+    moves = chorus.cli.cc_moves
 
-    def recording(defs, chor, state):
-        steps = enabled(defs, chor, state)
-        reached.extend(succ for _, succ, _ in steps)
-        return steps
+    def built_by(move):
+        def recording():
+            transition = move()
+            built.append(transition[1])
+            return transition
+        return recording
 
-    monkeypatch.setattr(chorus.cli, "cc_enabled", recording)
+    # Record the successor of every move that run calls, and only those.
+    monkeypatch.setattr(chorus.cli, "cc_moves",
+                        lambda *args: [built_by(move) for move in moves(*args)])
     for scheduler in ("first", "random"):
+        before = len(built)
         assert main(["run", str(path), "--max-steps", "1000", "--scheduler", scheduler]) == 0
-        assert capsys.readouterr().out.count("\n") > 1
+        steps = capsys.readouterr().out.count("\n") - 1
+        assert steps > 0 and len(built) - before == steps
     assert calls == []
-    assert reached and not any(map(_is_hashed, reached))
+    assert built and not any(map(_is_hashed, built))

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 from chorus import (
     B_END, BCall, DefSetB, EppFailure, Lit, Network, RCall, RCom, RCond,
     RSel, Recv, SPConfiguration, SPProgram, Send, TCom, TSel, TTau, epp,
-    sp_enabled, sp_step, spp_multistep, spp_step,
+    gen_program, parse_cc, sp_enabled, sp_step, spp_multistep, spp_step,
 )
+from chorus.proc_semantics import sp_moves
 from chorus.processes import EMPTY_NETWORK
 from chorus.values import EMPTY_STATE
 
@@ -12,6 +15,7 @@ from helpers import (
 )
 
 NO_DEFS = DefSetB()
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def test_sp_step_communication():
@@ -109,3 +113,39 @@ def test_sp_step_depends_on_defs_extensionally():
     label = RCall(("FileTransfer", "c"), "c")
     assert (sp_step(program.defs, program.network, EMPTY_STATE, label)
             == sp_step(same, program.network, EMPTY_STATE, label))
+
+
+def _bfs_moves(defs, network, state, depth=8):
+    """At every network a breadth-first search reaches within ``depth``
+    steps, each move, called in any order and any number of times, builds
+    the transition ``sp_enabled`` lists at its place, which ``sp_step``
+    takes; return how many networks were reached."""
+    frontier = [(network, state)]
+    seen = set(frontier)
+    for level in range(depth + 1):
+        following = []
+        for net, st in frontier:
+            enabled = sp_enabled(defs, net, st)
+            built = [(move(), move()) for move in reversed(sp_moves(defs, net, st))]
+            assert all(first == second for first, second in built)
+            assert [first for first, _ in reversed(built)] == enabled
+            for label, succ, succ_state in enabled:
+                assert sp_step(defs, net, st, label) == (succ, succ_state)
+                if level < depth and (succ, succ_state) not in seen:
+                    seen.add((succ, succ_state))
+                    following.append((succ, succ_state))
+        frontier = following
+    return len(seen)
+
+
+def test_moves_build_what_sp_enabled_lists():
+    assert _bfs_moves(NO_DEFS, auth_expected_network(), auth_state(True)) > 5
+    assert _bfs_moves(NO_DEFS, auth_expected_network(), auth_state(False)) > 4
+    assert _bfs_moves(NO_DEFS, deadlock_network(), EMPTY_STATE) == 1
+    programs = [file_transfer_program(), *map(parse_cc, map(Path.read_text,
+                                                           sorted(PROGRAMS.glob("*.cc"))))]
+    programs += [gen_program(seed) for seed in range(100)]
+    for program in programs:
+        projected = epp(program, program.defs.support())
+        if not isinstance(projected, EppFailure):
+            _bfs_moves(projected.defs, projected.network, EMPTY_STATE)

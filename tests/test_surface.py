@@ -46,6 +46,13 @@ def test_print_then_parse_is_identity_on_print():
     assert print_cc(parse_cc(text)) == text
 
 
+def test_long_programs_print_and_round_trip():
+    program = parse_cc("main { " + "p.0 -> q.x; " * 20000 + "end }\n")
+    text = print_cc(program)
+    assert text == "main {\n" + "  p.0 -> q.x;\n" * 20000 + "  end\n}\n"
+    assert hash(parse_cc(text).main) == hash(program.main)
+
+
 def test_annotations_round_trip():
     chor = Interaction(ComEta("p", Lit(1), "q", "x"), 'needs "quotes"\n', END)
     program = auth_program().__class__(DefSet(), chor)
