@@ -27,6 +27,7 @@ AUTH_STATE = str(GOLDEN / "auth_state.json")
 FT_STATE = str(GOLDEN / "ft_state.json")
 UNPROJECTABLE = str(GOLDEN / "unprojectable.cc")
 SELF_COMM = str(GOLDEN / "self_comm.cc")
+RUNAHEAD = str(GOLDEN / "runahead.cc")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
@@ -51,6 +52,8 @@ CASES = {
     "verify_ft_state": ["verify", FT, "--depth", "8", "--state", FT_STATE,
                         "--property", "termination"],
     "verify_negative_depth": ["verify", AUTH, "--depth", "-1"],
+    # Joins and revisited configurations in both projection games.
+    "verify_runahead_json": ["verify", RUNAHEAD, "--depth", "12"],
     "verify_unprojectable": ["verify", UNPROJECTABLE, "--property", "sound"],
 }
 
