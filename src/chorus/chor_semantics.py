@@ -42,49 +42,60 @@ class CCConfiguration:
 
 def cc_step(defs: DefSet, chor: Choreography, state: State,
             label: RichLabel) -> Optional[Tuple[Choreography, State]]:
-    """Apply one rich-labelled transition; None when the label is not enabled."""
-    if isinstance(chor, Interaction):
-        eta = chor.eta
-        if isinstance(eta, ComEta) and isinstance(label, RCom):
-            if (label.sender == eta.sender and label.receiver == eta.receiver
-                    and label.var == eta.var
-                    and label.value == eval_on_state(eta.expr, state, eta.sender)):
-                return chor.cont, state.put((eta.receiver, eta.var), label.value)
-        elif isinstance(eta, SelEta) and isinstance(label, RSel):
-            if (label.sender == eta.sender and label.receiver == eta.receiver
-                    and label.label is eta.label):
-                return chor.cont, state
-        if label_processes(label).isdisjoint(eta_processes(eta)):
-            res = cc_step(defs, chor.cont, state, label)
-            if res is not None:
-                return Interaction(eta, chor.ann, res[0]), res[1]
-        return None
-
-    if isinstance(chor, Cond):
-        if isinstance(label, RCond) and label.proc == chor.proc:
-            if eval_bexpr_on_state(chor.guard, state, chor.proc):
-                return chor.then_branch, state
-            return chor.else_branch, state
-        if chor.proc not in label_processes(label):
+    """Apply one rich-labelled transition; None when the label is not enabled.
+    The instructions the label is delayed past, runs of interactions and
+    runtime terms, are walked in a loop and rebuilt on the way back; only a
+    conditional it is delayed past recurses, into both branches."""
+    processes, spine = label_processes(label), []
+    while True:
+        if isinstance(chor, Interaction):
+            eta = chor.eta
+            if isinstance(eta, ComEta) and isinstance(label, RCom):
+                if (label.sender == eta.sender and label.receiver == eta.receiver
+                        and label.var == eta.var
+                        and label.value == eval_on_state(eta.expr, state, eta.sender)):
+                    chor, state = chor.cont, state.put((eta.receiver, eta.var), label.value)
+                    break
+            elif isinstance(eta, SelEta) and isinstance(label, RSel):
+                if (label.sender == eta.sender and label.receiver == eta.receiver
+                        and label.label is eta.label):
+                    chor = chor.cont
+                    break
+            if not processes.isdisjoint(eta_processes(eta)):
+                return None
+            spine.append(chor)
+            chor = chor.cont
+        elif isinstance(chor, Cond):
+            if isinstance(label, RCond) and label.proc == chor.proc:
+                chor = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
+                        else chor.else_branch)
+                break
+            if chor.proc in processes:
+                return None
             first = cc_step(defs, chor.then_branch, state, label)
-            if first is not None:
-                second = cc_step(defs, chor.else_branch, state, label)
-                if second is not None and first[1] == second[1]:
-                    return Cond(chor.proc, chor.guard, first[0], second[0]), first[1]
-        return None
-
-    if isinstance(chor, (Call, RTCall)):
-        # A join: the first process of a Call, or a pending one of a runtime term.
-        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
-                       else (chor.pending, chor.body))
-        if isinstance(label, RCall) and label.name == chor.name and label.proc in procs:
-            rest = tuple(p for p in procs if p != label.proc)
-            return (RTCall(chor.name, rest, body) if rest else body), state
-        if isinstance(chor, RTCall) and label_processes(label).isdisjoint(chor.pending):
-            res = cc_step(defs, chor.body, state, label)
-            if res is not None:
-                return RTCall(chor.name, chor.pending, res[0]), res[1]
-    return None  # not enabled; End has no transitions
+            second = first and cc_step(defs, chor.else_branch, state, label)
+            if second is None or first[1] != second[1]:
+                return None
+            chor, state = Cond(chor.proc, chor.guard, first[0], second[0]), first[1]
+            break
+        elif isinstance(chor, (Call, RTCall)):
+            # A join: the first process of a Call, or a pending one of a runtime term.
+            procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
+                           else (chor.pending, chor.body))
+            if isinstance(label, RCall) and label.name == chor.name and label.proc in procs:
+                rest = tuple(p for p in procs if p != label.proc)
+                chor = RTCall(chor.name, rest, body) if rest else body
+                break
+            if not (isinstance(chor, RTCall) and processes.isdisjoint(chor.pending)):
+                return None
+            spine.append(chor)
+            chor = body
+        else:
+            return None  # End has no transitions
+    for node in reversed(spine):
+        chor = (Interaction(node.eta, node.ann, chor) if isinstance(node, Interaction)
+                else RTCall(node.name, node.pending, chor))
+    return chor, state
 
 
 def cc_moves(defs: DefSet, chor: Choreography,

@@ -25,7 +25,8 @@ from .choreography import (
     CCProgram, Choreography, END, ccp_pn, program_wf,
 )
 from .labels import (
-    RCall, RCom, RSel, RichLabel, forget, rich_text, rich_to_json, transition_to_json,
+    RCall, RCond, RichLabel, forget, label_processes, rich_text, rich_to_json,
+    transition_to_json,
 )
 from .proc_semantics import sp_enabled, sp_step
 from .processes import DefSetB, Network
@@ -78,23 +79,31 @@ class _Mismatch(Exception):
     """A game step the other side cannot match: (reason, failing label)."""
 
 
-def _bfs(root: _Node, expand, nodes: List[_Node]) -> None:
+def _bfs(root: _Node, expand, nodes: List[_Node], project=None) -> None:
     """Breadth-first search from ``root``, appending each node to ``nodes``
     as it is dequeued.  ``expand(node)`` returns the node's children as
-    ``(label, chor, state, net, proj)``; a child is queued unless its
-    configuration ``(chor, state, net)`` was seen before.  If ``expand``
-    raises, the search ends and ``nodes`` ends with the node it was
-    expanding."""
+    ``(label, chor, state, net)``; a child is queued unless its configuration
+    ``(chor, state, net)`` was seen before.  In the games,
+    ``project(node, label, chor, net)`` checks a new child and returns its
+    projection.  The check depends only on ``chor`` and ``net``, so a child
+    seen before passes it again, unless it returns to a root the caller
+    passed in unchecked (``proj`` None): that child is checked too.  If
+    ``expand`` or ``project`` raises, the search ends and ``nodes`` ends with
+    the node it was expanding."""
     queue = deque([root])
-    visited = {(root.chor, root.state, root.net)}
+    seen = {(root.chor, root.state, root.net): root}
     while queue:
         node = queue.popleft()
         nodes.append(node)
-        for label, chor, state, net, proj in expand(node):
+        for label, chor, state, net in expand(node):
             key = (chor, state, net)
-            if key not in visited:
-                visited.add(key)
-                queue.append(_Node(chor, state, net, node.dist + 1, node, label, proj))
+            known = seen.get(key)
+            if known is None:
+                proj = project(node, label, chor, net) if project else None
+                seen[key] = child = _Node(chor, state, net, node.dist + 1, node, label, proj)
+                queue.append(child)
+            elif project and known.proj is None:
+                project(node, label, chor, net)
 
 
 def _trace(node: _Node) -> List[dict]:
@@ -117,7 +126,7 @@ def _explore(program: CCProgram, state: State, depth: int) -> List[Tuple[_Node, 
     def expand(node):
         enabled = cc_enabled(program.defs, node.chor, node.state)
         graph.append((node, enabled))
-        return [(*move, None, None) for move in enabled] if node.dist < depth else ()
+        return [(*move, None) for move in enabled] if node.dist < depth else ()
 
     _bfs(_Node(program.main, state, None, 0), expand, [])
     return graph
@@ -224,7 +233,9 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
     move; in ``sound`` the network moves and the choreography matches.
     ``moves``, from ``check_property("all")`` once it has checked strong
     projectability, maps each configuration within the bound to its enabled
-    list: the complete game reads its moves there."""
+    list: the complete game reads its moves there.  ``expand`` only matches
+    steps; the search checks each new configuration's network above its
+    projection (``_checked_projection``), once."""
     check_set = tuple(check_set)
     if moves is None and not str_proj_p(program, check_set):
         raise NotStronglyProjectable(
@@ -269,14 +280,11 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
                 if succ_state != net_state:
                     raise _Mismatch("matched step ends in a different state", sp_rich)
                 children.append((label, chor, succ_state, net))
-        # Every child, seen before or not, must stay above its projection.
-        return [(label, chor, succ_state, net,
-                 _checked_projection(defs, processes, node, label, chor, net))
-                for label, chor, succ_state, net in children]
+        return children
 
     nodes: List[_Node] = []
     try:
-        _bfs(root, expand, nodes)
+        _bfs(root, expand, nodes, partial(_checked_projection, defs, processes))
     except _Mismatch as mismatch:
         return _fail(name, nodes[-1], len(nodes), depth, *mismatch.args)
     return VerifyReport(name, True, len(nodes), depth)
@@ -287,15 +295,19 @@ def _checked_projection(defs, processes, parent: _Node, label: RichLabel,
     """The projection of ``parent``'s child ``chor``; ``_Mismatch`` unless
     ``net`` is pointwise above it.  Projection skips an interaction at each
     process it does not name, also under a conditional or in a runtime term,
-    so after a communication or a selection only its two processes are
-    projected again (in name order, as ``epp_c`` goes), and the order is
-    checked where the network or the projection is not the checked parent's."""
-    if parent.proj is None or type(label) not in (RCom, RSel):
+    and a join changes only the joiner's projection: the other processes of
+    the procedure stay pending, and its body names no one else.  So after a
+    communication, a selection or a join only the processes of the label
+    are projected again (in name order, as ``epp_c`` goes), and the order is
+    checked where the network or the projection is not the checked parent's.
+    A conditional's child, or a child of an unchecked root, is projected in
+    full."""
+    if parent.proj is None or type(label) is RCond:
         proj = epp_c(defs, processes, chor)
         above = isinstance(proj, EppFailure) or more_branches_net(net, proj)
     else:
         proj = parent.proj
-        for process in sorted((label.sender, label.receiver)):
+        for process in sorted(label_processes(label)):
             result = bproj(defs, chor, process)
             if not result.ok:
                 proj = EppFailure("main", process, result.failure)

@@ -482,8 +482,8 @@ def test_check_property_all_explores_one_graph(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# After a communication or a selection the games project only its two
-# processes again; the rest of the projection is the parent's.
+# After a communication, a selection or a join the games project only the
+# processes of its label again; the rest of the projection is the parent's.
 
 MERGE_HEAVY = {
     # q -> r runs under p's conditional, and neither q nor r hears from p.
@@ -498,25 +498,51 @@ MERGE_HEAVY = {
 }
 
 
+def _count_projections(monkeypatch):
+    """The children the games project, each as ``[label, chor, net, in_full]``,
+    where ``in_full`` says whether ``epp_c`` projected it."""
+    from chorus import verification
+
+    checked = []
+    checked_projection, epp_c = verification._checked_projection, verification.epp_c
+
+    def counted(defs, processes, parent, label, chor, net):
+        checked.append([label, chor, net, False])
+        return checked_projection(defs, processes, parent, label, chor, net)
+
+    def counted_epp_c(defs, processes, chor):
+        checked[-1][3] = True
+        return epp_c(defs, processes, chor)
+
+    monkeypatch.setattr(verification, "_checked_projection", counted)
+    monkeypatch.setattr(verification, "epp_c", counted_epp_c)
+    return checked
+
+
+def _partial(checked):
+    """How many children of each label type were projected only in part."""
+    from collections import Counter
+
+    return Counter(type(label) for label, _, _, in_full in checked if not in_full)
+
+
 def _differential_games(monkeypatch):
     """``check_property("all")``, checking the projection of every game node
-    and every game child against ``epp_c``; and the labels of the children
-    projected only in part."""
-    from chorus import RCom, RSel, epp_c, verification
+    and every game child against ``epp_c``; and the children projected, as
+    ``_count_projections`` lists them."""
+    from chorus import epp_c, verification
     from chorus.verification import check_property
 
-    partial_labels, playing = [], []
+    checked, playing = _count_projections(monkeypatch), []
     checked_projection, bfs = verification._checked_projection, verification._bfs
 
     def differential(defs, processes, parent, label, chor, net):
         projection = checked_projection(defs, processes, parent, label, chor, net)
         assert projection == epp_c(defs, processes, chor)
-        if parent.proj is not None and isinstance(label, (RCom, RSel)):
-            partial_labels.append(label)
         return projection
 
-    def nodes_checked(root, expand, nodes):
-        bfs(root, expand, nodes)
+    def nodes_checked(root, expand, nodes, project=None):
+        bfs(root, expand, nodes, project)
         if root.net is not None:  # a game, not the meta graph
             defs, processes = playing[-1].defs, ccp_pn(playing[-1])
             assert all(node.proj == epp_c(defs, processes, node.chor) for node in nodes)
@@ -527,18 +553,16 @@ def _differential_games(monkeypatch):
 
     monkeypatch.setattr(verification, "_checked_projection", differential)
     monkeypatch.setattr(verification, "_bfs", nodes_checked)
-    return run, partial_labels
+    return run, checked
 
 
 def _differential_cases():
+    """The programs of ``programs/``, then the strongly projectable ``SPECIAL`` ones."""
     from pathlib import Path
 
     from chorus import parse_cc_file
     from test_chor_semantics import SPECIAL
 
-    for seed in range(200):
-        program = gen_program(seed)
-        yield program, 8, program.defs.support()
     for path in sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.cc")):
         source = parse_cc_file(path.read_text())
         for depth in (4, 10):
@@ -550,18 +574,68 @@ def _differential_cases():
 
 def test_games_project_only_the_participants_again(monkeypatch):
     # The merge-heavy programs run one by one below.
-    run, partial_labels = _differential_games(monkeypatch)
+    from chorus import RCall, RCom, RSel
+
+    run, checked = _differential_games(monkeypatch)
+    for seed in range(200):
+        program = gen_program(seed)
+        assert all(report.passed for report in run(program, 8, program.defs.support()))
+    assert _partial(checked)[RCall] > 0
     for program, depth, names in _differential_cases():
         assert all(report.passed for report in run(program, depth, names))
-    assert len(partial_labels) > 1000
+    partial = _partial(checked)
+    assert partial[RCom] + partial[RSel] > 1000
 
 
 @pytest.mark.parametrize("name", sorted(MERGE_HEAVY))
 def test_merge_heavy_games_reuse_projections(monkeypatch, name):
-    from chorus import parse_cc_file
+    from chorus import RCall, RCom, RSel, parse_cc_file
 
-    run, partial_labels = _differential_games(monkeypatch)
+    run, checked = _differential_games(monkeypatch)
     source = parse_cc_file(MERGE_HEAVY[name])
     assert str_proj_p(source.program, source.def_names)
     assert all(report.passed for report in run(source.program, 10, source.def_names))
-    assert partial_labels
+    partial = _partial(checked)
+    assert partial[RCom] + partial[RSel]
+    if name == "runtime_term":
+        assert partial[RCall]
+
+
+def test_games_project_each_new_configuration_once(monkeypatch):
+    """A game projects each child whose configuration is new, and only
+    those: the root is checked, so every other node once.  Only a
+    conditional's child is projected in full."""
+    from chorus import RCall, RCond, parse_cc_file
+
+    checked = _count_projections(monkeypatch)
+    source = parse_cc_file("""def X(p, q, r) { p.x -> q.y; if q.y == 0 then {
+        q -> p[left]; q -> r[left]; q.1 -> r.z; call X }
+        else { q -> p[right]; q -> r[right]; end } } main { call X }""")
+    for game in (check_epp_complete, check_epp_sound):
+        checked.clear()
+        report = game(source.program, EMPTY_STATE, 12, source.def_names)
+        assert report.passed
+        assert len(checked) == report.nodes - 1
+        assert _partial(checked)[RCall]
+        full = [label for label, _, _, in_full in checked if in_full]
+        assert full and all(isinstance(label, RCond) for label in full)
+
+
+def test_game_still_checks_a_return_to_an_unchecked_root(monkeypatch):
+    """A root network passed in by the caller is never checked as a child;
+    a child that returns to it is projected and checked again."""
+    from chorus import parse_cc_file
+
+    checked = _count_projections(monkeypatch)
+    source = parse_cc_file("def X(p, q) { p.0 -> q.x; call X } main { call X }")
+    program = source.program
+    network = epp(program, source.def_names).network
+    report = check_epp_complete(program, EMPTY_STATE, 6, source.def_names)
+    assert report.passed and report.nodes == 4
+    assert len(checked) == 3 and [program.main, network] not in [
+        entry[1:3] for entry in checked]
+    checked.clear()
+    report = check_epp_complete(program, EMPTY_STATE, 6, source.def_names,
+                                initial_network=network)
+    assert report.passed and report.nodes == 4
+    assert len(checked) == 4 and checked[-1][1:3] == [program.main, network]
