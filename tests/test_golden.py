@@ -28,10 +28,13 @@ FT_STATE = str(GOLDEN / "ft_state.json")
 UNPROJECTABLE = str(GOLDEN / "unprojectable.cc")
 SELF_COMM = str(GOLDEN / "self_comm.cc")
 RUNAHEAD = str(GOLDEN / "runahead.cc")
+# Its procedure is the default definition, which ``DefSet`` does not store.
+DEFAULT_DEF = str(GOLDEN / "default_def.cc")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
     "check_auth_json": ["check", AUTH, "--format", "json"],
+    "check_default_def": ["check", DEFAULT_DEF],
     "check_ft_text": ["check", FT],
     "check_ft_json": ["check", FT, "--format", "json"],
     "check_parse_error": ["check", DEADLOCK],
@@ -47,6 +50,7 @@ CASES = {
     "simulate_deadlock_text": ["simulate", DEADLOCK, "--format", "text"],
     "verify_auth_json": ["verify", AUTH, "--depth", "8"],
     "verify_auth_text": ["verify", AUTH, "--depth", "8", "--format", "text"],
+    "verify_default_def_text": ["verify", DEFAULT_DEF, "--format", "text"],
     "verify_ft_json": ["verify", FT, "--depth", "8"],
     "verify_ft_text": ["verify", FT, "--depth", "8", "--format", "text"],
     "verify_ft_state": ["verify", FT, "--depth", "8", "--state", FT_STATE,
@@ -57,11 +61,12 @@ CASES = {
     "verify_unprojectable": ["verify", UNPROJECTABLE, "--property", "sound"],
 }
 
-# Programs projected by ``project``, with the arguments their projection is
-# then simulated under.
+# Programs projected by ``project``, with their source and the arguments
+# their projection is then simulated under.
 PROJECTED = {
-    "authentication": ["--state", AUTH_STATE],
-    "file_transfer": ["--scheduler", "random", "--seed", "5"],
+    "authentication": (AUTH, ["--state", AUTH_STATE]),
+    "default_def": (DEFAULT_DEF, []),
+    "file_transfer": (FT, ["--scheduler", "random", "--seed", "5"]),
 }
 
 
@@ -79,10 +84,11 @@ def _run(argv, tmp=None) -> dict:
 
 def _project_and_simulate(name, tmp: Path):
     """Run ``project`` then ``simulate`` on its output; (.sp path, results)."""
+    source, simulate_args = PROJECTED[name]
     out = tmp / f"{name}.sp"
     results = {
-        f"project_{name}": _run(["project", str(PROGRAMS / f"{name}.cc"), "--out", str(out)], tmp),
-        f"simulate_{name}": _run(["simulate", str(out), *PROJECTED[name]], tmp),
+        f"project_{name}": _run(["project", source, "--out", str(out)], tmp),
+        f"simulate_{name}": _run(["simulate", str(out), *simulate_args], tmp),
     }
     return out, results
 
