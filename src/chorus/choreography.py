@@ -358,9 +358,10 @@ class WfReport:
 def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfReport:
     """Decide ``program_wf`` over the finitely many procedures that matter.
 
-    Requires ``used_procedures(program, check_set)`` and reports the first
-    violated clause in a fixed order: the main choreography's clauses, then
-    each procedure's clauses in name order.
+    Requires ``used_procedures(program, check_set)``, the check set's only
+    use, and reports the first violated clause in a fixed order: the main
+    choreography's clauses, then each stored procedure's clauses in name
+    order (any other name reads the default, which passes every clause).
     """
     check_set = tuple(check_set)
     if not used_procedures(program, check_set):
@@ -380,7 +381,7 @@ def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfRepor
         path, node = found
         return WfReport(False, "consistent", "main", path,
                         f"pending processes escape procedure {node.name}")
-    for name in sorted(set(program.defs.support()) | set(check_set)):
+    for name in program.defs.support():
         body = program.defs.body(name)
         found = _first(body, _self_comm)
         if found:

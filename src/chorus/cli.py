@@ -74,7 +74,7 @@ def cmd_check(args) -> int:
 
 def cmd_project(args) -> int:
     source = _load_cc(args)
-    result = epp(source.program, source.def_names)
+    result = epp(source.program)
     if isinstance(result, EppFailure):
         where = _span(source, result.scope, result.diagnostic.path)
         print(f"error: {result}{where}", file=sys.stderr)
@@ -163,11 +163,10 @@ def cmd_step(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    source = _load_cc(args)
+    program = _load_cc(args).program
     state = _initial_state(args)
     try:
-        reports = check_property(args.property, source.program, state,
-                                 args.depth, source.def_names)
+        reports = check_property(args.property, program, state, args.depth)
     except NotStronglyProjectable as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -208,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="endpoint projection")
     p.add_argument("path")
     p.add_argument("--out", help="output .sp path")
-    common(p, "text", state=False)
 
     for name in ("run", "simulate"):
         p = sub.add_parser(name, help=f"{name} and print the trace")
@@ -220,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step", help="interactive stepping")
     p.add_argument("path")
-    common(p, "text")
+    p.add_argument("--state", help="initial state as a JSON file")
 
     p = sub.add_parser("verify", help="bounded verification")
     p.add_argument("path")

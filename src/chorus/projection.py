@@ -38,7 +38,7 @@ from .choreography import (
 from .processes import (
     B_END, BCall, BCond, Branch, Behaviour, Choose, DefSetB, Network, Recv, SPProgram, Send,
 )
-from .values import ProcessName, ProcName, SelLabel
+from .values import ProcessName, SelLabel
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,13 @@ def projectable_b(defs: DefSet, chor: Choreography, process: ProcessName) -> boo
     return bproj(defs, chor, process).ok
 
 
-def projectable_d(defs: DefSet, check_set: Iterable[ProcName] = ()) -> bool:
+def projectable_d(defs: DefSet) -> bool:
     """Each procedure's body is projectable for its own processes."""
-    return not isinstance(epp_d(defs, check_set), EppFailure)
+    return not isinstance(epp_d(defs), EppFailure)
 
 
-def projectable_p(program: CCProgram, check_set: Iterable[ProcName] = ()) -> bool:
-    return not isinstance(epp(program, check_set), EppFailure)
+def projectable_p(program: CCProgram) -> bool:
+    return not isinstance(epp(program), EppFailure)
 
 
 # --------------------------------------------------------------------------
@@ -280,9 +280,9 @@ def str_proj(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
     return True
 
 
-def str_proj_p(program: CCProgram, check_set: Iterable[ProcName] = ()) -> bool:
+def str_proj_p(program: CCProgram) -> bool:
     return (program_wf(program)
-            and projectable_d(program.defs, check_set)
+            and projectable_d(program.defs)
             and all(str_proj(program.defs, program.main, r)
                     for r in sorted(ccp_pn(program))))
 
@@ -312,11 +312,11 @@ def epp_c(defs: DefSet, processes: Iterable[ProcessName],
     return Network(out)
 
 
-def epp_d(defs: DefSet,
-          check_set: Iterable[ProcName] = ()) -> Union[DefSetB, EppFailure]:
-    """Project every procedure body once per process using it."""
+def epp_d(defs: DefSet) -> Union[DefSetB, EppFailure]:
+    """Project each stored procedure body once per process using it (any
+    other name projects to ``End``, which ``DefSetB`` does not store)."""
     out = {}
-    for name in sorted(set(defs.support()) | set(check_set)):
+    for name in defs.support():
         body = defs.body(name)
         for process in defs.vars(name):
             result = bproj(defs, body, process)
@@ -326,13 +326,12 @@ def epp_d(defs: DefSet,
     return DefSetB(out)
 
 
-def epp(program: CCProgram,
-        check_set: Iterable[ProcName] = ()) -> Union[SPProgram, EppFailure]:
+def epp(program: CCProgram) -> Union[SPProgram, EppFailure]:
     """Endpoint projection of a whole program."""
     network = epp_c(program.defs, ccp_pn(program), program.main)
     if isinstance(network, EppFailure):
         return network
-    defs_b = epp_d(program.defs, check_set)
+    defs_b = epp_d(program.defs)
     if isinstance(defs_b, EppFailure):
         return defs_b
     return SPProgram(defs_b, network)

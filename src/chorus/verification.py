@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .chor_semantics import cc_enabled, cc_step
 from .choreography import (
@@ -226,7 +226,7 @@ def _cc_label(label: RichLabel) -> Optional[RichLabel]:
 
 
 def _run_game(name: str, program: CCProgram, state: State, depth: int,
-              check_set: Iterable[str] = (), initial_network: Optional[Network] = None,
+              initial_network: Optional[Network] = None,
               initial_defs: Optional[DefSetB] = None, moves: Optional[dict] = None
               ) -> VerifyReport:
     """In ``complete`` the choreography moves and the network matches each
@@ -236,13 +236,12 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
     list: the complete game reads its moves there.  ``expand`` only matches
     steps; the search checks each new configuration's network above its
     projection (``_checked_projection``), once."""
-    check_set = tuple(check_set)
-    if moves is None and not str_proj_p(program, check_set):
+    if moves is None and not str_proj_p(program):
         raise NotStronglyProjectable(
             "the projection game needs a well-formed, strongly projectable program")
     defs = program.defs
     processes = ccp_pn(program)
-    projected = epp(program, check_set)
+    projected = epp(program)
     assert not isinstance(projected, EppFailure)
     net_defs = initial_defs if initial_defs is not None else projected.defs
     # A root network the caller passes in is not known to be above the projection.
@@ -338,19 +337,18 @@ _CHECKS = {
 }
 
 
-def check_property(name: str, program: CCProgram, state: State, depth: int,
-                   check_set: Iterable[str] = ()) -> List[VerifyReport]:
+def check_property(name: str, program: CCProgram, state: State, depth: int) -> List[VerifyReport]:
     """Run one named check, or all of them in a fixed order.  The meta-checks
     scan one configuration graph, explored once per call; with ``all`` the
     completeness game reads its moves there too."""
-    check_set, reports, graph, moves = tuple(check_set), [], None, None
-    if name == "all" and str_proj_p(program, check_set):  # else the first game raises
+    reports, graph, moves = [], None, None
+    if name == "all" and str_proj_p(program):  # else the first game raises
         graph = _explore(program, state, depth)
         moves = {(node.chor, node.state): enabled for node, enabled in graph}
     for key in (_CHECKS if name == "all" else [name]):
         check = _CHECKS[key]
         if key in ("complete", "sound"):
-            reports.append(check(program, state, depth, check_set, moves=moves))
+            reports.append(check(program, state, depth, moves=moves))
         else:
             graph = graph or _explore(program, state, depth)
             reports.append(check(program, graph, depth))

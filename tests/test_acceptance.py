@@ -184,7 +184,7 @@ def test_criterion_5_order_laws_and_step_preservation(corpus):
         while instances < 200:
             program = corpus[seed % len(corpus)]
             seed += 1
-            projected = epp(program, program.defs.support())
+            projected = epp(program)
             if isinstance(projected, EppFailure):
                 continue
             net, state = projected.network, EMPTY_STATE
@@ -210,13 +210,12 @@ def test_criterion_5_order_laws_and_step_preservation(corpus):
 def test_criterion_6_meta_property_suite(corpus):
     with criterion(6, "meta-property suite on 200 programs", 300.0):
         for program in corpus:
-            names = program.defs.support()
             assert check_determinism(program, EMPTY_STATE, 8).passed
             assert check_diamond(program, EMPTY_STATE, 8).passed
             assert check_progress(program, EMPTY_STATE, 8).passed
             assert check_termination_unique(program, EMPTY_STATE, 8).passed
-            assert check_epp_complete(program, EMPTY_STATE, 8, names).passed
-            assert check_epp_sound(program, EMPTY_STATE, 8, names).passed
+            assert check_epp_complete(program, EMPTY_STATE, 8).passed
+            assert check_epp_sound(program, EMPTY_STATE, 8).passed
 
 
 def test_criterion_7a_corrupted_projection(tmp_path):

@@ -2,6 +2,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from chorus import (
     CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
     parse_sp, spp_multistep,
@@ -156,6 +158,15 @@ def test_verify_single_property_text(capsys):
 
 def test_verify_rejects_sp_input(capsys):
     assert main(["verify", DEADLOCK]) == 2
+
+
+@pytest.mark.parametrize("argv", [["project", AUTH], ["step", FT]])
+def test_format_is_not_an_option_of_project_or_step(argv, capsys):
+    # Neither command prints a format-dependent result, so the flag is a usage error.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--format", "json"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_step_interactive(tmp_path, capsys, monkeypatch):

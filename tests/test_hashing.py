@@ -27,8 +27,7 @@ def test_separately_built_equal_trees_hash_equal():
     for seed in range(60):
         first, second = gen_program(seed), gen_program(seed)
         assert first.main == second.main and hash(first.main) == hash(second.main)
-        names = first.defs.support()
-        left, right = epp(first, names).network, epp(second, names).network
+        left, right = epp(first).network, epp(second).network
         for process, behaviour in left.items():
             assert behaviour == right.get(process)
             assert hash(behaviour) == hash(right.get(process))

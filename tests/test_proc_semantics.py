@@ -68,7 +68,7 @@ def test_sp_enabled_auth_initial():
 
 
 def test_sp_call_uses_own_copy():
-    program = epp(file_transfer_program(), ("FileTransfer",))
+    program = epp(file_transfer_program())
     assert not isinstance(program, EppFailure)
     net, defs = program.network, program.defs
     assert net.get("c") == BCall(("FileTransfer", "c"))
@@ -107,7 +107,7 @@ def test_spp_step_filters_by_observable_label():
 def test_sp_step_depends_on_defs_extensionally():
     # Two differently-built but extensionally equal definition maps give the
     # same transitions (pruned End entries make equality structural).
-    program = epp(file_transfer_program(), ("FileTransfer",))
+    program = epp(file_transfer_program())
     same = DefSetB(dict(program.defs.items()) | {("Ghost", "p"): B_END})
     assert same == program.defs
     label = RCall(("FileTransfer", "c"), "c")
@@ -146,6 +146,6 @@ def test_moves_build_what_sp_enabled_lists():
                                                            sorted(PROGRAMS.glob("*.cc"))))]
     programs += [gen_program(seed) for seed in range(100)]
     for program in programs:
-        projected = epp(program, program.defs.support())
+        projected = epp(program)
         if not isinstance(projected, EppFailure):
             _bfs_moves(projected.defs, projected.network, EMPTY_STATE)

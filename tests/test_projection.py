@@ -160,7 +160,7 @@ def test_file_transfer_projection_by_rule_table():
     assert bproj(defs, body, "c").unwrap() == expected_c
     assert bproj(defs, body, "s").unwrap() == expected_s
 
-    projected = epp(program, ("FileTransfer",))
+    projected = epp(program)
     assert not isinstance(projected, EppFailure)
     assert projected.defs.get(("FileTransfer", "c")) == expected_c
     assert projected.defs.get(("FileTransfer", "s")) == expected_s
@@ -257,7 +257,7 @@ def test_str_proj_trivial_cases():
 
 def test_str_proj_holds_for_initial_projectable_programs():
     assert str_proj_p(auth_program())
-    assert str_proj_p(file_transfer_program(), ("FileTransfer",))
+    assert str_proj_p(file_transfer_program())
     assert not str_proj_p(unmended_program())
 
 
@@ -270,7 +270,7 @@ def test_str_proj_preserved_by_transitions():
             break
         _, chor, state = enabled[0]
         stepped = CCProgram(program.defs, chor)
-        assert str_proj_p(stepped, ("FileTransfer",))
+        assert str_proj_p(stepped)
 
 
 def test_merge_preserves_behaviour_wf():

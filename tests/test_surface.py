@@ -134,7 +134,7 @@ p[call X@p]
 
 def test_sp_projection_round_trips():
     from chorus import epp
-    projected = epp(file_transfer_program(), ("FileTransfer",))
+    projected = epp(file_transfer_program())
     assert parse_sp(print_sp(projected)) == projected
 
 

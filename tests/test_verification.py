@@ -48,27 +48,26 @@ def test_gen_program_deterministic():
 def test_gen_program_wf_and_projectable():
     for seed in range(60):
         program = gen_program(seed)
-        names = program.defs.support()
         assert initial(program.main)
         assert program_wf(program)
-        assert projectable_p(program, names)
-        assert str_proj_p(program, names)
+        assert projectable_p(program)
+        assert str_proj_p(program)
 
 
 # --------------------------------------------------------------------------
 # Meta-property checks on the worked examples
 
 def test_meta_checks_pass_on_examples():
-    cases = [(auth_program(), auth_state(True), ()),
-             (auth_program(), auth_state(False), ()),
-             (file_transfer_program(), EMPTY_STATE, ("FileTransfer",))]
-    for program, state, names in cases:
+    cases = [(auth_program(), auth_state(True)),
+             (auth_program(), auth_state(False)),
+             (file_transfer_program(), EMPTY_STATE)]
+    for program, state in cases:
         assert check_determinism(program, state, 10).passed
         assert check_diamond(program, state, 10).passed
         assert check_progress(program, state, 10).passed
         assert check_termination_unique(program, state, 10).passed
-        assert check_epp_complete(program, state, 10, names).passed
-        assert check_epp_sound(program, state, 10, names).passed
+        assert check_epp_complete(program, state, 10).passed
+        assert check_epp_sound(program, state, 10).passed
 
 
 def test_end_program_trivially_passes():
@@ -78,7 +77,7 @@ def test_end_program_trivially_passes():
 
 
 def test_file_transfer_game_covers_both_join_orders():
-    report = check_epp_complete(file_transfer_program(), EMPTY_STATE, 6, ("FileTransfer",))
+    report = check_epp_complete(file_transfer_program(), EMPTY_STATE, 6)
     assert report.passed
     assert report.nodes >= 6
 
@@ -144,10 +143,9 @@ def test_corrupted_projection_in_auth_fails_before_divergence_is_observable():
 
 def test_corrupted_defs_fail_soundness_at_call():
     program = file_transfer_program()
-    good = epp(program, ("FileTransfer",))
+    good = epp(program)
     broken_defs = good.defs.with_def(("FileTransfer", "c"), B_END)
-    report = check_epp_sound(program, EMPTY_STATE, 6, ("FileTransfer",),
-                             initial_defs=broken_defs)
+    report = check_epp_sound(program, EMPTY_STATE, 6, initial_defs=broken_defs)
     assert not report.passed
     # The game collapses right when c joins through its (corrupted) copy.
     assert report.counterexample["failing"]["rich"]["kind"] == "call"
@@ -161,8 +159,7 @@ def test_game_invariant_network_stays_above_projection():
 
     for seed in range(8):
         program = gen_program(seed)
-        names = program.defs.support()
-        projected = epp(program, names)
+        projected = epp(program)
         assert not isinstance(projected, EppFailure)
         rng = random.Random(seed)
         chor, state, net = program.main, EMPTY_STATE, projected.network
@@ -196,14 +193,13 @@ def test_reports_serialise():
 def test_generated_programs_pass_all_checks_smoke():
     for seed in range(12):
         program = gen_program(seed)
-        names = program.defs.support()
         state = EMPTY_STATE
         assert check_determinism(program, state, 6).passed
         assert check_diamond(program, state, 6).passed
         assert check_progress(program, state, 6).passed
         assert check_termination_unique(program, state, 6).passed
-        assert check_epp_complete(program, state, 6, names).passed
-        assert check_epp_sound(program, state, 6, names).passed
+        assert check_epp_complete(program, state, 6).passed
+        assert check_epp_sound(program, state, 6).passed
 
 
 def test_diamond_on_independent_communications():
@@ -466,13 +462,11 @@ def test_check_property_all_explores_one_graph(monkeypatch):
         return cc_enabled(*args)
 
     monkeypatch.setattr("chorus.verification.cc_enabled", counted)
-    cases = [(auth_program(), auth_state(True), ()),
-             (file_transfer_program(), EMPTY_STATE, ("FileTransfer",))]
-    cases += [(program, EMPTY_STATE, program.defs.support())
-              for program in map(gen_program, range(6))]
-    for program, state, names in cases:
+    cases = [(auth_program(), auth_state(True)), (file_transfer_program(), EMPTY_STATE)]
+    cases += [(program, EMPTY_STATE) for program in map(gen_program, range(6))]
+    for program, state in cases:
         calls.clear()
-        reports = check_property("all", program, state, 8, names)
+        reports = check_property("all", program, state, 8)
         assert all(report.passed for report in reports)
         [nodes] = {report.nodes for report in reports[2:]}
         assert len(calls) == nodes
@@ -547,9 +541,9 @@ def _differential_games(monkeypatch):
             defs, processes = playing[-1].defs, ccp_pn(playing[-1])
             assert all(node.proj == epp_c(defs, processes, node.chor) for node in nodes)
 
-    def run(program, depth, names):
+    def run(program, depth):
         playing.append(program)
-        return check_property("all", program, EMPTY_STATE, depth, names)
+        return check_property("all", program, EMPTY_STATE, depth)
 
     monkeypatch.setattr(verification, "_checked_projection", differential)
     monkeypatch.setattr(verification, "_bfs", nodes_checked)
@@ -560,16 +554,16 @@ def _differential_cases():
     """The programs of ``programs/``, then the strongly projectable ``SPECIAL`` ones."""
     from pathlib import Path
 
-    from chorus import parse_cc_file
+    from chorus import parse_cc
     from test_chor_semantics import SPECIAL
 
     for path in sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.cc")):
-        source = parse_cc_file(path.read_text())
+        program = parse_cc(path.read_text())
         for depth in (4, 10):
-            yield source.program, depth, source.def_names
+            yield program, depth
     for program in SPECIAL.values():
-        if str_proj_p(program, program.defs.support()):
-            yield program, 8, program.defs.support()
+        if str_proj_p(program):
+            yield program, 8
 
 
 def test_games_project_only_the_participants_again(monkeypatch):
@@ -579,22 +573,22 @@ def test_games_project_only_the_participants_again(monkeypatch):
     run, checked = _differential_games(monkeypatch)
     for seed in range(200):
         program = gen_program(seed)
-        assert all(report.passed for report in run(program, 8, program.defs.support()))
+        assert all(report.passed for report in run(program, 8))
     assert _partial(checked)[RCall] > 0
-    for program, depth, names in _differential_cases():
-        assert all(report.passed for report in run(program, depth, names))
+    for program, depth in _differential_cases():
+        assert all(report.passed for report in run(program, depth))
     partial = _partial(checked)
     assert partial[RCom] + partial[RSel] > 1000
 
 
 @pytest.mark.parametrize("name", sorted(MERGE_HEAVY))
 def test_merge_heavy_games_reuse_projections(monkeypatch, name):
-    from chorus import RCall, RCom, RSel, parse_cc_file
+    from chorus import RCall, RCom, RSel, parse_cc
 
     run, checked = _differential_games(monkeypatch)
-    source = parse_cc_file(MERGE_HEAVY[name])
-    assert str_proj_p(source.program, source.def_names)
-    assert all(report.passed for report in run(source.program, 10, source.def_names))
+    program = parse_cc(MERGE_HEAVY[name])
+    assert str_proj_p(program)
+    assert all(report.passed for report in run(program, 10))
     partial = _partial(checked)
     assert partial[RCom] + partial[RSel]
     if name == "runtime_term":
@@ -605,15 +599,15 @@ def test_games_project_each_new_configuration_once(monkeypatch):
     """A game projects each child whose configuration is new, and only
     those: the root is checked, so every other node once.  Only a
     conditional's child is projected in full."""
-    from chorus import RCall, RCond, parse_cc_file
+    from chorus import RCall, RCond, parse_cc
 
     checked = _count_projections(monkeypatch)
-    source = parse_cc_file("""def X(p, q, r) { p.x -> q.y; if q.y == 0 then {
+    program = parse_cc("""def X(p, q, r) { p.x -> q.y; if q.y == 0 then {
         q -> p[left]; q -> r[left]; q.1 -> r.z; call X }
         else { q -> p[right]; q -> r[right]; end } } main { call X }""")
     for game in (check_epp_complete, check_epp_sound):
         checked.clear()
-        report = game(source.program, EMPTY_STATE, 12, source.def_names)
+        report = game(program, EMPTY_STATE, 12)
         assert report.passed
         assert len(checked) == report.nodes - 1
         assert _partial(checked)[RCall]
@@ -624,18 +618,16 @@ def test_games_project_each_new_configuration_once(monkeypatch):
 def test_game_still_checks_a_return_to_an_unchecked_root(monkeypatch):
     """A root network passed in by the caller is never checked as a child;
     a child that returns to it is projected and checked again."""
-    from chorus import parse_cc_file
+    from chorus import parse_cc
 
     checked = _count_projections(monkeypatch)
-    source = parse_cc_file("def X(p, q) { p.0 -> q.x; call X } main { call X }")
-    program = source.program
-    network = epp(program, source.def_names).network
-    report = check_epp_complete(program, EMPTY_STATE, 6, source.def_names)
+    program = parse_cc("def X(p, q) { p.0 -> q.x; call X } main { call X }")
+    network = epp(program).network
+    report = check_epp_complete(program, EMPTY_STATE, 6)
     assert report.passed and report.nodes == 4
     assert len(checked) == 3 and [program.main, network] not in [
         entry[1:3] for entry in checked]
     checked.clear()
-    report = check_epp_complete(program, EMPTY_STATE, 6, source.def_names,
-                                initial_network=network)
+    report = check_epp_complete(program, EMPTY_STATE, 6, initial_network=network)
     assert report.passed and report.nodes == 4
     assert len(checked) == 4 and checked[-1][1:3] == [program.main, network]
