@@ -8,6 +8,7 @@ from chorus import (
     CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
     parse_sp, spp_multistep,
 )
+import chorus.cli
 from chorus.cli import main
 from chorus.values import SelLabel
 from chorus.labels import TCom, TSel
@@ -257,3 +258,26 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == steps + 1
         assert json.loads(lines[-1]) == final
+
+
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert main(["run", AUTH, "--format", "text"]) == 0
+    assert not capsys.readouterr().out.startswith("{")
+    assert main(["run", AUTH]) == 0
+    assert all(json.loads(line) for line in capsys.readouterr().out.splitlines())
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", AUTH, "--max-steps", "many"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(["check", AUTH]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+    seen = []
+    checked = chorus.cli.check_property
+    monkeypatch.setattr(chorus.cli, "check_property",
+                        lambda prop, program, state, depth: seen.append((prop, depth))
+                        or checked(prop, program, state, depth))
+    assert main(["verify", AUTH, "--property", "progress", "--depth", "3"]) == 0
+    assert main(["verify", AUTH]) == 0
+    assert seen == [("progress", 3), ("all", 10)]

@@ -1,11 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from chorus import (
-    And, B_END, BCall, BLit, Branch, ComEta, Cond, DefSet, END, Eq,
+    And, B_END, BCall, BLit, Branch, Call, ComEta, Cond, DefSet, END, Eq,
     Interaction, Leq, Lit, Network, Not, ParseError, Plus, RTCall, Send,
-    Var, parse_cc, parse_sp, print_cc, print_chor,
+    Var, gen_program, parse_cc, parse_sp, print_cc, print_chor,
     print_network, print_sp, program_wf,
 )
 from chorus.surface import parse_cc_file, print_behaviour, tokenize
@@ -13,6 +14,7 @@ from chorus.surface import parse_cc_file, print_behaviour, tokenize
 from helpers import auth_program, file_transfer_program, unmended_program
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_minimal_program():
@@ -185,3 +187,77 @@ def test_digits_that_are_not_decimal_are_parse_errors():
     # Arabic-Indic three is decimal.
     program = parse_cc("main { p.\u0663 -> q.x; end }")
     assert program.main == Interaction(ComEta("p", Lit(3), "q", "x"), "", END)
+
+
+def _statement_paths(root, chor):
+    """(path, node) for every statement of ``chor`` under ``root``."""
+    stack = [(root, chor)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Interaction):
+            stack.append((path + ("cont",), node.cont))
+        elif isinstance(node, Cond):
+            stack.append((path + ("then",), node.then_branch))
+            stack.append((path + ("else",), node.else_branch))
+
+
+def _blank(gap):
+    """``gap`` with comments and blanks removed."""
+    return "".join(re.sub(r"#[^\n]*", "", gap).split())
+
+
+def _check_statement_spans(text):
+    """Every statement's span, sliced from ``text``, starts at its first
+    token and ends just past its ``;``, ``end``, ``call NAME`` or ``}``;
+    consecutive statements leave only blanks and comments between them."""
+    source = parse_cc_file(text)
+    line_starts = [0]
+    for line in text.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    bounds = {}
+    roots = [(("main",), source.program.main)]
+    roots += [(("proc", name), body) for name, (_, body) in source.program.defs.items()]
+    for root, chor in roots:
+        for path, node in _statement_paths(root, chor):
+            span = source.span_at(path)
+            start = line_starts[span.line - 1] + span.col - 1
+            end = line_starts[span.end_line - 1] + span.end_col - 1
+            bounds[path] = (start, end)
+            piece = text[start:end]
+            if isinstance(node, Interaction):
+                assert re.match(re.escape(node.eta.sender) + r"(?!\w)", piece), (path, piece)
+                assert piece.endswith(";"), (path, piece)
+            elif isinstance(node, Cond):
+                assert re.match(r"if(?!\w)", piece) and piece.endswith("}"), (path, piece)
+            elif isinstance(node, Call):
+                assert re.fullmatch(r"call\s+" + re.escape(node.name), piece), (path, piece)
+            else:
+                assert piece == "end", (path, piece)
+        assert _blank(text[:bounds[root][0]]).endswith("{"), root
+
+    def chain_end(path):
+        while path + ("cont",) in bounds:
+            path += ("cont",)
+        return bounds[path][1]
+
+    for path, (start, end) in bounds.items():
+        if path + ("cont",) in bounds:
+            assert _blank(text[end:bounds[path + ("cont",)][0]]) == "", path
+        if path + ("then",) in bounds:
+            then_start, then_end = bounds[path + ("then",)][0], chain_end(path + ("then",))
+            else_start, else_end = bounds[path + ("else",)][0], chain_end(path + ("else",))
+            assert _blank(text[start:then_start]).endswith("then{"), path
+            assert _blank(text[then_end:else_start]) == "}else{", path
+            assert _blank(text[else_end:end]) == "}", path
+    for root, _ in roots:
+        assert _blank(text[chain_end(root):]).startswith("}"), root
+    return len(bounds)
+
+
+def test_statement_spans_slice_each_statement():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.cc"))]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.cc"))]
+    texts += [print_cc(gen_program(seed)) for seed in range(50)]
+    assert len(texts) >= 56
+    assert sum(map(_check_statement_spans, texts)) > 400

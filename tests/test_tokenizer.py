@@ -3,6 +3,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from chorus import epp, gen_program, print_cc, print_sp
 from chorus.surface import ParseError, tokenize
 
 from helpers import tokenize_reference
@@ -37,4 +38,12 @@ def test_tokenize_matches_reference_on_programs():
     texts = [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("programs/*"))]
     assert len(texts) >= 3
     for text in texts + ["", "# only a comment", "main { end } # last", "x\n# c\n"]:
+        assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
+
+
+def test_tokenize_matches_reference_on_generated_programs():
+    programs = [gen_program(seed) for seed in range(200)]
+    texts = [print_cc(program) for program in programs]
+    texts += [print_sp(epp(program)) for program in programs]
+    for text in texts:
         assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
