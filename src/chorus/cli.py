@@ -20,7 +20,7 @@ import json
 import os
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .chor_semantics import cc_enabled, cc_moves
@@ -190,6 +190,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built on first use, not at import; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chorus",
                                      description="choreographic programming toolkit")

@@ -39,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, DEFAULT_PROCESS, End,
@@ -70,15 +70,18 @@ class Span:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
 
 
-class Token(NamedTuple):
-    kind: str  # ident | nat | string | sym | eof
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, col, end col): the kind is
+# ident, nat, string, sym or eof, the text of a string is its decoded value,
+# and the end column is one past the lexeme in the source.  A plain tuple is
+# built without a Python-level ``__new__``, and one that holds only strings
+# and ints drops out of the garbage collector's tracking, which a tuple
+# subclass such as a NamedTuple never does.
+Token = Tuple[str, str, int, int, int]
 
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, self.line, self.col + max(len(self.text), 1))
+
+def _span(tok: Token) -> Span:
+    _, _, line, col, end_col = tok
+    return Span(line, col, line, end_col)
 
 
 class ParseError(Exception):
@@ -93,54 +96,66 @@ class ParseError(Exception):
         return f"{self.span}: {self.message}{note}"
 
 
-# Blanks, then one alternative per token class, tried in order; no
-# alternative starts with a blank, so trailing blanks match nothing.  ``\w``
-# is exactly ``str.isalnum`` or "_"; ``tokenize`` splits words with
-# ``str.isdigit`` and ``str.isalpha``, since ``\d`` is not ``str.isdigit``.
+# Blanks, then one alternative per token class, the common ones first.  No
+# alternative starts with a blank and every other character starts one, so
+# ``finditer`` skips only trailing blanks.  ``\w`` is exactly ``str.isalnum``
+# or "_"; ``tokenize`` splits words with ``str.isdigit`` and ``str.isalpha``,
+# since ``\d`` is not ``str.isdigit``.
 _TOKEN = re.compile(r"""[ \t\r]*(?:
-    (?P<newline>\n) | (?P<comment>\#[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*") | (?P<open>")
-  | (?P<word>\w+) | (?P<sym>\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]) | (?P<stray>[^ \t\r]))
+    (?P<word>\w+) | (?P<sym>\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]) | (?P<newline>\n)
+  | (?P<comment>\#[^\n]*) | (?P<string>"(?:[^"\\]|\\.)*") | (?P<open>") | (?P<stray>[^ \t\r]))
 """, re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, line_start, pos, kind = 1, 0, 0, None
-    while (match := _TOKEN.match(text, pos)) is not None:  # None: only blanks are left
+    add = tokens.append
+    line, line_start, kind = 1, 0, None
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        lexeme, pos = match[kind], match.end()
-        col = pos - len(lexeme) - line_start + 1
-        if kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            tokens.append(Token("ident", lexeme, line, col))
-        elif kind == "word" and lexeme[0].isdigit():
-            # A nat is a run of str.isdigit; the rest of the word is read next.
-            nat = "".join(takewhile(str.isdigit, lexeme))
-            pos += len(nat) - len(lexeme)
-            tokens.append(Token("nat", nat, line, col))
-        elif kind == "sym":
-            tokens.append(Token("sym", lexeme, line, col))
+        lexeme = match[kind]
+        end = match.end() - line_start + 1
+        col = end - len(lexeme)
+        if kind == "sym":
+            add(("sym", lexeme, line, col, end))
+        elif kind == "word":
+            if lexeme[0].isdigit():
+                # A nat is a run of str.isdigit; the rest of the word follows it.
+                nat = "".join(takewhile(str.isdigit, lexeme))
+                add(("nat", nat, line, col, col + len(nat)))
+                lexeme, col = lexeme[len(nat):], col + len(nat)
+            if lexeme and (lexeme[0].isalpha() or lexeme[0] == "_"):
+                add(("ident", lexeme, line, col, end))
+            elif lexeme:  # a word from a character such as "½"
+                raise ParseError(f"stray character {lexeme[0]!r}", Span(line, col, line, col + 1))
         elif kind == "newline":
-            line, line_start = line + 1, pos
+            line, line_start = line + 1, match.end()
         elif kind == "string":
             try:
-                tokens.append(Token("string", json.loads(lexeme), line, col))
+                add(("string", json.loads(lexeme), line, col, end))
             except json.JSONDecodeError:
                 raise ParseError(f"bad string literal {lexeme}",
                                  Span(line, col, line, col)) from None
         elif kind == "open":
             raise ParseError("unterminated string", Span(line, col, line, col))
-        elif kind in ("word", "stray"):  # a word from a character such as "½"
-            raise ParseError(f"stray character {lexeme[0]!r}", Span(line, col, line, col + 1))
+        elif kind == "stray":
+            raise ParseError(f"stray character {lexeme!r}", Span(line, col, line, col + 1))
     # A comment does not move the column, so the end of input after a final
     # comment sits where that comment starts.
     if kind != "comment":
         col = len(text) - line_start + 1
-    tokens.append(Token("eof", "", line, col))
+    add(("eof", "", line, col, col + 1))
     return tokens
 
 
+_MARKS = ("sym", "ident")  # the token kinds whose text can be syntax
+
+
 class _Parser:
+    """Recursive descent over the token list.  A token's kind is ``tok[0]``
+    and its text ``tok[1]``; a match tests the text first, since it rarely
+    matches, and the kind second."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
@@ -150,11 +165,12 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind in ("sym", "ident") and tok.text == text
+        tok = self.tokens[self.pos]
+        return tok[1] == text and tok[0] in _MARKS
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        tok = self.tokens[self.pos]
+        if tok[1] == text and tok[0] in _MARKS:
             self.pos += 1
             return True
         return False
@@ -163,33 +179,33 @@ class _Parser:
         """Consume ``texts`` in order; return the last token."""
         for text in texts:
             tok = self.tokens[self.pos]
-            if tok.text != text or tok.kind not in ("sym", "ident"):  # not self.at(text), inlined
-                raise ParseError(f"found {tok.text!r}" if tok.kind != "eof"
-                                 else "unexpected end of input", tok.span, (text,))
+            if tok[1] != text or tok[0] not in _MARKS:  # not self.at(text), inlined
+                raise ParseError(f"found {tok[1]!r}" if tok[0] != "eof"
+                                 else "unexpected end of input", _span(tok), (text,))
             self.pos += 1
         return tok
 
-    def name(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
-            raise ParseError(f"found {tok.text!r} where a {what} was needed",
-                             tok.span, (what,))
+    def name(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident" or tok[1] in _KEYWORDS:
+            raise ParseError(f"found {tok[1]!r} where a {what} was needed", _span(tok), (what,))
         self.pos += 1
-        return tok
+        return tok[1]
 
     def eof(self) -> None:
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.span, ("end of file",))
+        if tok[0] != "eof":
+            raise ParseError(f"trailing input starting at {tok[1]!r}", _span(tok),
+                             ("end of file",))
 
     def annot(self) -> str:
-        if self.accept("@"):
-            tok = self.peek()
-            if tok.kind != "string":
-                raise ParseError("annotations are quoted strings", tok.span, ("string",))
-            self.pos += 1
-            return tok.text
-        return ""
+        if not self.accept("@"):
+            return ""
+        tok = self.peek()
+        if tok[0] != "string":
+            raise ParseError("annotations are quoted strings", _span(tok), ("string",))
+        self.pos += 1
+        return tok[1]
 
     # -- expressions --------------------------------------------------
 
@@ -201,30 +217,30 @@ class _Parser:
 
     def expr_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "nat":
-            if not tok.text.isdecimal():  # int() reads exactly the isdecimal strings
-                raise ParseError(f"{tok.text!r} is not a decimal number", tok.span)
+        kind, text = tok[0], tok[1]
+        if kind == "ident" and text not in _KEYWORDS:
             self.pos += 1
-            return Lit(int(tok.text))
+            return Var(text)
+        if kind == "nat":
+            if not text.isdecimal():  # int() reads exactly the isdecimal strings
+                raise ParseError(f"{text!r} is not a decimal number", _span(tok))
+            self.pos += 1
+            return Lit(int(text))
         if self.accept("("):
             inner = self.expr()
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            if tok.text in ("succ", "fst", "snd", "pair"):
-                self.pos += 1
-                self.expect("(")
-                args = [self.expr()]
-                if tok.text == "pair":
-                    self.expect(",")
-                    args.append(self.expr())
-                self.expect(")")
-                return {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}[tok.text](*args)
-            if tok.text not in _KEYWORDS:
-                self.pos += 1
-                return Var(tok.text)
-        raise ParseError(f"found {tok.text!r} where an expression was needed",
-                         tok.span, ("expression",))
+        if kind == "ident" and text in ("succ", "fst", "snd", "pair"):
+            self.pos += 1
+            self.expect("(")
+            args = [self.expr()]
+            if text == "pair":
+                self.expect(",")
+                args.append(self.expr())
+            self.expect(")")
+            return {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}[text](*args)
+        raise ParseError(f"found {text!r} where an expression was needed",
+                         _span(tok), ("expression",))
 
     def bexpr(self) -> BExpr:
         out = self.bterm()
@@ -233,7 +249,6 @@ class _Parser:
         return out
 
     def bterm(self) -> BExpr:
-        tok = self.peek()
         if self.accept("!"):
             return Not(self.bterm())
         if self.accept("true"):
@@ -256,15 +271,16 @@ class _Parser:
             return Eq(left, self.expr())
         if self.accept("<="):
             return Leq(left, self.expr())
-        raise ParseError("comparison needs '==' or '<='", self.peek().span, ("==", "<="))
+        raise ParseError("comparison needs '==' or '<='", _span(self.peek()), ("==", "<="))
 
     def label(self) -> SelLabel:
         if self.accept("left"):
             return SelLabel.LEFT
         if self.accept("right"):
             return SelLabel.RIGHT
-        raise ParseError(f"found {self.peek().text!r} where a label was needed",
-                         self.peek().span, ("left", "right"))
+        tok = self.peek()
+        raise ParseError(f"found {tok[1]!r} where a label was needed", _span(tok),
+                         ("left", "right"))
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +291,10 @@ class SourceFile:
     text: str
     program: CCProgram
     def_names: Tuple[str, ...]
-    # Keyed by (spine, number of "cont" steps along it), in linear space.
-    # Spines are ("main",), ("proc", NAME) and (spine, index, "then"|"else").
-    spans: Dict[tuple, Span] = field(default_factory=dict)
+    # (line, col, end line, end col), keyed by (spine, number of "cont" steps
+    # along it), in linear space.  Spines are ("main",), ("proc", NAME) and
+    # (spine, index, "then"|"else").
+    spans: Dict[tuple, Tuple[int, int, int, int]] = field(default_factory=dict)
 
     def span_at(self, path: Tuple[str, ...]) -> Optional[Span]:
         path = tuple(path)
@@ -285,28 +302,30 @@ class SourceFile:
         spine, index = path[:cut], 0
         for step in path[cut:]:
             spine, index = (spine, index + 1) if step == "cont" else ((spine, index, step), 0)
-        return self.spans.get((spine, index))
+        span = self.spans.get((spine, index))
+        return Span(*span) if span else None
 
 
 def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
-    spans: Dict[tuple, Span] = {}
+    spans: Dict[tuple, Tuple[int, int, int, int]] = {}
     defs = {}
     names = []
     while parser.at("def"):
         parser.expect("def")
-        name_tok = parser.name("procedure name")
-        if name_tok.text in defs:
-            raise ParseError(f"procedure {name_tok.text} defined twice", name_tok.span)
+        name_tok = parser.peek()
+        name = parser.name("procedure name")
+        if name in defs:
+            raise ParseError(f"procedure {name} defined twice", _span(name_tok))
         parser.expect("(")
-        procs = [parser.name("process name").text]
+        procs = [parser.name("process name")]
         while parser.accept(","):
-            procs.append(parser.name("process name").text)
+            procs.append(parser.name("process name"))
         parser.expect(")", "{")
-        body = _parse_chor(parser, ("proc", name_tok.text), spans)
+        body = _parse_chor(parser, ("proc", name), spans)
         parser.expect("}")
-        defs[name_tok.text] = (tuple(procs), body)
-        names.append(name_tok.text)
+        defs[name] = (tuple(procs), body)
+        names.append(name)
     parser.expect("main", "{")
     main = _parse_chor(parser, ("main",), spans)
     parser.expect("}")
@@ -319,53 +338,51 @@ def parse_cc(text: str) -> CCProgram:
     return parse_cc_file(text).program
 
 
-def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, Span]) -> Choreography:
-    """Read a run of interactions in a loop; only conditionals recurse."""
+def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Choreography:
+    """Read a run of interactions in a loop; only conditionals recurse.  A
+    statement's span runs from its first token to its last, ``last``."""
     prefix = []
     while True:
         key = (spine, len(prefix))
-        start = parser.peek()
-        if parser.accept("end"):
-            spans[key] = start.span
+        start = last = parser.peek()
+        first = start[1] if start[0] == "ident" else ""
+        if first in ("end", "call", "if"):
+            parser.pos += 1
+        if first == "end":
             chor: Choreography = End()
-            break
-        if parser.accept("call"):
-            name = parser.name("procedure name")
-            spans[key] = Span(start.line, start.col, name.line, name.col + len(name.text))
-            chor = Call(name.text)
-            break
-        if parser.accept("if"):
-            proc = parser.name("process name").text
+        elif first == "call":
+            last = parser.peek()
+            chor = Call(parser.name("procedure name"))
+        elif first == "if":
+            proc = parser.name("process name")
             parser.expect(".")
             guard = parser.bexpr()
             parser.expect("then", "{")
             then_branch = _parse_chor(parser, key + ("then",), spans)
             parser.expect("}", "else", "{")
             else_branch = _parse_chor(parser, key + ("else",), spans)
-            close = parser.expect("}")
-            spans[key] = Span(start.line, start.col, close.line, close.col + 1)
+            last = parser.expect("}")
             chor = Cond(proc, guard, then_branch, else_branch)
-            break
-
-        sender = parser.name("process name").text
-        if parser.accept("->"):
-            receiver = parser.name("process name").text
-            parser.expect("[")
-            label = parser.label()
-            parser.expect("]")
-            eta = SelEta(sender, receiver, label)
         else:
-            parser.expect(".")
-            expr = parser.expr()
-            parser.expect("->")
-            receiver = parser.name("process name").text
-            parser.expect(".")
-            var = parser.name("variable name").text
-            eta = ComEta(sender, expr, receiver, var)
-        ann = parser.annot()
-        semi = parser.expect(";")
-        spans[key] = Span(start.line, start.col, semi.line, semi.col + 1)
-        prefix.append((eta, ann))
+            sender = parser.name("process name")
+            if parser.accept("->"):
+                receiver = parser.name("process name")
+                parser.expect("[")
+                label = parser.label()
+                parser.expect("]")
+                eta = SelEta(sender, receiver, label)
+            else:
+                parser.expect(".")
+                expr = parser.expr()
+                parser.expect("->")
+                receiver = parser.name("process name")
+                parser.expect(".")
+                eta = ComEta(sender, expr, receiver, parser.name("variable name"))
+            prefix.append((eta, parser.annot()))
+            last = parser.expect(";")
+        spans[key] = (start[2], start[3], last[2], last[4])
+        if first in ("end", "call", "if"):
+            break
     for eta, ann in reversed(prefix):
         chor = Interaction(eta, ann, chor)
     return chor
@@ -385,11 +402,11 @@ def parse_sp_file(text: str) -> SPSourceFile:
     defs = {}
     while parser.at("def"):
         start = parser.expect("def")
-        name = parser.name("procedure name").text
+        name = parser.name("procedure name")
         parser.expect("@")
-        proc = parser.name("process name").text
+        proc = parser.name("process name")
         if (name, proc) in defs:
-            raise ParseError(f"procedure copy {name}@{proc} defined twice", start.span)
+            raise ParseError(f"procedure copy {name}@{proc} defined twice", _span(start))
         parser.expect("{")
         body = _parse_behaviour(parser)
         parser.expect("}")
@@ -397,12 +414,12 @@ def parse_sp_file(text: str) -> SPSourceFile:
     procs = {}
     while True:
         start = parser.peek()
-        proc = parser.name("process name").text
+        proc = parser.name("process name")
         parser.expect("[")
         behaviour = _parse_behaviour(parser)
         parser.expect("]")
         if proc in procs:
-            raise ParseError(f"process {proc} given two behaviours", start.span)
+            raise ParseError(f"process {proc} given two behaviours", _span(start))
         procs[proc] = behaviour
         if not parser.accept("|"):
             break
@@ -418,16 +435,19 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
     """Read a run of prefixes in a loop; only conditionals and offers recurse."""
     prefixes = []
     while True:
-        if parser.accept("end"):
+        start = parser.peek()
+        first = start[1] if start[0] == "ident" else ""
+        if first in ("end", "call", "if"):
+            parser.pos += 1
+        if first == "end":
             behaviour: Behaviour = BEnd()
             break
-        if parser.accept("call"):
-            name = parser.name("procedure name").text
+        if first == "call":
+            name = parser.name("procedure name")
             parser.expect("@")
-            proc = parser.name("process name").text
-            behaviour = BCall((name, proc))
+            behaviour = BCall((name, parser.name("process name")))
             break
-        if parser.accept("if"):
+        if first == "if":
             guard = parser.bexpr()
             parser.expect("then", "{")
             then_branch = _parse_behaviour(parser)
@@ -437,11 +457,11 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
             behaviour = BCond(guard, then_branch, else_branch)
             break
 
-        peer = parser.name("process name").text
+        peer = parser.name("process name")
         if parser.accept("!"):
             kind, arg = Send, parser.expr()
         elif parser.accept("?"):
-            kind, arg = Recv, parser.name("variable name").text
+            kind, arg = Recv, parser.name("variable name")
         elif parser.accept("(+)"):
             kind, arg = Choose, parser.label()
         else:
@@ -452,7 +472,7 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
                     tok = parser.peek()
                     label = parser.label()
                     if label in slots:
-                        raise ParseError(f"offer {label.value} given twice", tok.span)
+                        raise ParseError(f"offer {label.value} given twice", _span(tok))
                     ann = parser.annot()
                     parser.expect(":")
                     slots[label] = (ann, _parse_behaviour(parser))

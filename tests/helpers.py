@@ -12,7 +12,7 @@ from chorus import (
 )
 from chorus.choreography import eta_processes
 from chorus.labels import label_processes
-from chorus.surface import ParseError, Span, Token
+from chorus.surface import ParseError, Span
 from chorus.values import eval_bexpr_on_state
 
 LEFT, RIGHT = SelLabel.LEFT, SelLabel.RIGHT
@@ -345,7 +345,7 @@ def tokenize_reference(text: str):
             except json.JSONDecodeError:
                 raise ParseError(f"bad string literal {literal}",
                                  Span(start_line, start_col, line, col)) from None
-            tokens.append(Token("string", value, start_line, start_col))
+            tokens.append(("string", value, start_line, start_col, start_col + len(literal)))
             col += j + 1 - i
             i = j + 1
             continue
@@ -353,7 +353,7 @@ def tokenize_reference(text: str):
             j = i
             while j < length and text[j].isdigit():
                 j += 1
-            tokens.append(Token("nat", text[i:j], line, col))
+            tokens.append(("nat", text[i:j], line, col, col + j - i))
             col += j - i
             i = j
             continue
@@ -361,17 +361,17 @@ def tokenize_reference(text: str):
             j = i
             while j < length and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
+            tokens.append(("ident", text[i:j], line, col, col + j - i))
             col += j - i
             i = j
             continue
         for sym in _REFERENCE_SYMBOLS:
             if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
+                tokens.append(("sym", sym, line, col, col + len(sym)))
                 col += len(sym)
                 i += len(sym)
                 break
         else:
             raise ParseError(f"stray character {ch!r}", Span(line, col, line, col + 1))
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col, col + 1))
     return tokens

@@ -261,3 +261,14 @@ def test_statement_spans_slice_each_statement():
     texts += [print_cc(gen_program(seed)) for seed in range(50)]
     assert len(texts) >= 56
     assert sum(map(_check_statement_spans, texts)) > 400
+
+
+def test_string_error_span_covers_the_quoted_lexeme():
+    # The span is sized from the source, not from the decoded value.
+    for lexeme in ('"ééé"', '"\\u00e9\\u00e9\\u00e9"', '"a\\"b"', '""'):
+        for parse, text in ((parse_cc, f"main {{ {lexeme} }}"), (parse_sp, f"p[{lexeme}]")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            span = err.value.span
+            assert (span.line, span.end_line) == (1, 1)
+            assert text[span.col - 1:span.end_col - 1] == lexeme, text
