@@ -28,6 +28,8 @@ FT_STATE = str(GOLDEN / "ft_state.json")
 UNPROJECTABLE = str(GOLDEN / "unprojectable.cc")
 SELF_COMM = str(GOLDEN / "self_comm.cc")
 RUNAHEAD = str(GOLDEN / "runahead.cc")
+# Non-ASCII names, which JSON output escapes.
+UNICODE = str(GOLDEN / "unicode.cc")
 # Its procedure is the default definition, which ``DefSet`` does not store.
 DEFAULT_DEF = str(GOLDEN / "default_def.cc")
 
@@ -46,6 +48,8 @@ CASES = {
     "run_ft_random_5": ["run", FT, "--scheduler", "random", "--seed", "5"],
     "run_ft_bound": ["run", FT, "--state", FT_STATE, "--max-steps", "12"],
     "run_negative_steps": ["run", FT, "--max-steps", "-1"],
+    "run_unicode_json": ["run", UNICODE],
+    "run_unicode_text": ["run", UNICODE, "--format", "text"],
     "simulate_deadlock": ["simulate", DEADLOCK],
     "simulate_deadlock_text": ["simulate", DEADLOCK, "--format", "text"],
     "verify_auth_json": ["verify", AUTH, "--depth", "8"],
@@ -67,6 +71,7 @@ PROJECTED = {
     "authentication": (AUTH, ["--state", AUTH_STATE]),
     "default_def": (DEFAULT_DEF, []),
     "file_transfer": (FT, ["--scheduler", "random", "--seed", "5"]),
+    "unicode": (UNICODE, []),
 }
 
 
