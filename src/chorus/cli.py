@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .chor_semantics import cc_enabled, cc_moves
 from .choreography import END, UsedProceduresViolated, format_path, program_wf_dec
-from .labels import forget, rich_text, rich_to_json, transition_text, transition_to_json
+from .labels import forget, rich_text, step_json, transition_text
 from .proc_semantics import sp_moves
 from .projection import EppFailure, epp
 from .surface import (
@@ -106,11 +106,7 @@ def _drive(args, term, moves, terminated) -> int:
             break
         pick = rng.randrange(len(enabled)) if args.scheduler == "random" else 0
         rich, term, state = enabled[pick]()
-        label = forget(rich)
-        if args.format == "json":
-            print(json.dumps({"label": transition_to_json(label), "rich": rich_to_json(rich)}))
-        else:
-            print(transition_text(label))
+        print(step_json(rich) if args.format == "json" else transition_text(forget(rich)))
     status = ("terminated" if terminated(term) else
               "stuck" if not moves(term, state) else "bound")
     if args.format == "json":

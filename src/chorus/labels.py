@@ -3,11 +3,14 @@
 Rich labels carry full syntactic information (stored variable, procedure
 name); ``forget`` erases them to the observable labels.  ``RCall.name`` is a
 procedure name on the choreography side and a per-process procedure copy
-``(name, process)`` on the network side.
+``(name, process)`` on the network side.  ``step_json`` writes the JSON trace
+line of a step straight from its rich label.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json import dumps
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, FrozenSet, Sequence, Union
 
 from .values import ProcessName, SelLabel, Value, VarName, value_text, value_to_json
@@ -139,3 +142,28 @@ def rich_to_json(label: RichLabel) -> dict:
     return {"kind": "call",
             "proc": list(name) if isinstance(name, tuple) else name,
             "at": label.proc}
+
+
+def step_json(rich: RichLabel) -> str:
+    """The trace line of one step, exactly ``json.dumps({"label":
+    transition_to_json(forget(rich)), "rich": rich_to_json(rich)})``, written
+    with one f-string per kind and no intermediate dicts."""
+    if isinstance(rich, RCom):
+        value = rich.value
+        shown = str(value) if type(value) is int else dumps(value_to_json(value))
+        ends = f'"from": {_quote(rich.sender)}, "to": {_quote(rich.receiver)}, "value": {shown}'
+        return (f'{{"label": {{"kind": "com", {ends}}}, '
+                f'"rich": {{"kind": "com", {ends}, "var": {_quote(rich.var)}}}}}')
+    if isinstance(rich, RSel):
+        sel = (f'{{"kind": "sel", "from": {_quote(rich.sender)}, '
+               f'"to": {_quote(rich.receiver)}, "sel": {_quote(rich.label.value)}}}')
+        return f'{{"label": {sel}, "rich": {sel}}}'
+    if not isinstance(rich, (RCond, RCall)):
+        raise TypeError(f"not a rich label: {rich!r}")
+    at = _quote(rich.proc)
+    if isinstance(rich, RCond):
+        return f'{{"label": {{"kind": "tau", "at": {at}}}, "rich": {{"kind": "cond", "at": {at}}}}}'
+    name = rich.name
+    proc = f'[{", ".join(map(_quote, name))}]' if isinstance(name, tuple) else _quote(name)
+    return (f'{{"label": {{"kind": "tau", "at": {at}}}, '
+            f'"rich": {{"kind": "call", "proc": {proc}, "at": {at}}}}}')

@@ -106,12 +106,16 @@ def _bfs(root: _Node, expand, nodes: List[_Node], project=None) -> None:
                 project(node, label, chor, net)
 
 
+def _step(label: RichLabel) -> dict:
+    """One counterexample step: the rich label, then its observable label."""
+    return {"rich": rich_to_json(label), "label": transition_to_json(forget(label))}
+
+
 def _trace(node: _Node) -> List[dict]:
     """The labels from the root to ``node``."""
     steps = []
     while node.parent is not None:
-        steps.append({"rich": rich_to_json(node.via),
-                      "label": transition_to_json(forget(node.via))})
+        steps.append(_step(node.via))
         node = node.parent
     steps.reverse()
     return steps
@@ -205,8 +209,7 @@ def _fail(name: str, node: _Node, explored: int, depth: int, reason: str,
     then the ``failing`` label unless it is None."""
     counterexample = {"trace": _trace(node), "reason": reason}
     if failing is not None:
-        counterexample["failing"] = {"rich": rich_to_json(failing),
-                                     "label": transition_to_json(forget(failing))}
+        counterexample["failing"] = _step(failing)
     return VerifyReport(name, False, explored, depth, counterexample, reason)
 
 
