@@ -13,9 +13,9 @@ from .values import (
 )
 from .choreography import (
     Call, CCProgram, Choreography, ComEta, Cond, DefSet, END, End, Eta,
-    Interaction, RTCall, SelEta, UsedProceduresViolated, WfReport, ccc_pn,
-    ccp_pn, chor_wf, consistent, initial, no_empty_ann, no_self_comm,
-    program_wf, program_wf_dec, used_procedures, well_ann,
+    Interaction, RTCall, SelEta, WfReport, ccc_pn, ccp_pn, chor_wf,
+    consistent, initial, no_empty_ann, no_self_comm, program_wf,
+    program_wf_dec, well_ann,
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TCom, TSel, TTau, TransitionLabel,

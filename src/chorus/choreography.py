@@ -318,25 +318,6 @@ def program_wf(program: CCProgram) -> bool:
     return True
 
 
-def used_procedures_c(chor: Choreography, allowed: Iterable[ProcName]) -> bool:
-    allowed = set(allowed)
-    return all(node.name in allowed for node in walk(chor) if isinstance(node, (Call, RTCall)))
-
-
-def used_procedures(program: CCProgram, allowed: Iterable[ProcName]) -> bool:
-    """The program only calls procedures in ``allowed``, which are themselves
-    closed under calls; everything else is defined as End."""
-    allowed = set(allowed)
-    reached = (program.main, *(program.defs.body(name) for name in allowed))
-    return (all(used_procedures_c(chor, allowed) for chor in reached)
-            and all(program.defs.body(name) == END and program.defs.vars(name)
-                    for name in program.defs.support() if name not in allowed))
-
-
-class UsedProceduresViolated(Exception):
-    """The declared procedure check-set does not cover the program's calls."""
-
-
 @dataclass(frozen=True)
 class WfReport:
     ok: bool
@@ -355,19 +336,14 @@ class WfReport:
         }
 
 
-def program_wf_dec(program: CCProgram, check_set: Iterable[ProcName]) -> WfReport:
-    """Decide ``program_wf`` over the finitely many procedures that matter.
+def program_wf_dec(program: CCProgram) -> WfReport:
+    """Decide ``program_wf`` and locate the first violated clause.
 
-    Requires ``used_procedures(program, check_set)``, the check set's only
-    use, and reports the first violated clause in a fixed order: the main
-    choreography's clauses, then each stored procedure's clauses in name
-    order (any other name reads the default, which passes every clause).
+    Clauses are checked in a fixed order: the main choreography's, then each
+    stored procedure's in name order.  Any other name, called or not, reads
+    the default definition, which passes every clause, so the stored
+    procedures are the finitely many that matter.
     """
-    check_set = tuple(check_set)
-    if not used_procedures(program, check_set):
-        raise UsedProceduresViolated(
-            f"program calls procedures outside the check set {sorted(set(check_set))!r}")
-
     main = program.main
     found = _first(main, _self_comm)
     if found:

@@ -24,7 +24,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from .chor_semantics import cc_enabled, cc_moves
-from .choreography import END, UsedProceduresViolated, format_path, program_wf_dec
+from .choreography import END, format_path, program_wf_dec
 from .labels import forget, rich_text, step_json, transition_text
 from .proc_semantics import sp_moves
 from .projection import EppFailure, epp
@@ -56,11 +56,7 @@ def _span(source: SourceFile, scope: str, path) -> str:
 
 def cmd_check(args) -> int:
     source = _load_cc(args)
-    try:
-        report = program_wf_dec(source.program, source.def_names)
-    except UsedProceduresViolated as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    report = program_wf_dec(source.program)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     elif report.ok:
@@ -227,6 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # load and print naturals of any size
     try:
         if any(getattr(args, bound, 0) < 0 for bound in ("depth", "max_steps")):
             raise ValueError("depth and max-steps must be nonnegative")
@@ -247,6 +245,8 @@ def main(argv=None) -> int:
         # after a step delayed past a long run); deeper inputs are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

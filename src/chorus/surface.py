@@ -222,10 +222,13 @@ class _Parser:
             self.pos += 1
             return Var(text)
         if kind == "nat":
-            if not text.isdecimal():  # int() reads exactly the isdecimal strings
-                raise ParseError(f"{text!r} is not a decimal number", _span(tok))
+            try:  # int() rejects digits that are not decimal (²) and, by default, over 4,300
+                value = int(text)
+            except ValueError as err:
+                message = str(err) if text.isdecimal() else f"{text!r} is not a decimal number"
+                raise ParseError(message, _span(tok)) from None
             self.pos += 1
-            return Lit(int(text))
+            return Lit(value)
         if self.accept("("):
             inner = self.expr()
             self.expect(")")
@@ -288,9 +291,9 @@ class _Parser:
 
 @dataclass
 class SourceFile:
+    """A parsed choreography file: its text, its program and its statements' spans."""
     text: str
     program: CCProgram
-    def_names: Tuple[str, ...]
     # (line, col, end line, end col), keyed by (spine, number of "cont" steps
     # along it), in linear space.  Spines are ("main",), ("proc", NAME) and
     # (spine, index, "then"|"else").
@@ -310,7 +313,6 @@ def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
     spans: Dict[tuple, Tuple[int, int, int, int]] = {}
     defs = {}
-    names = []
     while parser.at("def"):
         parser.expect("def")
         name_tok = parser.peek()
@@ -325,13 +327,12 @@ def parse_cc_file(text: str) -> SourceFile:
         body = _parse_chor(parser, ("proc", name), spans)
         parser.expect("}")
         defs[name] = (tuple(procs), body)
-        names.append(name)
     parser.expect("main", "{")
     main = _parse_chor(parser, ("main",), spans)
     parser.expect("}")
     parser.eof()
     program = CCProgram(DefSet(defs), main)
-    return SourceFile(text, program, tuple(names), spans)
+    return SourceFile(text, program, spans)
 
 
 def parse_cc(text: str) -> CCProgram:

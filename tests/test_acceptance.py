@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from chorus import (
-    Branch, CCConfiguration, CCProgram, ComEta, DefSet, END, EppFailure,
-    Interaction, Lit, Network, RCall, SPConfiguration, SPProgram, SelEta,
+    BTRUE, Branch, CCConfiguration, CCProgram, Call, ComEta, Cond, DefSet, END,
+    EppFailure, Interaction, Lit, Network, RCall, SPConfiguration, SPProgram, SelEta,
     State, TCom, TSel, TTau, cc_enabled, cc_step, ccp_multistep, epp,
     gen_program, merge, more_branches, more_branches_net,
     program_wf, program_wf_dec, sp_enabled, sp_step, spp_multistep,
@@ -272,12 +272,8 @@ def test_criterion_8_decidability_harness(corpus):
     with criterion(8, "decidability harness", 30.0):
         rng = random.Random(7)
         for program in corpus:
-            names = program.defs.support()
-            report = program_wf_dec(program, names)
-            assert report.ok == program_wf(program) == wf_oracle(program)
-            for mutant in _mutants(rng, program):
-                mutant_report = program_wf_dec(mutant, mutant.defs.support())
-                assert mutant_report.ok == program_wf(mutant) == wf_oracle(mutant)
+            for checked in (program, *_mutants(rng, program)):
+                assert program_wf_dec(checked).ok == program_wf(checked) == wf_oracle(checked)
 
 
 def _mutants(rng, program):
@@ -289,6 +285,14 @@ def _mutants(rng, program):
     # A procedure whose body strays outside its declared processes.
     body = Interaction(ComEta("z1", Lit(0), "z2", "x"), "", END)
     out.append(CCProgram(program.defs.with_def("Rogue", ("z1",), body), program.main))
+    # A call to a procedure with no definition, once in main and once in a
+    # stored body.  A fresh procedure over p0, the default definition's
+    # process, may call it; one over other processes may not.
+    out.append(CCProgram(program.defs, Cond("p1", BTRUE, program.main, Call("Undefined"))))
+    name = rng.choice(program.defs.support() or ("Caller",))
+    procs = program.defs.vars(name)
+    body = Cond(procs[0], BTRUE, program.defs.body(name), Call("Undefined"))
+    out.append(CCProgram(program.defs.with_def(name, procs, body), program.main))
     return out
 
 

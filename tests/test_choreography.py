@@ -2,9 +2,9 @@ import pytest
 
 from chorus import (
     BTRUE, CCProgram, Call, ComEta, Cond, DefSet, EMPTY_STATE, END, Interaction,
-    Lit, RTCall, SelEta, SelLabel, UsedProceduresViolated, cc_enabled, ccc_pn,
-    ccp_pn, chor_wf, consistent, gen_program, initial, no_empty_ann,
-    no_self_comm, program_wf, program_wf_dec, used_procedures, well_ann,
+    Lit, RTCall, SelEta, SelLabel, cc_enabled, ccc_pn, ccp_pn, chor_wf,
+    consistent, gen_program, initial, no_empty_ann, no_self_comm, program_wf,
+    program_wf_dec, well_ann,
 )
 from chorus.choreography import DEFAULT_PROCESS, End, _first, node_at, walk
 
@@ -96,19 +96,8 @@ def test_program_wf_matches_oracle_on_examples():
         assert program_wf(program) == wf_oracle(program)
 
 
-def test_used_procedures():
-    assert used_procedures(CCProgram(DefSet(), END), ())
-    ft = file_transfer_program()
-    assert used_procedures(ft, ("FileTransfer",))
-    assert not used_procedures(ft, ())
-    # Procedures outside the set must be End with a nonempty process list.
-    assert used_procedures(CCProgram(DefSet({"Spare": (("c",), END)}), END), ())
-    assert not used_procedures(CCProgram(DefSet({"Spare": ((), END)}), END), ())
-    assert not used_procedures(CCProgram(DefSet({"Spare": (("c",), Call("Spare"))}), END), ())
-
-
 def test_program_wf_dec_accepts_file_transfer():
-    report = program_wf_dec(file_transfer_program(), ("FileTransfer",))
+    report = program_wf_dec(file_transfer_program())
     assert report.ok
 
 
@@ -116,7 +105,7 @@ def test_program_wf_dec_locates_self_comm():
     body = seq(ComEta("c", Lit(0), "s", "x"),
                Interaction(ComEta("s", Lit(1), "s", "y"), "", END))
     program = CCProgram(DefSet({"X": (("c", "s"), body)}), Call("X"))
-    report = program_wf_dec(program, ("X",))
+    report = program_wf_dec(program)
     assert not report.ok
     assert report.clause == "no_self_comm"
     assert report.scope == "X"
@@ -124,10 +113,9 @@ def test_program_wf_dec_locates_self_comm():
     assert isinstance(node_at(body, report.path), Interaction)
 
 
-def test_program_wf_dec_requires_used_procedures():
-    program = CCProgram(DefSet(), Call("Y"))
-    with pytest.raises(UsedProceduresViolated):
-        program_wf_dec(program, ())
+def test_program_wf_dec_accepts_undefined_call():
+    # An undefined procedure reads the default definition, which is well formed.
+    assert program_wf_dec(CCProgram(DefSet(), Call("Y"))).ok
 
 
 def test_program_wf_dec_reports_first_clause_in_main():
@@ -136,7 +124,7 @@ def test_program_wf_dec_reports_first_clause_in_main():
     main = Cond("p", BTRUE,
                 RTCall("X", (), END),
                 Interaction(ComEta("q", Lit(0), "q", "x"), "", END))
-    report = program_wf_dec(CCProgram(DefSet(), main), ("X",))
+    report = program_wf_dec(CCProgram(DefSet(), main))
     assert not report.ok
     # Self-communication is checked before empty pending lists.
     assert report.clause == "no_self_comm"
@@ -147,7 +135,7 @@ def test_wf_invariant_under_extra_end_procedures():
     program = file_transfer_program()
     extended = CCProgram(program.defs.with_def("Spare", ("c",), END), program.main)
     assert program_wf(program) == program_wf(extended)
-    assert program_wf_dec(extended, ("FileTransfer", "Spare")).ok
+    assert program_wf_dec(extended).ok
 
 
 def _walk_corpus():

@@ -1,12 +1,13 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from chorus import (
     CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
-    parse_sp, spp_multistep,
+    parse_cc, parse_sp, program_wf, spp_multistep,
 )
 import chorus.cli
 from chorus.cli import main
@@ -19,6 +20,7 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 AUTH = str(PROGRAMS / "authentication.cc")
 FT = str(PROGRAMS / "file_transfer.cc")
 DEADLOCK = str(PROGRAMS / "deadlock.sp")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write(tmp_path, name, text):
@@ -203,6 +205,35 @@ def test_non_decimal_digits_exit_2_with_a_located_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(rf"{re.escape(path)}:1:10-1:11: .*\n", captured.err)
+
+
+@pytest.mark.parametrize("path", sorted([*PROGRAMS.glob("*.cc"), *GOLDEN.glob("*.cc")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_check_agrees_with_program_wf(path, capsys):
+    # undefined_call.cc calls a procedure with no def: check reads it as the
+    # default definition, as program_wf and every other command do.
+    expected = 0 if program_wf(parse_cc(path.read_text(encoding="utf-8"))) else 1
+    assert main(["check", str(path)]) == expected
+    assert capsys.readouterr().out.startswith("ok\n" if expected == 0 else "error: ")
+
+
+def test_naturals_of_any_size_load_and_print(tmp_path, capsys):
+    # 5,000 nines and their double, past the interpreter's default limit of
+    # 4,300 digits for converting an int to or from a string.
+    limit = sys.get_int_max_str_digits()
+    nines, double = "9" * 5000, "1" + "9" * 4999 + "8"
+    state = _write(tmp_path, "big.json", f'{{"p.x": {nines}}}')
+    cc = _write(tmp_path, "big.cc", "main { p.x + x -> q.y; end }\n")
+    sp = _write(tmp_path, "big.sp", "p[q!x + x; end]\n| q[p?y; end]\n")
+    for argv in (["run", cc], ["simulate", sp]):
+        assert main([*argv, "--state", state]) == 0
+        step, final = capsys.readouterr().out.splitlines()
+        assert f'"value": {double},' in step
+        assert final == f'{{"status": "terminated", "state": {{"p.x": {nines}, "q.y": {double}}}}}'
+        assert sys.get_int_max_str_digits() == limit
+    assert main(["verify", cc, "--state", state, "--format", "text"]) == 0
+    assert capsys.readouterr().out.count(": pass (") == 6
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_state_file_must_hold_an_object(tmp_path, capsys):

@@ -32,6 +32,8 @@ RUNAHEAD = str(GOLDEN / "runahead.cc")
 UNICODE = str(GOLDEN / "unicode.cc")
 # Its procedure is the default definition, which ``DefSet`` does not store.
 DEFAULT_DEF = str(GOLDEN / "default_def.cc")
+# Calls a procedure with no ``def``, which every command reads as the default.
+UNDEFINED_CALL = str(GOLDEN / "undefined_call.cc")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
@@ -42,6 +44,8 @@ CASES = {
     "check_parse_error": ["check", DEADLOCK],
     "check_self_comm_text": ["check", SELF_COMM],
     "check_self_comm_json": ["check", SELF_COMM, "--format", "json"],
+    "check_undefined_call_text": ["check", UNDEFINED_CALL],
+    "check_undefined_call_json": ["check", UNDEFINED_CALL, "--format", "json"],
     "project_unprojectable": ["project", UNPROJECTABLE],
     "run_auth_first": ["run", AUTH, "--state", AUTH_STATE],
     "run_auth_text": ["run", AUTH, "--format", "text"],
@@ -50,6 +54,7 @@ CASES = {
     "run_negative_steps": ["run", FT, "--max-steps", "-1"],
     "run_unicode_json": ["run", UNICODE],
     "run_unicode_text": ["run", UNICODE, "--format", "text"],
+    "run_undefined_call": ["run", UNDEFINED_CALL],
     "simulate_deadlock": ["simulate", DEADLOCK],
     "simulate_deadlock_text": ["simulate", DEADLOCK, "--format", "text"],
     "verify_auth_json": ["verify", AUTH, "--depth", "8"],
@@ -63,6 +68,7 @@ CASES = {
     # Joins and revisited configurations in both projection games.
     "verify_runahead_json": ["verify", RUNAHEAD, "--depth", "12"],
     "verify_unprojectable": ["verify", UNPROJECTABLE, "--property", "sound"],
+    "verify_undefined_call_text": ["verify", UNDEFINED_CALL, "--format", "text"],
 }
 
 # Programs projected by ``project``, with their source and the arguments
@@ -72,6 +78,7 @@ PROJECTED = {
     "default_def": (DEFAULT_DEF, []),
     "file_transfer": (FT, ["--scheduler", "random", "--seed", "5"]),
     "unicode": (UNICODE, []),
+    "undefined_call": (UNDEFINED_CALL, []),
 }
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,23 @@ def test_digits_that_are_not_decimal_are_parse_errors():
     # Arabic-Indic three is decimal.
     program = parse_cc("main { p.\u0663 -> q.x; end }")
     assert program.main == Interaction(ComEta("p", Lit(3), "q", "x"), "", END)
+
+
+def test_literals_past_the_digit_limit_are_located_parse_errors():
+    # int() refuses a decimal string past the interpreter's digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        digits = "9" * 5000
+        for parse, text in ((parse_cc, f"main {{ p.{digits} -> q.x; end }}"),
+                            (parse_sp, f"p[q!{digits}; end]")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            span = err.value.span
+            assert text[span.col - 1:span.end_col - 1] == digits
+            assert "4300" in err.value.message
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _statement_paths(root, chor):
