@@ -13,13 +13,11 @@ first violated clause for diagnostics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
-from .values import (
-    HASH_PARTS, BExpr, Expr, ProcName, ProcessName, SelLabel, TotalMap, VarName, cached_hash,
-)
+from .values import Node, ProcName, ProcessName, TotalMap
 
 
 class _BitTable(dict):
@@ -44,19 +42,12 @@ PROCESS_BIT = _BitTable()
 # --------------------------------------------------------------------------
 # Syntax
 
-@dataclass(frozen=True, slots=True)
-class ComEta:
-    sender: ProcessName
-    expr: Expr
-    receiver: ProcessName
-    var: VarName
+class ComEta(Node):
+    FIELDS = {"sender": None, "expr": None, "receiver": None, "var": None}
 
 
-@dataclass(frozen=True, slots=True)
-class SelEta:
-    sender: ProcessName
-    receiver: ProcessName
-    label: SelLabel
+class SelEta(Node):
+    FIELDS = {"sender": None, "receiver": None, "label": None}
 
 
 Eta = Union[ComEta, SelEta]
@@ -66,59 +57,32 @@ def eta_processes(eta: Eta) -> FrozenSet[ProcessName]:
     return frozenset((eta.sender, eta.receiver))
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    eta: Eta
-    ann: str
-    cont: "Choreography"
-    bits: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", PROCESS_BIT[self.eta.sender]
-                           | PROCESS_BIT[self.eta.receiver] | self.cont.bits)
+class Interaction(Node):
+    FIELDS = {"eta": None, "ann": None, "cont": "cont"}
+    DERIVED = {"bits": lambda node: (PROCESS_BIT[node.eta.sender]
+                                     | PROCESS_BIT[node.eta.receiver] | node.cont.bits)}
 
 
-@dataclass(frozen=True, slots=True)
-class Cond:
-    proc: ProcessName
-    guard: BExpr
-    then_branch: "Choreography"
-    else_branch: "Choreography"
-    bits: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", PROCESS_BIT[self.proc]
-                           | self.then_branch.bits | self.else_branch.bits)
+class Cond(Node):
+    FIELDS = {"proc": None, "guard": None, "then_branch": "then", "else_branch": "else"}
+    DERIVED = {"bits": lambda node: (PROCESS_BIT[node.proc]
+                                     | node.then_branch.bits | node.else_branch.bits)}
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    name: ProcName
+class Call(Node):
+    FIELDS = {"name": None}
     bits = -1
 
 
-@dataclass(frozen=True, slots=True)
-class RTCall:
-    name: ProcName
-    pending: Tuple[ProcessName, ...]
-    body: "Choreography"
-    bits: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
-
-    def __post_init__(self):
-        # Canonical form: the pending list behaves as a set.
-        pending = tuple(sorted(set(self.pending)))
-        object.__setattr__(self, "pending", pending)
-        object.__setattr__(self, "bits", sum(PROCESS_BIT[p] for p in pending) | self.body.bits)
+class RTCall(Node):
+    FIELDS = {"name": None, "pending": None, "body": "body"}
+    # Canonical form: the pending list behaves as a set.
+    DERIVED = {"pending": lambda node: tuple(sorted(set(node.pending))),
+               "bits": lambda node: sum(PROCESS_BIT[p] for p in node.pending) | node.body.bits}
 
 
-@dataclass(frozen=True, slots=True)
-class End:
+class End(Node):
+    FIELDS = {}
     bits = 0
 
 
@@ -169,23 +133,6 @@ class CCProgram:
 # --------------------------------------------------------------------------
 # Tree walking
 
-# Each node kind's children in order, as (path step, field).  The read-only
-# passes below learn a node's children here and nowhere else.
-CHILDREN = {
-    Interaction: (("cont", "cont"),),
-    Cond: (("then", "then_branch"), ("else", "else_branch")),
-    RTCall: (("body", "body"),),
-    Call: (),
-    End: (),
-}
-
-
-# The compared fields and the subtrees of each inner node kind, for ``cached_hash``.
-HASH_PARTS.update({kind: (attrgetter(*kind.__match_args__), subtrees) for kind, subtrees in (
-    (Interaction, lambda node: (node.cont,)), (RTCall, lambda node: (node.body,)),
-    (Cond, attrgetter("then_branch", "else_branch")))})
-
-
 def _walk(chor: Choreography):
     """Yield (node, link) pre-order, left to right, in a loop.  A link is None
     at the root, else (path step, the parent's link)."""
@@ -193,7 +140,7 @@ def _walk(chor: Choreography):
     while stack:
         node, link = stack.pop()
         yield node, link
-        for step, name in reversed(CHILDREN[type(node)]):
+        for step, name in reversed(node.SUBTREES.items()):
             stack.append((getattr(node, name), (step, link)))
 
 
@@ -205,7 +152,7 @@ def walk(chor: Choreography):
 def node_at(chor: Choreography, path: Iterable[str]) -> Choreography:
     node = chor
     for step in path:
-        name = dict(CHILDREN[type(node)]).get(step)
+        name = node.SUBTREES.get(step)
         if name is None:
             raise KeyError(f"no node at step {step!r} of {path!r}")
         node = getattr(node, name)

@@ -240,9 +240,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Nested conditionals and expressions recurse once per level, and so
-        # does comparing two long choreographies built apart (verify's search
-        # after a step delayed past a long run); deeper inputs are rejected.
+        # Nested parentheses, negations and conditionals recurse once per
+        # level; deeper inputs are rejected.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     finally:

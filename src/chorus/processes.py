@@ -8,87 +8,43 @@ pruned so extensional equality is plain ``==``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Union
 
-from .values import (
-    HASH_PARTS, BExpr, Expr, ProcessName, SelLabel, TargetProcName, TotalMap, VarName, cached_hash,
-)
+from .values import Node, ProcessName, TargetProcName, TotalMap
 
 
-@dataclass(frozen=True, slots=True)
-class BEnd:
-    pass
+class BEnd(Node):
+    FIELDS = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
-    peer: ProcessName
-    expr: Expr
-    ann: str
-    cont: "Behaviour"
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
+class Send(Node):
+    FIELDS = {"peer": None, "expr": None, "ann": None, "cont": "cont"}
 
 
-@dataclass(frozen=True, slots=True)
-class Recv:
-    peer: ProcessName
-    var: VarName
-    ann: str
-    cont: "Behaviour"
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
+class Recv(Node):
+    FIELDS = {"peer": None, "var": None, "ann": None, "cont": "cont"}
 
 
-@dataclass(frozen=True, slots=True)
-class Choose:
-    peer: ProcessName
-    label: SelLabel
-    ann: str
-    cont: "Behaviour"
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
+class Choose(Node):
+    FIELDS = {"peer": None, "label": None, "ann": None, "cont": "cont"}
 
 
-# One offered continuation of a branching term.
-BranchSlot = Optional[Tuple[str, "Behaviour"]]
+class Branch(Node):
+    FIELDS = {"peer": None, "left": "left", "right": "right"}
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
-    peer: ProcessName
-    left: BranchSlot
-    right: BranchSlot
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
+class BCond(Node):
+    FIELDS = {"guard": None, "then_branch": "then", "else_branch": "else"}
 
 
-@dataclass(frozen=True, slots=True)
-class BCond:
-    guard: BExpr
-    then_branch: "Behaviour"
-    else_branch: "Behaviour"
-    _hash: int = field(init=False, compare=False, repr=False)
-    __hash__ = cached_hash
-
-
-@dataclass(frozen=True, slots=True)
-class BCall:
-    name: TargetProcName
+class BCall(Node):
+    FIELDS = {"name": None}
 
 
 Behaviour = Union[BEnd, Send, Recv, Choose, Branch, BCond, BCall]
 
 B_END = BEnd()
-
-
-# The compared fields and the subterms of each behaviour kind, for ``cached_hash``.
-HASH_PARTS.update({kind: (attrgetter(*kind.__match_args__), subterms) for kind, subterms in (
-    *((prefix, lambda node: (node.cont,)) for prefix in (Send, Recv, Choose)),
-    (Branch, lambda node: [slot[1] for slot in (node.left, node.right) if slot is not None]),
-    (BCond, attrgetter("then_branch", "else_branch")))})
 
 
 def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
@@ -98,7 +54,7 @@ def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
         node = stack.pop()
         if getattr(node, "peer", None) == process:
             return False
-        stack += HASH_PARTS[type(node)][1](node) if type(node) in HASH_PARTS else ()
+        stack += node.subtrees()
     return True
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
@@ -81,39 +80,34 @@ def _push(result: ProjectionResult, *steps: str) -> ProjectionResult:
 # --------------------------------------------------------------------------
 # Branching order
 
-# Prefix constructors: the fields (in constructor order, before ``cont``)
-# that two prefixes must share to merge, and the diagnostic's noun.
-_PREFIXES = {
-    Send: (attrgetter("peer", "expr", "ann"), "send"),
-    Recv: (attrgetter("peer", "var", "ann"), "receive"),
-    Choose: (attrgetter("peer", "label", "ann"), "selection"),
-}
+# Prefix kinds, with the diagnostic's noun.  Two prefixes of one kind must
+# share their ``leaves``, every field but ``cont``, to merge.
+_NOUNS = {Send: "send", Recv: "receive", Choose: "selection"}
 
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
-    """``first >> second``: first has at least the branches of second.  Runs
-    of prefixes are read in a loop; only branchings and conditionals recurse."""
-    while type(first) in _PREFIXES and type(first) is type(second):
-        fields = _PREFIXES[type(first)][0]
-        if fields(first) != fields(second):
+    """``first >> second``: first has at least the branches of second, and
+    the same leaves everywhere.  Runs of prefixes are read in a loop; only
+    branchings and conditionals recurse."""
+    while type(first) in _NOUNS and type(first) is type(second):
+        if type(first).leaves(first) != type(first).leaves(second):
             return False
         first, second = first.cont, second.cont
     kind = type(first)
-    if kind is not type(second):
+    if kind is not type(second) or kind.leaves(first) != kind.leaves(second):
         return False
-    if kind is Branch:
-        # A missing offer is below anything; a present one needs one with its annotation above.
-        return first.peer == second.peer and all(
-            small is None or (big is not None and big[0] == small[0]
-                              and more_branches(big[1], small[1]))
-            for big, small in ((first.left, second.left), (first.right, second.right)))
-    if kind is BCond:
-        return (first.guard == second.guard
-                and more_branches(first.then_branch, second.then_branch)
-                and more_branches(first.else_branch, second.else_branch))
-    if kind is BCall:
-        return first.name == second.name
-    return True  # BEnd
+    for name in kind.SUBTREES.values():
+        big, small = getattr(first, name), getattr(second, name)
+        if kind is Branch:
+            # A missing offer is below anything; a present one needs one with its annotation above.
+            if small is None:
+                continue
+            if big is None or big[0] != small[0]:
+                return False
+            big, small = big[1], small[1]
+        if not more_branches(big, small):
+            return False
+    return True
 
 
 def more_branches_net(first: Network, second: Network) -> bool:
@@ -130,10 +124,10 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
     recurse.  A failure's path, the ``cont`` steps walked and then the path
     inside, is built only on failure."""
     walked = []
-    while type(first) in _PREFIXES and type(first) is type(second):
-        fields, noun = _PREFIXES[type(first)]
-        if fields(first) != fields(second):
-            return _fail(f"{noun} prefixes differ", ("cont",) * len(walked))
+    while type(first) in _NOUNS and type(first) is type(second):
+        kind = type(first)
+        if kind.leaves(first) != kind.leaves(second):
+            return _fail(f"{_NOUNS[kind]} prefixes differ", ("cont",) * len(walked))
         walked.append(first)
         first, second = first.cont, second.cont
     merged = _merge_node(first, second)
@@ -141,7 +135,7 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
         return _push(merged, *("cont",) * len(walked))
     behaviour = merged.behaviour
     for node in reversed(walked):
-        behaviour = type(node)(*_PREFIXES[type(node)][0](node), behaviour)
+        behaviour = type(node)(*type(node).leaves(node), behaviour)
     return _ok(behaviour)
 
 

@@ -51,7 +51,7 @@ from .processes import (
 )
 from .values import (
     And, BExpr, BLit, Eq, Expr, Fst, Leq, Lit, Not, Pair, Plus, SelLabel,
-    Snd, Succ, Var,
+    Snd, Succ, Var, left_spine,
 )
 
 _KEYWORDS = frozenset((
@@ -500,10 +500,10 @@ def print_expr(expr: Expr) -> str:
     if isinstance(expr, Succ):
         return f"succ({print_expr(expr.arg)})"
     if isinstance(expr, Plus):
-        right = print_expr(expr.right)
-        if isinstance(expr.right, Plus):
-            right = f"({right})"
-        return f"{print_expr(expr.left)} + {right}"
+        first, rights = left_spine(expr, Plus)
+        return " + ".join([print_expr(first), *(
+            f"({print_expr(right)})" if isinstance(right, Plus) else print_expr(right)
+            for right in rights)])
     if isinstance(expr, Pair):
         return f"pair({print_expr(expr.left)}, {print_expr(expr.right)})"
     if isinstance(expr, Fst):
@@ -520,10 +520,10 @@ def print_bexpr(bexpr: BExpr) -> str:
         return f"{print_expr(bexpr.left)} <= {print_expr(bexpr.right)}"
     if isinstance(bexpr, Not):
         return f"!({print_bexpr(bexpr.arg)})"
-    right = print_bexpr(bexpr.right)
-    if isinstance(bexpr.right, And):
-        right = f"({right})"
-    return f"{print_bexpr(bexpr.left)} && {right}"
+    first, rights = left_spine(bexpr, And)
+    return " && ".join([print_bexpr(first), *(
+        f"({print_bexpr(right)})" if isinstance(right, And) else print_bexpr(right)
+        for right in rights)])
 
 
 def _ann_text(ann: str) -> str:

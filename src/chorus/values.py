@@ -8,8 +8,8 @@ instead of failing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Tuple, Union
 
 ProcessName = str
@@ -32,43 +32,144 @@ class SelLabel(Enum):
 
 
 # --------------------------------------------------------------------------
+# Syntax-tree nodes
+
+class _Kind(type):
+    """Builds a syntax-tree kind from its table, ``FIELDS``: each field, in
+    constructor order, mapped to the path step into it if it holds a
+    subtree of the same syntax, else to None.  A ``Branch`` offer is None
+    or an (annotation, subtree) pair.  A kind may also name ``DERIVED``
+    slots, each with a function of the new node, set in order once the
+    fields are; a field listed there is replaced.
+
+    The kind gets its slots, ``__match_args__``, ``SUBTREES`` (path step to
+    field), an ``__init__`` by slot assignment, and ``leaves``, which reads
+    the fields that hold no subtree.
+    """
+
+    def __new__(meta, name, bases, namespace):
+        fields = namespace.get("FIELDS")
+        if fields is None:  # the base
+            return super().__new__(meta, name, bases, namespace)
+        derived = namespace.get("DERIVED", {})
+        namespace["__slots__"] = (*fields, *(slot for slot in derived if slot not in fields))
+        namespace["__match_args__"] = tuple(fields)
+        namespace["SUBTREES"] = {step: field for field, step in fields.items() if step}
+        kind = super().__new__(meta, name, bases, namespace)
+        scope = {f"_{slot}": make for slot, make in derived.items()}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + "".join(f"    self.{field} = {field}\n" for field in fields)
+             + "".join(f"    self.{slot} = _{slot}(self)\n" for slot in derived)
+             + "    self._hash = None\n", scope)
+        kind.__init__ = scope["__init__"]
+        leaves = [field for field, step in fields.items() if not step]
+        kind.leaves = attrgetter(*leaves) if leaves else staticmethod(lambda node: ())
+        kind._values = attrgetter(*fields) if fields else staticmethod(lambda node: ())
+        # For ``==``: the first subtree, followed in place, and the others, stacked.
+        trees = tuple(kind.SUBTREES.values())
+        kind._first, kind._rest = (attrgetter(trees[0]), trees[1:]) if trees else (None, ())
+        return kind
+
+
+class Node(metaclass=_Kind):
+    """Base of every syntax-tree kind.  Nodes are immutable by convention:
+    only ``__init__`` and the cached hash set a slot.  ``_hash`` stays None
+    until the node is first hashed."""
+
+    __slots__ = ("_hash",)
+
+    def subtrees(self) -> list:
+        """The subtrees, in field order; an empty offer has none."""
+        trees = [getattr(self, name) for name in self.SUBTREES.values()]
+        return [tree[1] if type(tree) is tuple else tree for tree in trees if tree is not None]
+
+    def __hash__(self) -> int:
+        """The hash of the kind and the fields, computed once.  The unset
+        slots below are filled first, bottom-up in a loop."""
+        if self._hash is None:
+            stack = [self]
+            while stack:
+                top = stack.pop()
+                unhashed = top is not None and [tree for tree in top.subtrees()
+                                                if tree._hash is None]
+                if unhashed:  # come back to top, under the None, once they are hashed
+                    stack += (top, None, *unhashed)
+                    continue
+                if top is None:
+                    top = stack.pop()
+                top._hash = hash((type(top), type(top)._values(top)))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Structural equality in a loop.  Identical subtrees count as equal
+        without a look inside, and two nodes whose hashes are both filled
+        and differ are unequal at once."""
+        if self is other:
+            return True
+        kind = type(self)
+        if type(other) is not kind:
+            return False
+        if kind._first is None:
+            return kind.leaves(self) == kind.leaves(other)
+        mine, theirs = self._hash, other._hash
+        if mine != theirs and mine is not None and theirs is not None:
+            return False
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            while mine is not theirs:
+                kind = type(mine)
+                if kind is not type(theirs):
+                    return False
+                if kind is tuple:  # a Branch offer
+                    if mine[0] != theirs[0]:
+                        return False
+                    mine, theirs = mine[1], theirs[1]
+                    continue
+                leaves, first = kind.leaves, kind._first
+                if leaves(mine) != leaves(theirs):
+                    return False
+                if first is None:
+                    break
+                for name in kind._rest:
+                    stack.append((getattr(mine, name), getattr(theirs, name)))
+                mine, theirs = first(mine), first(theirs)
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+# --------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    value: int
+class Lit(Node):
+    FIELDS = {"value": None}
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: VarName
+class Var(Node):
+    FIELDS = {"name": None}
 
 
-@dataclass(frozen=True, slots=True)
-class Succ:
-    arg: "Expr"
+class Succ(Node):
+    FIELDS = {"arg": "arg"}
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
-    left: "Expr"
-    right: "Expr"
+class Plus(Node):
+    FIELDS = {"left": "left", "right": "right"}
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
-    left: "Expr"
-    right: "Expr"
+class Pair(Node):
+    FIELDS = {"left": "left", "right": "right"}
 
 
-@dataclass(frozen=True, slots=True)
-class Fst:
-    arg: "Expr"
+class Fst(Node):
+    FIELDS = {"arg": "arg"}
 
 
-@dataclass(frozen=True, slots=True)
-class Snd:
-    arg: "Expr"
+class Snd(Node):
+    FIELDS = {"arg": "arg"}
 
 
 Expr = Union[Lit, Var, Succ, Plus, Pair, Fst, Snd]
@@ -77,32 +178,24 @@ Expr = Union[Lit, Var, Succ, Plus, Pair, Fst, Snd]
 # --------------------------------------------------------------------------
 # Boolean expressions
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: Expr
-    right: Expr
+class Eq(Node):
+    FIELDS = {"left": None, "right": None}
 
 
-@dataclass(frozen=True, slots=True)
-class Leq:
-    left: Expr
-    right: Expr
+class Leq(Node):
+    FIELDS = {"left": None, "right": None}
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    arg: "BExpr"
+class Not(Node):
+    FIELDS = {"arg": "arg"}
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "BExpr"
-    right: "BExpr"
+class And(Node):
+    FIELDS = {"left": "left", "right": "right"}
 
 
-@dataclass(frozen=True, slots=True)
-class BLit:
-    value: bool
+class BLit(Node):
+    FIELDS = {"value": None}
 
 
 BExpr = Union[Eq, Leq, Not, And, BLit]
@@ -118,6 +211,17 @@ def leftmost_nat(value: Value) -> int:
     return value
 
 
+def left_spine(tree, kind) -> Tuple[object, list]:
+    """The leftmost operand of a chain of ``kind`` nodes nested on the left,
+    as the parser builds ``a + b + c`` and ``a && b && c``, and the right
+    operands from the left: read in a loop."""
+    rights = []
+    while type(tree) is kind:
+        rights.append(tree.right)
+        tree = tree.left
+    return tree, rights[::-1]
+
+
 def eval_expr(expr: Expr, env: Callable[[VarName], Value]) -> Value:
     """Evaluate ``expr`` under ``env``.  Total; never raises on value shapes."""
     if isinstance(expr, Lit):
@@ -127,7 +231,9 @@ def eval_expr(expr: Expr, env: Callable[[VarName], Value]) -> Value:
     if isinstance(expr, Succ):
         return leftmost_nat(eval_expr(expr.arg, env)) + 1
     if isinstance(expr, Plus):
-        return leftmost_nat(eval_expr(expr.left, env)) + leftmost_nat(eval_expr(expr.right, env))
+        first, rights = left_spine(expr, Plus)
+        return leftmost_nat(eval_expr(first, env)) + sum(
+            leftmost_nat(eval_expr(right, env)) for right in rights)
     if isinstance(expr, Pair):
         return (eval_expr(expr.left, env), eval_expr(expr.right, env))
     if isinstance(expr, Fst):
@@ -150,40 +256,13 @@ def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
     if isinstance(bexpr, Not):
         return not eval_bexpr(bexpr.arg, env)
     if isinstance(bexpr, And):
-        return eval_bexpr(bexpr.left, env) and eval_bexpr(bexpr.right, env)
+        first, rights = left_spine(bexpr, And)
+        return eval_bexpr(first, env) and all(eval_bexpr(right, env) for right in rights)
     raise TypeError(f"not a boolean expression: {bexpr!r}")
 
 
 # --------------------------------------------------------------------------
-# Cached hashes of syntax trees, total maps and states
-
-# Each syntax-tree kind with a cached hash: (its compared fields, its
-# subtrees), as functions of a node; ``choreography`` and ``processes`` fill
-# it in.
-HASH_PARTS: dict = {}
-
-
-def cached_hash(node) -> int:
-    """``__hash__`` of the kinds in ``HASH_PARTS``: the ``_hash`` slot, which
-    constructors leave unset.  An unset slot gets the hash of the node's kind
-    and fields once its subtrees' slots are set: one tuple hash if they are,
-    else the unset slots below are filled first, bottom-up in a loop."""
-    try:
-        return node._hash
-    except AttributeError:
-        stack = [node]
-    while stack:
-        top = stack.pop()
-        unhashed = top is not None and [tree for tree in HASH_PARTS[type(top)][1](top)
-                                        if type(tree) in HASH_PARTS and not hasattr(tree, "_hash")]
-        if unhashed:  # come back to top, under the None, once they are hashed
-            stack += (top, None, *unhashed)
-            continue
-        if top is None:
-            top = stack.pop()
-        object.__setattr__(top, "_hash", hash((type(top), HASH_PARTS[type(top)][0](top))))
-    return node._hash
-
+# Total maps and states
 
 class TotalMap:
     """Immutable total map: keys without an entry read as the class's ``DEFAULT``.

@@ -13,7 +13,7 @@ from chorus import (
 from chorus.choreography import eta_processes
 from chorus.labels import label_processes
 from chorus.surface import ParseError, Span
-from chorus.values import eval_bexpr_on_state
+from chorus.values import Node, eval_bexpr_on_state
 
 LEFT, RIGHT = SelLabel.LEFT, SelLabel.RIGHT
 
@@ -250,6 +250,33 @@ def walk_reference(chor, path=()):
         yield from walk_reference(chor.else_branch, path + ("else",))
     elif isinstance(chor, RTCall):
         yield from walk_reference(chor.body, path + ("body",))
+
+
+# --------------------------------------------------------------------------
+# Reference equality of syntax trees, recursive and without the nodes' own
+# ``==``: ``chorus.values.Node.__eq__`` compares in a loop and short-cuts on
+# identity and on filled hashes.
+
+def eq_reference(first, second) -> bool:
+    """Same kind and, field by field, equal values; a tuple (an offer, a
+    pending list, a procedure copy) compares item by item."""
+    if isinstance(first, Node) or isinstance(second, Node):
+        return type(first) is type(second) and all(
+            eq_reference(getattr(first, field), getattr(second, field))
+            for field in first.__match_args__)
+    if isinstance(first, tuple) or isinstance(second, tuple):
+        return (type(first) is type(second) and len(first) == len(second)
+                and all(map(eq_reference, first, second)))
+    return first == second
+
+
+def rebuild(tree):
+    """A copy of a syntax tree that shares no node with it."""
+    if isinstance(tree, tuple):
+        return tuple(map(rebuild, tree))
+    if isinstance(tree, Node):
+        return type(tree)(*(rebuild(getattr(tree, field)) for field in tree.__match_args__))
+    return tree
 
 
 # --------------------------------------------------------------------------

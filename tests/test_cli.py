@@ -291,6 +291,44 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
         assert json.loads(lines[-1]) == final
 
 
+# A 20,000-term sum and a 20,000-term conjunction, with what ``run`` stores.
+_FLAT_CHAINS = {
+    "sum": ("main { p.1" + " + 1" * 19999 + " -> q.x; end }\n", {"q.x": 20000}),
+    "guard": ("main { if p." + " && ".join(["true"] * 20000)
+              + " then { p -> q[left]; p.1 -> q.x; end } else { p -> q[right]; end } }\n",
+              {"q.x": 1}),
+}
+
+
+@pytest.mark.parametrize("name", _FLAT_CHAINS)
+def test_flat_chains_pass_every_command(tmp_path, capsys, name):
+    # The parser nests ``1 + 1 + …`` and ``true && true && …`` on the left;
+    # evaluating, printing, hashing and comparing walk that spine in a loop.
+    text, stored = _FLAT_CHAINS[name]
+    cc = _write(tmp_path, f"{name}.cc", text)
+    projected = str(tmp_path / "projected.sp")
+    assert main(["check", cc]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["project", cc, "--out", projected]) == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+    for argv in (["run", cc], ["simulate", projected]):
+        assert main(argv) == 0
+        final = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert final == {"status": "terminated", "state": stored}
+    assert main(["verify", cc, "--depth", "1"]) == 0
+    assert [report["verdict"] for report in json.loads(capsys.readouterr().out)] == ["pass"] * 6
+
+
+def test_verify_all_passes_past_a_long_run_ahead(tmp_path, capsys):
+    # The two orders of the two enabled steps build equal 3,000-long chains
+    # apart, and the search compares them in a loop.
+    cc = _write(tmp_path, "runahead.cc",
+                "main { " + "a.0 -> b.x; " * 3000 + "c.1 -> d.y; end }\n")
+    assert main(["verify", cc, "--property", "all", "--depth", "2", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(": pass (" in line for line in lines)
+
+
 def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     assert main(["run", AUTH, "--format", "text"]) == 0
     assert not capsys.readouterr().out.startswith("{")

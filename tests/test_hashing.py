@@ -1,26 +1,32 @@
-"""Cached node hashes: equal nodes hash equal, ``bits`` stays out, deep
-trees hash in a loop, and nothing hashes a node unless asked to."""
+"""Cached node hashes and equality: equal nodes hash equal, ``bits`` stays
+out, deep trees hash and compare in a loop, and nothing hashes a node
+unless asked to."""
+import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chorus import (
-    BCond, BTRUE, Branch, Choose, ComEta, Cond, END, Interaction, Lit, RTCall,
-    Recv, SelLabel, Send, B_END, epp, gen_program, parse_cc,
+    And, BCall, BCond, BFALSE, BLit, BTRUE, Branch, Call, Choose, ComEta, Cond, END, Eq, Fst,
+    End, Interaction, Leq, Lit, Not, Pair, Plus, RTCall, Recv, SelEta, SelLabel, Send, Snd,
+    Succ, Var, B_END, epp, gen_program, parse_cc,
 )
 from chorus.choreography import walk
 from chorus.cli import main
-from chorus.values import HASH_PARTS
+from chorus.values import Node
+
+from helpers import eq_reference, rebuild
+
+# Every syntax-tree kind, read from the base.
+KINDS = set(Node.__subclasses__())
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "chorus"
 
 
 def _is_hashed(node) -> bool:
-    try:
-        node._hash
-    except AttributeError:
-        return False
-    return True
+    return node._hash is not None
 
 
 def test_separately_built_equal_trees_hash_equal():
@@ -54,27 +60,57 @@ def test_hash_tells_kinds_and_fields_apart():
 
 _ETA = ComEta("p", Lit(1), "q", "x")
 
-# One way to nest each kind with a cached hash, from its innermost node.
+_CALL = BCall(("X", "p"))
+
+# One way to nest each kind with subtrees, from its innermost node, and a
+# second innermost node that differs from the first.
 _NESTINGS = [
-    (lambda chor: Interaction(_ETA, "", chor), END),
-    (lambda chor: Cond("p", BTRUE, chor, END), END),
-    (lambda chor: RTCall("X", ("p",), chor), END),
-    (lambda behaviour: Send("q", Lit(1), "", behaviour), B_END),
-    (lambda behaviour: Branch("q", ("", behaviour), None), B_END),
-    (lambda behaviour: BCond(BTRUE, B_END, behaviour), B_END),
+    (lambda chor: Interaction(_ETA, "", chor), END, Call("X")),
+    (lambda chor: Cond("p", BTRUE, chor, END), END, Call("X")),
+    (lambda chor: RTCall("X", ("p",), chor), END, Call("X")),
+    (lambda behaviour: Send("q", Lit(1), "", behaviour), B_END, _CALL),
+    (lambda behaviour: Branch("q", ("", behaviour), None), B_END, _CALL),
+    (lambda behaviour: BCond(BTRUE, B_END, behaviour), B_END, _CALL),
+    (lambda behaviour: Recv("q", "x", "", behaviour), B_END, _CALL),
+    (lambda behaviour: Choose("q", SelLabel.LEFT, "", behaviour), B_END, _CALL),
+    (lambda behaviour: Branch("q", None, ("", behaviour)), B_END, _CALL),
+    (Succ, Lit(0), Lit(1)),
+    (lambda expr: Plus(expr, Lit(1)), Lit(0), Lit(1)),
+    (lambda expr: Plus(Lit(1), expr), Lit(0), Lit(1)),
+    (lambda expr: Pair(Lit(1), expr), Lit(0), Lit(1)),
+    (Fst, Lit(0), Lit(1)),
+    (Snd, Lit(0), Lit(1)),
+    (Not, BTRUE, BFALSE),
+    (lambda bexpr: And(bexpr, BTRUE), BTRUE, BFALSE),
 ]
 
 
-def _chain(depth, nest, node):
+def _chain(depth, nest, node, *_other):
     for _ in range(depth):
         node = nest(node)
     return node
 
 
+def _nodes(node):
+    """Every node in ``node``'s fields, subtrees or not, ``node`` included."""
+    stack, out = [node], []
+    while stack:
+        top = stack.pop()
+        if isinstance(top, tuple):
+            stack += top
+        elif isinstance(top, Node):
+            out.append(top)
+            stack += [getattr(top, field) for field in top.FIELDS]
+    return out
+
+
 def test_constructors_leave_the_slot_unset():
-    nodes = [_chain(3, *nesting) for nesting in _NESTINGS]
-    nodes += [Recv("p", "x", "", B_END), Choose("p", SelLabel.LEFT, "", B_END)]
-    assert {type(node) for node in nodes} == set(HASH_PARTS)
+    roots = [_chain(3, nest, other) for nest, _, other in _NESTINGS]
+    roots += [Cond("p", And(Leq(Var("x"), Lit(1)), Eq(Lit(0), Lit(1))), END, END),
+              Interaction(SelEta("p", "q", SelLabel.LEFT), "", END)]
+    # Rebuilt, so no node is shared with one that another test hashed.
+    nodes = [node for root in roots for node in _nodes(rebuild(root))]
+    assert {type(node) for node in nodes} == KINDS
     assert not any(map(_is_hashed, nodes))
 
 
@@ -86,10 +122,21 @@ def test_deep_chains_hash_in_a_loop():
     assert hash(chains[0]) == hash(_chain(20000, *_NESTINGS[0]))
 
 
+@pytest.mark.parametrize("nesting", range(len(_NESTINGS)))
+def test_deep_chains_compare_in_a_loop(nesting):
+    nest, leaf, other = _NESTINGS[nesting]
+    chain = _chain(20000, nest, leaf)
+    assert chain == _chain(20000, nest, leaf) and not chain != _chain(20000, nest, leaf)
+    assert chain != _chain(20000, nest, other) and not chain == _chain(20000, nest, other)
+    # With both hashes filled, equal chains still compare equal.
+    twin = _chain(20000, nest, leaf)
+    assert hash(chain) == hash(twin) and chain == twin
+
+
 def _counted_hashes(monkeypatch):
-    """Count every call of the cached-hash kinds' ``__hash__``."""
+    """Count every call of every node kind's ``__hash__``."""
     calls = []
-    for kind in HASH_PARTS:
+    for kind in KINDS:
         def counting(node, _hash=kind.__hash__):
             calls.append(type(node))
             return _hash(node)
@@ -108,7 +155,7 @@ def test_run_hashes_nothing(monkeypatch, tmp_path, capsys, name):
     if name == "wide":
         path = tmp_path / "wide.cc"
         path.write_text(_wide(64, 1), encoding="utf-8")
-    # Constructors leave the slot unset.
+    # Constructors leave the hash unset.
     assert not any(map(_is_hashed, walk(parse_cc(path.read_text()).main)))
     calls = _counted_hashes(monkeypatch)
     built = []
@@ -133,3 +180,136 @@ def test_run_hashes_nothing(monkeypatch, tmp_path, capsys, name):
         assert steps > 0 and len(built) - before == steps
     assert calls == []
     assert built and not any(map(_is_hashed, built))
+
+
+# --------------------------------------------------------------------------
+# Equality against the recursive reference, on random shallow trees of every kind
+
+_NAMES = st.sampled_from(["p", "q"])
+_ANNS = st.sampled_from(["", "a"])
+_PROCS = st.sampled_from(["X", "Y"])
+_EXPRS = st.recursive(
+    st.builds(Lit, st.integers(0, 1)) | st.builds(Var, _NAMES),
+    lambda inner: (st.builds(Succ, inner) | st.builds(Plus, inner, inner)
+                   | st.builds(Pair, inner, inner) | st.builds(Fst, inner) | st.builds(Snd, inner)),
+    max_leaves=4)
+_BEXPRS = st.recursive(
+    st.builds(BLit, st.booleans()) | st.builds(Eq, _EXPRS, _EXPRS) | st.builds(Leq, _EXPRS, _EXPRS),
+    lambda inner: st.builds(Not, inner) | st.builds(And, inner, inner), max_leaves=3)
+_ETAS = (st.builds(ComEta, _NAMES, _EXPRS, _NAMES, _NAMES)
+         | st.builds(SelEta, _NAMES, _NAMES, st.sampled_from(SelLabel)))
+_CHORS = st.recursive(
+    st.just(END) | st.builds(Call, _PROCS),
+    lambda inner: (st.builds(Interaction, _ETAS, _ANNS, inner)
+                   | st.builds(Cond, _NAMES, _BEXPRS, inner, inner)
+                   | st.builds(RTCall, _PROCS, st.lists(_NAMES, max_size=2).map(tuple), inner)),
+    max_leaves=4)
+_BEHAVIOURS = st.recursive(
+    st.just(B_END) | st.builds(BCall, st.tuples(_PROCS, _NAMES)),
+    lambda inner: (st.builds(Send, _NAMES, _EXPRS, _ANNS, inner)
+                   | st.builds(Recv, _NAMES, _NAMES, _ANNS, inner)
+                   | st.builds(Choose, _NAMES, st.sampled_from(SelLabel), _ANNS, inner)
+                   | st.builds(Branch, _NAMES, st.none() | st.tuples(_ANNS, inner),
+                               st.none() | st.tuples(_ANNS, inner))
+                   | st.builds(BCond, _BEXPRS, inner, inner)),
+    max_leaves=4)
+_TREES = _EXPRS | _BEXPRS | _ETAS | _CHORS | _BEHAVIOURS
+
+
+def _changed(data, value):
+    """``value`` with one field changed, at a random depth."""
+    if isinstance(value, Node):
+        kind = type(value)
+        if not kind.FIELDS:
+            return Call("X") if kind is End else BCall(("X", "p"))
+        values = [getattr(value, field) for field in kind.FIELDS]
+        at = data.draw(st.integers(0, len(values) - 1))
+        values[at] = _changed(data, values[at])
+        return kind(*values)
+    if isinstance(value, tuple) and value and isinstance(value[-1], Node):  # an offer
+        ann, tree = value
+        return (ann + "'", tree) if data.draw(st.booleans()) else (ann, _changed(data, tree))
+    if isinstance(value, tuple):  # a pending list or a procedure copy
+        return value + ("r",)
+    if value is None:  # an empty offer
+        return ("", B_END)
+    if isinstance(value, SelLabel):
+        return SelLabel.RIGHT if value is SelLabel.LEFT else SelLabel.LEFT
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value + "'"
+
+
+def _agree(first, second):
+    """``==`` and ``!=`` agree with the reference, before and after both are
+    hashed, and equal trees hash equal."""
+    expected = eq_reference(first, second)
+    assert (first == second) is expected and (first != second) is not expected
+    if expected:
+        assert hash(first) == hash(second)
+    hash(first), hash(second)
+    assert (first == second) is expected and (second == first) is expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_TREES)
+def test_trees_built_apart_are_equal(tree):
+    copy = rebuild(tree)
+    assert eq_reference(tree, copy)
+    _agree(tree, copy)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_TREES, _TREES)
+def test_equality_agrees_with_the_reference(first, second):
+    _agree(first, second)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_TREES, st.data())
+def test_one_changed_field_makes_trees_unequal(tree, data):
+    changed = _changed(data, tree)
+    assert not eq_reference(tree, changed)
+    _agree(tree, changed)
+    _agree(rebuild(tree), changed)
+
+
+# --------------------------------------------------------------------------
+# Nodes accept assignment; only the base sets a node's slots.
+
+class _SlotWrites(ast.NodeVisitor):
+    """Every write to an attribute named like a node slot, and every
+    ``setattr``, outside the base.  A class may set the slots its own
+    ``__slots__`` declares (``TotalMap`` has a ``_hash`` of its own)."""
+
+    def __init__(self, slots):
+        self.slots, self.own, self.found = slots, [set()], []
+
+    def visit_ClassDef(self, node):
+        if node.name == "Node":
+            return
+        declared = [stmt.value for stmt in node.body if isinstance(stmt, ast.Assign)
+                    and [ast.unparse(target) for target in stmt.targets] == ["__slots__"]]
+        self.own.append(set(ast.literal_eval(declared[0])) if declared else set())
+        self.generic_visit(node)
+        self.own.pop()
+
+    def visit_Attribute(self, node):
+        if (not isinstance(node.ctx, ast.Load) and node.attr in self.slots
+                and node.attr not in self.own[-1]):
+            self.found.append(ast.unparse(node))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if "setattr" in ast.unparse(node.func):
+            self.found.append(ast.unparse(node))
+        self.generic_visit(node)
+
+
+def test_only_the_base_assigns_node_slots():
+    slots = {slot for kind in KINDS for slot in kind.__slots__} | set(Node.__slots__)
+    assert {"cont", "bits", "pending", "_hash"} <= slots
+    for path in sorted(SOURCES.glob("*.py")):
+        writes = _SlotWrites(slots)
+        writes.visit(ast.parse(path.read_text(encoding="utf-8")))
+        assert writes.found == [], path.name

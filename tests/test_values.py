@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chorus import (
-    And, B_END, BFALSE, BTRUE, DefSet, DefSetB, EMPTY_STATE, END, Eq, Fst,
+    And, B_END, BFALSE, BLit, BTRUE, DefSet, DefSetB, EMPTY_STATE, END, Eq, Fst,
     Leq, Lit, Network, Not, Pair, Plus, Send, Snd, State, Succ, Var,
     eval_bexpr, eval_expr,
 )
 from chorus.choreography import DEFAULT_PROCESS
+from chorus.surface import parse_cc, print_bexpr, print_expr
 from chorus.values import (
     eval_on_state, leftmost_nat, state_from_json, state_to_json,
     value_from_json, value_to_json,
@@ -181,3 +183,74 @@ def test_state_json_round_trip():
     state = State({("p", "x"): 3, ("q", "y"): (1, (0, 2))})
     assert state_from_json(state_to_json(state)) == state
     assert state_to_json(state) == {"p.x": 3, "q.y": [1, [0, 2]]}
+
+
+# --------------------------------------------------------------------------
+# Chains of ``+`` and ``&&`` evaluate and print in a loop, as the recursive
+# definitions below did.
+
+def _eval_reference(expr, env):
+    if isinstance(expr, Plus):
+        return (leftmost_nat(_eval_reference(expr.left, env))
+                + leftmost_nat(_eval_reference(expr.right, env)))
+    if isinstance(expr, Pair):
+        return (_eval_reference(expr.left, env), _eval_reference(expr.right, env))
+    return eval_expr(expr, env)
+
+
+def _eval_b_reference(bexpr, env):
+    if isinstance(bexpr, And):
+        return _eval_b_reference(bexpr.left, env) and _eval_b_reference(bexpr.right, env)
+    if isinstance(bexpr, Not):
+        return not _eval_b_reference(bexpr.arg, env)
+    if isinstance(bexpr, Eq):
+        return _eval_reference(bexpr.left, env) == _eval_reference(bexpr.right, env)
+    return eval_bexpr(bexpr, env)
+
+
+def _print_reference(expr) -> str:
+    if isinstance(expr, Plus):
+        right = _print_reference(expr.right)
+        right = f"({right})" if isinstance(expr.right, Plus) else right
+        return f"{_print_reference(expr.left)} + {right}"
+    if isinstance(expr, Pair):
+        return f"pair({_print_reference(expr.left)}, {_print_reference(expr.right)})"
+    return print_expr(expr)
+
+
+def _print_b_reference(bexpr) -> str:
+    if isinstance(bexpr, And):
+        right = _print_b_reference(bexpr.right)
+        right = f"({right})" if isinstance(bexpr.right, And) else right
+        return f"{_print_b_reference(bexpr.left)} && {right}"
+    if isinstance(bexpr, Not):
+        return f"!({_print_b_reference(bexpr.arg)})"
+    if isinstance(bexpr, Eq):
+        return f"{_print_reference(bexpr.left)} == {_print_reference(bexpr.right)}"
+    return print_bexpr(bexpr)
+
+
+_EXPRS = st.recursive(
+    st.builds(Lit, st.integers(0, 3)) | st.builds(Var, st.sampled_from("xy")),
+    lambda inner: st.builds(Plus, inner, inner) | st.builds(Pair, inner, inner), max_leaves=8)
+_BEXPRS = st.recursive(
+    st.builds(BLit, st.booleans()) | st.builds(Eq, _EXPRS, _EXPRS),
+    lambda inner: st.builds(And, inner, inner) | st.builds(Not, inner), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_EXPRS, _BEXPRS)
+def test_chains_evaluate_and_print_as_the_recursive_definitions(expr, bexpr):
+    bindings = env(x=(2, 1), y=5)
+    assert eval_expr(expr, bindings) == _eval_reference(expr, bindings)
+    assert eval_bexpr(bexpr, bindings) is _eval_b_reference(bexpr, bindings)
+    assert print_expr(expr) == _print_reference(expr)
+    assert print_bexpr(bexpr) == _print_b_reference(bexpr)
+
+
+def test_right_nested_chains_keep_their_parentheses():
+    text = "main { if p.a + (b + c) + d == 1 && (true && false) then { end } else { end } }"
+    guard = parse_cc(text).main.guard
+    assert guard == And(Eq(Plus(Plus(Var("a"), Plus(Var("b"), Var("c"))), Var("d")), Lit(1)),
+                        And(BTRUE, BFALSE))
+    assert print_bexpr(guard) == "a + (b + c) + d == 1 && (true && false)"
