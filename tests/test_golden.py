@@ -34,6 +34,8 @@ UNICODE = str(GOLDEN / "unicode.cc")
 DEFAULT_DEF = str(GOLDEN / "default_def.cc")
 # Calls a procedure with no ``def``, which every command reads as the default.
 UNDEFINED_CALL = str(GOLDEN / "undefined_call.cc")
+# A bystander r whose two branch projections do not merge, one per reason.
+MERGE_FAILURES = ("branch_sources", "offer_annotations", "inner_guards", "called_procedures")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
@@ -47,6 +49,7 @@ CASES = {
     "check_undefined_call_text": ["check", UNDEFINED_CALL],
     "check_undefined_call_json": ["check", UNDEFINED_CALL, "--format", "json"],
     "project_unprojectable": ["project", UNPROJECTABLE],
+    **{f"project_{name}": ["project", str(GOLDEN / f"{name}.cc")] for name in MERGE_FAILURES},
     "run_auth_first": ["run", AUTH, "--state", AUTH_STATE],
     "run_auth_text": ["run", AUTH, "--format", "text"],
     "run_ft_random_5": ["run", FT, "--scheduler", "random", "--seed", "5"],

@@ -114,6 +114,36 @@ def test_merge_prefix_diagnostics(first, second, reason, path):
     assert merge(first, first).unwrap() == first and more_branches(first, first)
 
 
+_CALL_X, _CALL_Y = BCall(("X", "p")), BCall(("Y", "p"))
+_GUARDED, _UNGUARDED = BCond(BTRUE, B_END, B_END), BCond(BFALSE, B_END, B_END)
+
+
+def _prefixed(behaviour):
+    return Send("q", Lit(1), "", Recv("q", "x", "", behaviour))
+
+
+@pytest.mark.parametrize("first, second, reason, path", [
+    (Branch("p", ("", B_END), None), Branch("q", ("", B_END), None),
+     "branching sources differ", ()),
+    (Branch("p", ("a", B_END), None), Branch("p", ("b", B_END), None),
+     "offer annotations differ", ("left",)),
+    (Branch("p", ("", B_END), ("a", B_END)), Branch("p", ("", B_END), ("b", B_END)),
+     "offer annotations differ", ("right",)),
+    (_GUARDED, _UNGUARDED, "conditional guards differ", ()),
+    (BCond(BTRUE, B_END, _CALL_X), BCond(BTRUE, B_END, _CALL_Y),
+     "procedure copies differ", ("else",)),
+    (_CALL_X, _CALL_Y, "procedure copies differ", ()),
+    (_prefixed(_CALL_X), _prefixed(_CALL_Y), "procedure copies differ", ("cont", "cont")),
+    (Branch("p", None, ("", _prefixed(_GUARDED))), Branch("p", ("", B_END), ("", _prefixed(_UNGUARDED))),
+     "conditional guards differ", ("right", "cont", "cont")),
+])
+def test_merge_node_diagnostics(first, second, reason, path):
+    failure = merge(first, second).failure
+    assert (failure.reason, failure.path) == (reason, path)
+    assert merge(second, first).failure == failure
+    assert merge(first, first).unwrap() == first
+
+
 # --------------------------------------------------------------------------
 # Per-process projection
 
