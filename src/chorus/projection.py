@@ -64,10 +64,6 @@ class ProjectionResult:
         return self.behaviour
 
 
-def _ok(behaviour: Behaviour) -> ProjectionResult:
-    return ProjectionResult(behaviour)
-
-
 def _fail(reason: str, path: Tuple[str, ...] = ()) -> ProjectionResult:
     return ProjectionResult(None, Diagnostic(reason, path))
 
@@ -80,16 +76,17 @@ def _push(result: ProjectionResult, *steps: str) -> ProjectionResult:
 # --------------------------------------------------------------------------
 # Branching order
 
-# Prefix kinds, with the diagnostic's noun.  Two prefixes of one kind must
-# share their ``leaves``, every field but ``cont``, to merge.
-_NOUNS = {Send: "send", Recv: "receive", Choose: "selection"}
+_PREFIXES = (Send, Recv, Choose)
+# What differs when two nodes of one kind differ in ``leaves``, the fields that hold no subtree.
+_DIFFER = {Send: "send prefixes", Recv: "receive prefixes", Choose: "selection prefixes",
+           Branch: "branching sources", BCond: "conditional guards", BCall: "procedure copies"}
 
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
     """``first >> second``: first has at least the branches of second, and
     the same leaves everywhere.  Runs of prefixes are read in a loop; only
     branchings and conditionals recurse."""
-    while type(first) in _NOUNS and type(first) is type(second):
+    while type(first) in _PREFIXES and type(first) is type(second):
         if type(first).leaves(first) != type(first).leaves(second):
             return False
         first, second = first.cont, second.cont
@@ -124,10 +121,10 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
     recurse.  A failure's path, the ``cont`` steps walked and then the path
     inside, is built only on failure."""
     walked = []
-    while type(first) in _NOUNS and type(first) is type(second):
+    while type(first) in _PREFIXES and type(first) is type(second):
         kind = type(first)
         if kind.leaves(first) != kind.leaves(second):
-            return _fail(f"{_NOUNS[kind]} prefixes differ", ("cont",) * len(walked))
+            return _fail(f"{_DIFFER[kind]} differ", ("cont",) * len(walked))
         walked.append(first)
         first, second = first.cont, second.cont
     merged = _merge_node(first, second)
@@ -136,42 +133,32 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
     behaviour = merged.behaviour
     for node in reversed(walked):
         behaviour = type(node)(*type(node).leaves(node), behaviour)
-    return _ok(behaviour)
+    return ProjectionResult(behaviour)
 
 
 def _merge_node(first: Behaviour, second: Behaviour) -> ProjectionResult:
+    """Merge two nodes of one kind subtree by subtree, as ``more_branches`` compares them."""
     kind = type(first)
     if kind is not type(second):
         return _fail(f"{kind.__name__} cannot merge with {type(second).__name__}")
-    if kind is Branch:
-        if first.peer != second.peer:
-            return _fail("branching sources differ")
-        slots = []
-        for side, mine, theirs in (("left", first.left, second.left),
-                                   ("right", first.right, second.right)):
-            if mine is None or theirs is None:
-                slots.append(mine or theirs)
+    if kind.leaves(first) != kind.leaves(second):
+        return _fail(f"{_DIFFER[kind]} differ")
+    subtrees = []
+    for step, name in kind.SUBTREES.items():
+        mine, theirs = getattr(first, name), getattr(second, name)
+        if kind is Branch:
+            if mine is None or theirs is None:  # an offer made on one side only is kept
+                subtrees.append(mine or theirs)
                 continue
             if mine[0] != theirs[0]:
-                return _fail("offer annotations differ", (side,))
-            inner = merge(mine[1], theirs[1])
-            if not inner.ok:
-                return _push(inner, side)
-            slots.append((mine[0], inner.behaviour))
-        return _ok(Branch(first.peer, *slots))
-    if kind is BCond:
-        if first.guard != second.guard:
-            return _fail("conditional guards differ")
-        then_merged = merge(first.then_branch, second.then_branch)
-        if not then_merged.ok:
-            return _push(then_merged, "then")
-        else_merged = merge(first.else_branch, second.else_branch)
-        if not else_merged.ok:
-            return _push(else_merged, "else")
-        return _ok(BCond(first.guard, then_merged.behaviour, else_merged.behaviour))
-    if kind is BCall and first.name != second.name:
-        return _fail("procedure copies differ")
-    return _ok(first)  # BEnd, or the same BCall
+                return _fail("offer annotations differ", (step,))
+            ann, mine, theirs = mine[0], mine[1], theirs[1]
+        merged = merge(mine, theirs)
+        if not merged.ok:
+            return _push(merged, step)
+        subtrees.append((ann, merged.behaviour) if kind is Branch else merged.behaviour)
+    # Branch and BCond have one leaf, which ``leaves`` returns bare; BEnd and BCall have no subtree.
+    return ProjectionResult(kind(kind.leaves(first), *subtrees) if subtrees else first)
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +216,7 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
                 offer = (node.ann, behaviour)
                 behaviour = (Branch(eta.sender, offer, None) if eta.label is SelLabel.LEFT
                              else Branch(eta.sender, None, offer))
-    return _ok(behaviour)
+    return ProjectionResult(behaviour)
 
 
 def _steps(walked) -> Tuple[str, ...]:
@@ -260,11 +247,16 @@ def str_proj(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
     that, for every process still to join, the projection of the procedure's
     definition sits above the projection of the term's body in the branching
     order (both defined).
+
+    One projection of ``chor`` decides the first clause: ``bproj`` fails
+    only at a conditional, and it recurses into every conditional except
+    those in the body of a runtime term that ``process`` has still to join,
+    which the second clause projects.
     """
+    if not bproj(defs, chor, process).ok:
+        return False
     for node in walk(chor):
-        if isinstance(node, Cond) and not projectable_b(defs, node, process):
-            return False
-        if isinstance(node, RTCall):
+        if type(node) is RTCall:
             for joiner in node.pending:
                 from_def = bproj(defs, defs.body(node.name), joiner)
                 from_body = bproj(defs, node.body, joiner)

@@ -8,7 +8,7 @@ from chorus import (
     B_END, BCall, BCond, BLit, Branch, Behaviour, CCProgram, Call, Choose,
     ComEta, Cond, DefSet, END, Eq, Fst, Interaction, Leq, Lit, Network,
     Pair, RCall, RCom, RCond, RSel, Recv, RTCall, SelEta, SelLabel, Send, Snd,
-    State, Var, cc_step, eval_on_state,
+    State, Var, bproj, cc_step, eval_on_state, more_branches,
 )
 from chorus.choreography import eta_processes
 from chorus.labels import label_processes
@@ -250,6 +250,25 @@ def walk_reference(chor, path=()):
         yield from walk_reference(chor.else_branch, path + ("else",))
     elif isinstance(chor, RTCall):
         yield from walk_reference(chor.body, path + ("body",))
+
+
+# --------------------------------------------------------------------------
+# Reference strong projectability: the literal definition, which projects
+# every conditional on its own.  ``chorus.str_proj`` projects the whole
+# choreography once instead.
+
+def str_proj_reference(defs, chor, process) -> bool:
+    for node in _all_nodes(chor):
+        if isinstance(node, Cond) and not bproj(defs, node, process).ok:
+            return False
+        if isinstance(node, RTCall):
+            for joiner in node.pending:
+                from_def = bproj(defs, defs.body(node.name), joiner)
+                from_body = bproj(defs, node.body, joiner)
+                if not (from_def.ok and from_body.ok
+                        and more_branches(from_def.behaviour, from_body.behaviour)):
+                    return False
+    return True
 
 
 # --------------------------------------------------------------------------

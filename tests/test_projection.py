@@ -7,14 +7,15 @@ from chorus import (
     ComEta, Cond, DefSet, DefSetB, END, EppFailure, Lit, Network, RCom,
     RCond, RTCall, Recv, SelEta, Send, Var, behaviour_wf, bproj, cc_enabled,
     cc_step, ccp_pn, epp, epp_c, gen_program, merge, more_branches,
-    more_branches_net, projectable_b, projectable_p, singleton,
-    str_proj, str_proj_p,
+    more_branches_net, parse_cc, program_wf, projectable_b, projectable_d,
+    projectable_p, singleton, str_proj, str_proj_p,
 )
+from chorus.choreography import walk
 from chorus.values import EMPTY_STATE
 
 from helpers import (
     LEFT, RIGHT, auth_expected_network, auth_program, file_transfer_body,
-    file_transfer_program, seq, unmended_program,
+    file_transfer_program, seq, str_proj_reference, unmended_program,
 )
 
 
@@ -134,7 +135,8 @@ def _prefixed(behaviour):
      "procedure copies differ", ("else",)),
     (_CALL_X, _CALL_Y, "procedure copies differ", ()),
     (_prefixed(_CALL_X), _prefixed(_CALL_Y), "procedure copies differ", ("cont", "cont")),
-    (Branch("p", None, ("", _prefixed(_GUARDED))), Branch("p", ("", B_END), ("", _prefixed(_UNGUARDED))),
+    (Branch("p", None, ("", _prefixed(_GUARDED))),
+     Branch("p", ("", B_END), ("", _prefixed(_UNGUARDED))),
      "conditional guards differ", ("right", "cont", "cont")),
 ])
 def test_merge_node_diagnostics(first, second, reason, path):
@@ -301,6 +303,69 @@ def test_str_proj_preserved_by_transitions():
         _, chor, state = enabled[0]
         stepped = CCProgram(program.defs, chor)
         assert str_proj_p(stepped)
+
+
+def _str_proj_programs():
+    """Generated programs, the example and golden files, and the hand-written
+    special, merge-heavy and nested-failure cases."""
+    from pathlib import Path
+
+    from test_chor_semantics import SPECIAL
+    from test_verification import MERGE_HEAVY
+
+    root = Path(__file__).resolve().parent
+    yield from map(gen_program, range(200))
+    for folder in (root.parent / "programs", root / "golden"):
+        yield from (parse_cc(path.read_text()) for path in sorted(folder.glob("*.cc")))
+    yield from SPECIAL.values()
+    yield from map(parse_cc, MERGE_HEAVY.values())
+    yield from (program for program, *_ in NESTED_FAILURES.values())
+
+
+def test_str_proj_matches_the_definition_on_reachable_configurations():
+    # Every configuration within 6 steps of each program's main.  Both verdicts
+    # occur, with and without a runtime term.
+    seen, verdicts = set(), set()
+    for program in _str_proj_programs():
+        defs = program.defs
+        frontier = [program.main]
+        for _ in range(7):
+            following = []
+            for chor in frontier:
+                if (defs, chor) in seen:
+                    continue
+                seen.add((defs, chor))
+                config = CCProgram(defs, chor)
+                runtime_term = any(isinstance(node, RTCall) for node in walk(chor))
+                processes = sorted(ccp_pn(config) | ccp_pn(program))
+                expected = [str_proj_reference(defs, chor, r) for r in processes]
+                assert [str_proj(defs, chor, r) for r in processes] == expected
+                assert str_proj_p(config) == (program_wf(config) and projectable_d(defs) and all(
+                    str_proj_reference(defs, chor, r) for r in sorted(ccp_pn(config))))
+                verdicts.update((runtime_term, verdict) for verdict in expected)
+                following += [succ for _, succ, _ in cc_enabled(defs, chor, EMPTY_STATE)]
+            frontier = following
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _nested_conditionals(depth):
+    """``depth`` conditionals at p, each nested in the then branch of the
+    last; each branch tells the 8 bystanders which one p took."""
+    def tell(side):
+        return "".join(f"p -> b{i}[{side}]; " for i in range(8))
+
+    return parse_cc("main { " + ("if p.true then { " + tell("left")) * depth + "end"
+                    + (" } else { " + tell("right") + "end }") * depth + " }")
+
+
+def test_str_proj_p_projects_each_process_once():
+    # One projection per process: 2d + 1 bproj calls on d nested conditionals.
+    depth = 60
+    program = _nested_conditionals(depth)
+    processes = ccp_pn(program)
+    misses = bproj.cache_info().misses
+    assert str_proj_p(program)
+    assert bproj.cache_info().misses - misses <= len(processes) * (2 * depth + 1)
 
 
 def test_merge_preserves_behaviour_wf():
