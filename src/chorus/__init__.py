@@ -29,8 +29,8 @@ from .processes import (
 from .proc_semantics import SPConfiguration, sp_enabled, sp_step, spp_multistep, spp_step
 from .projection import (
     Diagnostic, EppFailure, ProjectionResult, bproj, epp, epp_c, epp_d,
-    merge, more_branches, more_branches_net, projectable_b, projectable_d,
-    projectable_p, str_proj, str_proj_p,
+    merge, more_branches, more_branches_net, projectable_d, projectable_p,
+    str_proj, str_proj_p,
 )
 from .generator import GenParams, gen_program
 from .verification import (

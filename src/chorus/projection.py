@@ -224,10 +224,6 @@ def _steps(walked) -> Tuple[str, ...]:
     return tuple("cont" if type(node) is Interaction else "body" for node in walked)
 
 
-def projectable_b(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
-    return bproj(defs, chor, process).ok
-
-
 def projectable_d(defs: DefSet) -> bool:
     """Each procedure's body is projectable for its own processes."""
     return not isinstance(epp_d(defs), EppFailure)
@@ -253,8 +249,11 @@ def str_proj(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
     those in the body of a runtime term that ``process`` has still to join,
     which the second clause projects.
     """
-    if not bproj(defs, chor, process).ok:
-        return False
+    return bproj(defs, chor, process).ok and _runtime_terms_above(defs, chor)
+
+
+def _runtime_terms_above(defs: DefSet, chor: Choreography) -> bool:
+    """``str_proj``'s runtime-term clause, which names no process of its own."""
     for node in walk(chor):
         if type(node) is RTCall:
             for joiner in node.pending:
@@ -267,10 +266,12 @@ def str_proj(defs: DefSet, chor: Choreography, process: ProcessName) -> bool:
 
 
 def str_proj_p(program: CCProgram) -> bool:
+    """``str_proj`` at every process, its runtime-term clause decided once."""
+    defs, chor = program.defs, program.main
     return (program_wf(program)
-            and projectable_d(program.defs)
-            and all(str_proj(program.defs, program.main, r)
-                    for r in sorted(ccp_pn(program))))
+            and projectable_d(defs)
+            and all(bproj(defs, chor, r).ok for r in sorted(ccp_pn(program)))
+            and _runtime_terms_above(defs, chor))
 
 
 # --------------------------------------------------------------------------

@@ -252,8 +252,16 @@ class _Parser:
         return out
 
     def bterm(self) -> BExpr:
-        if self.accept("!"):
-            return Not(self.bterm())
+        """A run of ``!`` is read in a loop, then negates the term after it."""
+        negations = 0
+        while self.accept("!"):
+            negations += 1
+        term = self.bterm_atom()
+        for _ in range(negations):
+            term = Not(term)
+        return term
+
+    def bterm_atom(self) -> BExpr:
         if self.accept("true"):
             return BLit(True)
         if self.accept("false"):
@@ -519,7 +527,10 @@ def print_bexpr(bexpr: BExpr) -> str:
     if isinstance(bexpr, Leq):
         return f"{print_expr(bexpr.left)} <= {print_expr(bexpr.right)}"
     if isinstance(bexpr, Not):
-        return f"!({print_bexpr(bexpr.arg)})"
+        negations = 0
+        while isinstance(bexpr, Not):
+            bexpr, negations = bexpr.arg, negations + 1
+        return f"{'!' * negations}({print_bexpr(bexpr)})"
     first, rights = left_spine(bexpr, And)
     return " && ".join([print_bexpr(first), *(
         f"({print_bexpr(right)})" if isinstance(right, And) else print_bexpr(right)

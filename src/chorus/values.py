@@ -246,19 +246,23 @@ def eval_expr(expr: Expr, env: Callable[[VarName], Value]) -> Value:
 
 
 def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
-    """Evaluate a Boolean expression; ``==`` is structural value equality."""
+    """Evaluate a Boolean expression; ``==`` is structural value equality.
+    A run of negations is counted in a loop."""
+    negated = False
+    while isinstance(bexpr, Not):
+        bexpr, negated = bexpr.arg, not negated
     if isinstance(bexpr, BLit):
-        return bexpr.value
-    if isinstance(bexpr, Eq):
-        return eval_expr(bexpr.left, env) == eval_expr(bexpr.right, env)
-    if isinstance(bexpr, Leq):
-        return leftmost_nat(eval_expr(bexpr.left, env)) <= leftmost_nat(eval_expr(bexpr.right, env))
-    if isinstance(bexpr, Not):
-        return not eval_bexpr(bexpr.arg, env)
-    if isinstance(bexpr, And):
+        value = bexpr.value
+    elif isinstance(bexpr, Eq):
+        value = eval_expr(bexpr.left, env) == eval_expr(bexpr.right, env)
+    elif isinstance(bexpr, Leq):
+        value = leftmost_nat(eval_expr(bexpr.left, env)) <= leftmost_nat(eval_expr(bexpr.right, env))
+    elif isinstance(bexpr, And):
         first, rights = left_spine(bexpr, And)
-        return eval_bexpr(first, env) and all(eval_bexpr(right, env) for right in rights)
-    raise TypeError(f"not a boolean expression: {bexpr!r}")
+        value = eval_bexpr(first, env) and all(eval_bexpr(right, env) for right in rights)
+    else:
+        raise TypeError(f"not a boolean expression: {bexpr!r}")
+    return value != negated
 
 
 # --------------------------------------------------------------------------

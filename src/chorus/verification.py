@@ -73,6 +73,9 @@ class _Node:
     parent: Optional["_Node"] = None
     via: Optional[RichLabel] = None
     proj: Optional[Network] = None  # in the games: chor's projection, once net is checked above it
+    # In a linked search: each label ``expand`` gave, to its child's node.
+    children: Optional[Dict[RichLabel, "_Node"]] = None
+    agrees: bool = False  # determinism found ``cc_step`` agreeing with the enabled list
 
 
 class _Mismatch(Exception):
@@ -89,9 +92,13 @@ def _bfs(root: _Node, expand, nodes: List[_Node], project=None) -> None:
     seen before passes it again, unless it returns to a root the caller
     passed in unchecked (``proj`` None): that child is checked too.  If
     ``expand`` or ``project`` raises, the search ends and ``nodes`` ends with
-    the node it was expanding."""
+    the node it was expanding.  If the root has a ``children`` map, the
+    search is linked: every node gets one, which maps each label ``expand``
+    gave to the node of its child's configuration, the one seen first; a
+    node at the bound keeps it empty."""
     queue = deque([root])
     seen = {(root.chor, root.state, root.net): root}
+    link = root.children is not None
     while queue:
         node = queue.popleft()
         nodes.append(node)
@@ -100,10 +107,13 @@ def _bfs(root: _Node, expand, nodes: List[_Node], project=None) -> None:
             known = seen.get(key)
             if known is None:
                 proj = project(node, label, chor, net) if project else None
-                seen[key] = child = _Node(chor, state, net, node.dist + 1, node, label, proj)
-                queue.append(child)
+                seen[key] = known = _Node(chor, state, net, node.dist + 1, node, label, proj,
+                                          {} if link else None)
+                queue.append(known)
             elif project and known.proj is None:
                 project(node, label, chor, net)
+            if link:
+                node.children[label] = known
 
 
 def _step(label: RichLabel) -> dict:
@@ -121,10 +131,12 @@ def _trace(node: _Node) -> List[dict]:
     return steps
 
 
-def _explore(program: CCProgram, state: State, depth: int) -> List[Tuple[_Node, list]]:
+def _explore(program: CCProgram, state: State, depth: int,
+             link: bool = False) -> List[Tuple[_Node, list]]:
     """The configurations reachable within ``depth`` steps, in BFS order,
     each with its enabled transitions (also at the bound, where the scans
-    still inspect them)."""
+    still inspect them).  With ``link``, each node maps the labels of its
+    enabled list below the bound to their successors' nodes."""
     graph = []
 
     def expand(node):
@@ -132,13 +144,29 @@ def _explore(program: CCProgram, state: State, depth: int) -> List[Tuple[_Node, 
         graph.append((node, enabled))
         return [(*move, None) for move in enabled] if node.dist < depth else ()
 
-    _bfs(_Node(program.main, state, None, 0), expand, [])
+    _bfs(_Node(program.main, state, None, 0, children={} if link else None), expand, [])
     return graph
+
+
+def _after(defs, node: Optional[_Node], chor: Choreography, state: State,
+           label: RichLabel) -> Optional[Tuple[Choreography, State]]:
+    """``cc_step(defs, chor, state, label)``, where ``node``, if not None, is
+    the explored node of ``(chor, state)``.  If determinism found
+    ``cc_step`` agreeing with that node's enabled list, and the list holds
+    ``label`` below the bound, the successor is read from the node's
+    children: a configuration the search saw first, so comparing two read
+    successors is an identity test."""
+    if node is not None and node.agrees:
+        child = node.children.get(label)
+        if child is not None:
+            return child.chor, child.state
+    return cc_step(defs, chor, state, label)
 
 
 def _determinism(program: CCProgram, graph: list, depth: int) -> VerifyReport:
     """Each enabled rich label occurs once, determines its successor, and
-    distinct labels lead to distinct successor choreographies."""
+    distinct labels lead to distinct successor choreographies.  Marks each
+    node where ``cc_step`` agrees with every enabled transition (``agrees``)."""
     for node, enabled in graph:
         labels = [label for label, _, _ in enabled]
         if len(labels) != len(set(labels)):
@@ -156,16 +184,20 @@ def _determinism(program: CCProgram, graph: list, depth: int) -> VerifyReport:
                     f"labels {rich_text(successors[chor])} and {rich_text(label)} "
                     "reach the same choreography")
             successors[chor] = label
+        node.agrees = True
     return VerifyReport("determinism", True, len(graph), depth)
 
 
 def _diamond(program: CCProgram, graph: list, depth: int) -> VerifyReport:
-    """Any two distinct enabled labels commute and converge in one step."""
+    """Any two distinct enabled labels commute and converge in one step.
+    Where determinism has marked the nodes, the steps are read from the
+    graph (``_after``)."""
     defs = program.defs
     for node, enabled in graph:
+        children = node.children if node.agrees else {}
         for (label_a, chor_a, state_a), (label_b, chor_b, state_b) in combinations(enabled, 2):
-            after_ab = cc_step(defs, chor_a, state_a, label_b)
-            after_ba = cc_step(defs, chor_b, state_b, label_a)
+            after_ab = _after(defs, children.get(label_a), chor_a, state_a, label_b)
+            after_ba = _after(defs, children.get(label_b), chor_b, state_b, label_a)
             if after_ab is None or after_ba is None or after_ab != after_ba:
                 return _fail(
                     "diamond", node, len(graph), depth,
@@ -230,16 +262,18 @@ def _cc_label(label: RichLabel) -> Optional[RichLabel]:
 
 def _run_game(name: str, program: CCProgram, state: State, depth: int,
               initial_network: Optional[Network] = None,
-              initial_defs: Optional[DefSetB] = None, moves: Optional[dict] = None
+              initial_defs: Optional[DefSetB] = None, table: Optional[dict] = None
               ) -> VerifyReport:
     """In ``complete`` the choreography moves and the network matches each
     move; in ``sound`` the network moves and the choreography matches.
-    ``moves``, from ``check_property("all")`` once it has checked strong
-    projectability, maps each configuration within the bound to its enabled
-    list: the complete game reads its moves there.  ``expand`` only matches
-    steps; the search checks each new configuration's network above its
-    projection (``_checked_projection``), once."""
-    if moves is None and not str_proj_p(program):
+    ``table``, from ``check_property("all")`` once it has checked strong
+    projectability, maps each configuration within the bound to its node
+    and enabled list in the linked meta graph: the complete game reads its
+    moves there, and the sound game its matching steps (``_after``).
+    ``expand`` only matches steps; the search checks each new
+    configuration's network above its projection (``_checked_projection``),
+    once."""
+    if table is None and not str_proj_p(program):
         raise NotStronglyProjectable(
             "the projection game needs a well-formed, strongly projectable program")
     defs = program.defs
@@ -254,10 +288,16 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
     def expand(node):
         if node.dist >= depth:
             return ()
+        meta, enabled = (table.get((node.chor, node.state), (None, None)) if table
+                         else (None, None))
         children: List[Tuple[RichLabel, Choreography, State, Network]] = []
         if name == "complete":
-            for label, chor, succ_state in (cc_enabled(defs, node.chor, node.state)
-                                            if moves is None else moves[node.chor, node.state]):
+            if meta is None:
+                enabled = cc_enabled(defs, node.chor, node.state)
+            elif meta.agrees:  # the same moves, each to its node's configuration
+                enabled = [(label, child.chor, child.state)
+                           for label, child in meta.children.items()]
+            for label, chor, succ_state in enabled:
                 stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
                 if stepped is None:
                     raise _Mismatch(
@@ -273,7 +313,7 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
                     raise _Mismatch(
                         f"network call {rich_text(sp_rich)} is not the caller's own copy",
                         sp_rich)
-                stepped = cc_step(defs, node.chor, node.state, label)
+                stepped = _after(defs, meta, node.chor, node.state, label)
                 if stepped is None:
                     raise _Mismatch(
                         f"choreography cannot match network step {rich_text(sp_rich)}",
@@ -341,18 +381,25 @@ _CHECKS = {
 
 
 def check_property(name: str, program: CCProgram, state: State, depth: int) -> List[VerifyReport]:
-    """Run one named check, or all of them in a fixed order.  The meta-checks
-    scan one configuration graph, explored once per call; with ``all`` the
-    completeness game reads its moves there too."""
-    reports, graph, moves = [], None, None
+    """Run one named check, or all of them, reported in a fixed order.  The
+    meta-checks scan one configuration graph, explored once per call.  With
+    ``all`` the graph is linked and determinism runs first: diamond and the
+    sound game then read the steps it checked from the graph, and the
+    completeness game reads its moves there."""
+    keys, graph, table = list(_CHECKS) if name == "all" else [name], None, None
     if name == "all" and str_proj_p(program):  # else the first game raises
-        graph = _explore(program, state, depth)
-        moves = {(node.chor, node.state): enabled for node, enabled in graph}
-    for key in (_CHECKS if name == "all" else [name]):
+        graph = _explore(program, state, depth, link=True)
+        table = {(node.chor, node.state): (node, enabled) for node, enabled in graph}
+        keys.sort(key=lambda key: key != "determinism")  # stable: the rest keep their order
+    reports = {}
+    for key in keys:
         check = _CHECKS[key]
         if key in ("complete", "sound"):
-            reports.append(check(program, state, depth, moves=moves))
+            reports[key] = check(program, state, depth, table=table)
         else:
             graph = graph or _explore(program, state, depth)
-            reports.append(check(program, graph, depth))
-    return reports
+            reports[key] = check(program, graph, depth)
+    if table:  # a node and its children point at each other: unlink, so refcounts free them
+        for node, _ in graph:
+            node.children = None
+    return [reports[key] for key in _CHECKS if key in reports]

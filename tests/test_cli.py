@@ -7,7 +7,7 @@ import pytest
 
 from chorus import (
     CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
-    parse_cc, parse_sp, program_wf, spp_multistep,
+    parse_cc, parse_sp, print_cc, program_wf, spp_multistep,
 )
 import chorus.cli
 from chorus.cli import main
@@ -291,20 +291,28 @@ def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):
         assert json.loads(lines[-1]) == final
 
 
-# A 20,000-term sum and a 20,000-term conjunction, with what ``run`` stores.
+def _guarded(guard):
+    return (f"main {{ if p.{guard} then {{ p -> q[left]; p.1 -> q.x; end }} "
+            "else { p -> q[right]; end } }\n")
+
+
+# A 20,000-term sum, a 20,000-term conjunction and 20,000 negations, with
+# what ``run`` stores.
 _FLAT_CHAINS = {
     "sum": ("main { p.1" + " + 1" * 19999 + " -> q.x; end }\n", {"q.x": 20000}),
-    "guard": ("main { if p." + " && ".join(["true"] * 20000)
-              + " then { p -> q[left]; p.1 -> q.x; end } else { p -> q[right]; end } }\n",
-              {"q.x": 1}),
+    "guard": (_guarded(" && ".join(["true"] * 20000)), {"q.x": 1}),
+    "negation": (_guarded("!" * 20000 + "true"), {"q.x": 1}),
 }
 
 
 @pytest.mark.parametrize("name", _FLAT_CHAINS)
 def test_flat_chains_pass_every_command(tmp_path, capsys, name):
-    # The parser nests ``1 + 1 + …`` and ``true && true && …`` on the left;
-    # evaluating, printing, hashing and comparing walk that spine in a loop.
+    # The parser nests ``1 + 1 + …`` and ``true && true && …`` on the left,
+    # and ``!!…!true`` on the right; evaluating, printing, hashing and
+    # comparing walk that spine in a loop.
     text, stored = _FLAT_CHAINS[name]
+    program = parse_cc(text)
+    assert parse_cc(print_cc(program)) == program
     cc = _write(tmp_path, f"{name}.cc", text)
     projected = str(tmp_path / "projected.sp")
     assert main(["check", cc]) == 0

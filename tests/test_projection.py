@@ -5,10 +5,10 @@ import pytest
 from chorus import (
     B_END, BCall, BCond, BFALSE, BTRUE, Branch, CCProgram, Call, Choose,
     ComEta, Cond, DefSet, DefSetB, END, EppFailure, Lit, Network, RCom,
-    RCond, RTCall, Recv, SelEta, Send, Var, behaviour_wf, bproj, cc_enabled,
-    cc_step, ccp_pn, epp, epp_c, gen_program, merge, more_branches,
-    more_branches_net, parse_cc, program_wf, projectable_b, projectable_d,
-    projectable_p, singleton, str_proj, str_proj_p,
+    RCall, RCond, RTCall, Recv, SelEta, Send, Var, behaviour_wf, bproj,
+    cc_enabled, cc_step, ccp_pn, epp, epp_c, gen_program, merge, more_branches,
+    more_branches_net, parse_cc, program_wf, projectable_d, projectable_p,
+    singleton, str_proj, str_proj_p,
 )
 from chorus.choreography import walk
 from chorus.values import EMPTY_STATE
@@ -171,11 +171,11 @@ def test_bproj_selection_receiver_gets_single_offer():
 
 def test_unmended_conditional_unprojectable():
     program = unmended_program()
-    assert not projectable_b(program.defs, program.main, "q")
+    assert not bproj(program.defs, program.main, "q").ok
     result = bproj(program.defs, program.main, "q")
     assert not result.ok
     assert result.failure.path == ()  # the conditional itself
-    assert projectable_b(program.defs, program.main, "p")
+    assert bproj(program.defs, program.main, "p").ok
     assert not projectable_p(program)
 
 
@@ -366,6 +366,20 @@ def test_str_proj_p_projects_each_process_once():
     misses = bproj.cache_info().misses
     assert str_proj_p(program)
     assert bproj.cache_info().misses - misses <= len(processes) * (2 * depth + 1)
+
+
+def test_str_proj_p_decides_the_runtime_term_clause_once():
+    # 8 pairs, then a joins X: 19 projections of main, 3 of X's body for
+    # projectable_d, and the clause's 4 (X's definition and the runtime
+    # term's body, for b and c), once rather than once per process.
+    pairs = "".join(f"x{i}.1 -> y{i}.v; " for i in range(8))
+    program = parse_cc("def X(a, b, c) { a.1 -> b.x; b.1 -> c.y; end } main { " + pairs
+                       + "call X }")
+    [chor] = [succ for label, succ, _ in cc_enabled(program.defs, program.main, EMPTY_STATE)
+              if label == RCall("X", "a")]
+    misses = bproj.cache_info().misses
+    assert str_proj_p(CCProgram(program.defs, chor))
+    assert bproj.cache_info().misses - misses == 19 + 3 + 4
 
 
 def test_merge_preserves_behaviour_wf():

@@ -224,7 +224,9 @@ def _print_b_reference(bexpr) -> str:
         right = f"({right})" if isinstance(bexpr.right, And) else right
         return f"{_print_b_reference(bexpr.left)} && {right}"
     if isinstance(bexpr, Not):
-        return f"!({_print_b_reference(bexpr.arg)})"
+        # A negation of a negation needs no parentheses: ``!!(b)``.
+        arg = _print_b_reference(bexpr.arg)
+        return f"!{arg}" if isinstance(bexpr.arg, Not) else f"!({arg})"
     if isinstance(bexpr, Eq):
         return f"{_print_reference(bexpr.left)} == {_print_reference(bexpr.right)}"
     return print_bexpr(bexpr)

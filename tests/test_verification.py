@@ -476,6 +476,122 @@ def test_check_property_all_explores_one_graph(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# With ``all``, determinism checks each enabled step with cc_step once; diamond
+# and the sound game read the steps it checked from the graph.
+
+def _pairs(count, rounds=1):
+    from chorus import parse_cc
+
+    return parse_cc("main { " + "".join(f"a{i}.{r} -> b{i}.x; " for r in range(rounds)
+                                        for i in range(count)) + "end }")
+
+
+def _count_steps(monkeypatch):
+    """Each cc_step call's configuration, with the check running it."""
+    from chorus import verification
+    from chorus.chor_semantics import cc_step
+
+    calls, running = [], [None]
+
+    def counted(defs, chor, state, label):
+        calls.append((running[0], chor, state))
+        return cc_step(defs, chor, state, label)
+
+    def tagged(key, check):
+        def run(*args, **kwargs):
+            running[0] = key
+            return check(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(verification, "cc_step", counted)
+    for key, check in list(verification._CHECKS.items()):
+        monkeypatch.setitem(verification._CHECKS, key, tagged(key, check))
+    return calls
+
+
+def test_all_steps_each_edge_once_on_a_closed_graph(monkeypatch):
+    # 4 disjoint pairs: 2^4 configurations and 4 * 2^3 edges, all below the bound.
+    from chorus.verification import check_property
+
+    calls = _count_steps(monkeypatch)
+    reports = check_property("all", _pairs(4), EMPTY_STATE, 8)
+    assert all(report.passed for report in reports)
+    assert {report.nodes for report in reports} == {16}
+    assert len(calls) == 32 and {check for check, _, _ in calls} == {"determinism"}
+
+
+@pytest.mark.parametrize("program, depth", [
+    (_pairs(4), 2), (_pairs(4, rounds=2), 3), (file_transfer_program(), 3),
+    (gen_program(13), 4), (gen_program(54), 4),
+], ids=["pairs", "pairs_twice", "file_transfer", "seed13", "seed54"])
+def test_all_steps_again_only_at_the_bound(monkeypatch, program, depth):
+    # Determinism steps every enabled label once, and the sound game reads
+    # every step from the graph.  Diamond steps only from the successors of
+    # nodes at the last two layers: once for each side of a pair whose
+    # successor lies at the bound, where the graph holds no children.
+    from itertools import combinations
+
+    from chorus.verification import _explore, check_property
+
+    graph = _explore(program, EMPTY_STATE, depth, link=True)
+    late = {(chor, state) for node, enabled in graph if node.dist >= depth - 1
+            for _, chor, state in enabled}
+    at_bound = sum(node.dist == depth or node.children[label].dist == depth
+                   for node, enabled in graph for pair in combinations(enabled, 2)
+                   for label, _, _ in pair)
+    calls = _count_steps(monkeypatch)
+    assert all(report.passed for report in check_property("all", program, EMPTY_STATE, depth))
+    assert {check for check, _, _ in calls} <= {"determinism", "diamond"}
+    by_check = {"determinism": [], "diamond": []}
+    for check, chor, state in calls:
+        by_check[check].append((chor, state))
+    assert len(by_check["determinism"]) == sum(len(enabled) for _, enabled in graph)
+    assert len(by_check["diamond"]) == at_bound
+    assert late.issuperset(by_check["diamond"])
+
+
+@pytest.mark.parametrize("case", sorted(META_FAILURES) + ["sound_state_differs"])
+def test_all_reports_equal_each_check_alone_under_a_patch(monkeypatch, case):
+    # Where a patched enumerator or step makes a meta-check fail, the other
+    # checks report what they report alone: where determinism fails, they
+    # step with cc_step.
+    from chorus.verification import _CHECKS, check_property
+
+    patch = (META_FAILURES.get(case) or GAME_FAILURES[case])[0]
+    program = _fork_program()
+    patch(monkeypatch)
+    alone = [check_property(key, program, EMPTY_STATE, 4)[0].to_json() for key in _CHECKS]
+    assert [report.to_json() for report in check_property("all", program, EMPTY_STATE, 4)] == alone
+    assert any(report["verdict"] == "fail" for report in alone)
+
+
+def _corpus():
+    from pathlib import Path
+
+    from chorus import parse_cc
+
+    root = Path(__file__).resolve().parent
+    yield from ((f"seed{seed}", gen_program(seed)) for seed in range(50))
+    for folder in (root.parent / "programs", root / "golden"):
+        yield from ((path.name, parse_cc(path.read_text())) for path in sorted(folder.glob("*.cc")))
+
+
+def test_all_equals_the_six_checks_alone():
+    # A check run alone explores its own graph and reads no step from it.
+    from chorus.verification import _CHECKS, check_property
+
+    for name, program in _corpus():
+        if not str_proj_p(program):
+            for key in ("all", "complete", "sound"):
+                with pytest.raises(NotStronglyProjectable):
+                    check_property(key, program, EMPTY_STATE, 8)
+            continue
+        alone = [check_property(key, program, EMPTY_STATE, 8)[0].to_json() for key in _CHECKS]
+        everything = check_property("all", program, EMPTY_STATE, 8)
+        assert json.dumps([report.to_json() for report in everything]) == json.dumps(alone), name
+
+
+# --------------------------------------------------------------------------
 # After a communication, a selection or a join the games project only the
 # processes of its label again; the rest of the projection is the parent's.
 
