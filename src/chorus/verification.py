@@ -94,8 +94,8 @@ def _bfs(root: _Node, expand, nodes: List[_Node], project=None) -> None:
     ``expand`` or ``project`` raises, the search ends and ``nodes`` ends with
     the node it was expanding.  If the root has a ``children`` map, the
     search is linked: every node gets one, which maps each label ``expand``
-    gave to the node of its child's configuration, the one seen first; a
-    node at the bound keeps it empty."""
+    gave to the node of its child's configuration, the one seen first (empty
+    where ``expand`` gave none, as at the bound)."""
     queue = deque([root])
     seen = {(root.chor, root.state, root.net): root}
     link = root.children is not None
