@@ -260,16 +260,18 @@ def _cc_label(label: RichLabel) -> Optional[RichLabel]:
     return RCall(name[0], label.proc) if own else None
 
 
-def _run_game(name: str, program: CCProgram, state: State, depth: int,
+def _run_game(program: CCProgram, state: State, depth: int,
               initial_network: Optional[Network] = None,
-              initial_defs: Optional[DefSetB] = None, table: Optional[dict] = None
-              ) -> VerifyReport:
-    """In ``complete`` the choreography moves and the network matches each
-    move; in ``sound`` the network moves and the choreography matches.
-    ``table``, from ``check_property("all")`` once it has checked strong
-    projectability, maps each configuration within the bound to its node
-    and enabled list in the linked meta graph: the complete game reads its
-    moves there, and the sound game its matching steps (``_after``).
+              initial_defs: Optional[DefSetB] = None, table: Optional[dict] = None,
+              directions: Tuple[str, ...] = ("complete",)) -> VerifyReport:
+    """Play each game of ``directions`` on one product graph.  In
+    ``complete`` the choreography moves and the network matches each move;
+    in ``sound`` the network moves and the choreography matches.  With both,
+    the two must give each node the same labelled children, else the search
+    fails.  ``table``, from ``check_property("all")`` once it has checked
+    strong projectability, maps each configuration within the bound to its
+    node and enabled list in the linked meta graph: the complete game reads
+    its moves there, and the sound game its matching steps (``_after``).
     ``expand`` only matches steps; the search checks each new
     configuration's network above its projection (``_checked_projection``),
     once."""
@@ -285,43 +287,49 @@ def _run_game(name: str, program: CCProgram, state: State, depth: int,
     root = (_Node(program.main, state, initial_network, 0) if initial_network is not None
             else _Node(program.main, state, projected.network, 0, proj=projected.network))
 
+    def complete(node, meta, enabled):
+        if meta is None:
+            enabled = cc_enabled(defs, node.chor, node.state)
+        elif meta.agrees:  # the same moves, each to its node's configuration
+            enabled = [(label, child.chor, child.state) for label, child in meta.children.items()]
+        for label, chor, succ_state in enabled:
+            stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
+            if stepped is None:
+                raise _Mismatch(
+                    f"network cannot match choreography step {rich_text(label)}", label)
+            net, net_state = stepped
+            if net_state != succ_state:
+                raise _Mismatch("matched step ends in a different state", label)
+            yield label, chor, succ_state, net
+
+    def sound(node, meta, _):
+        for sp_rich, net, net_state in sp_enabled(net_defs, node.net, node.state):
+            label = _cc_label(sp_rich)
+            if label is None:
+                raise _Mismatch(
+                    f"network call {rich_text(sp_rich)} is not the caller's own copy", sp_rich)
+            stepped = _after(defs, meta, node.chor, node.state, label)
+            if stepped is None:
+                raise _Mismatch(
+                    f"choreography cannot match network step {rich_text(sp_rich)}", sp_rich)
+            chor, succ_state = stepped
+            if succ_state != net_state:
+                raise _Mismatch("matched step ends in a different state", sp_rich)
+            yield label, chor, succ_state, net
+
+    name = "+".join(directions)
+    plays = [{"complete": complete, "sound": sound}[direction] for direction in directions]
+
     def expand(node):
         if node.dist >= depth:
             return ()
         meta, enabled = (table.get((node.chor, node.state), (None, None)) if table
                          else (None, None))
-        children: List[Tuple[RichLabel, Choreography, State, Network]] = []
-        if name == "complete":
-            if meta is None:
-                enabled = cc_enabled(defs, node.chor, node.state)
-            elif meta.agrees:  # the same moves, each to its node's configuration
-                enabled = [(label, child.chor, child.state)
-                           for label, child in meta.children.items()]
-            for label, chor, succ_state in enabled:
-                stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
-                if stepped is None:
-                    raise _Mismatch(
-                        f"network cannot match choreography step {rich_text(label)}", label)
-                net, net_state = stepped
-                if net_state != succ_state:
-                    raise _Mismatch("matched step ends in a different state", label)
-                children.append((label, chor, succ_state, net))
-        else:
-            for sp_rich, net, net_state in sp_enabled(net_defs, node.net, node.state):
-                label = _cc_label(sp_rich)
-                if label is None:
-                    raise _Mismatch(
-                        f"network call {rich_text(sp_rich)} is not the caller's own copy",
-                        sp_rich)
-                stepped = _after(defs, meta, node.chor, node.state, label)
-                if stepped is None:
-                    raise _Mismatch(
-                        f"choreography cannot match network step {rich_text(sp_rich)}",
-                        sp_rich)
-                chor, succ_state = stepped
-                if succ_state != net_state:
-                    raise _Mismatch("matched step ends in a different state", sp_rich)
-                children.append((label, chor, succ_state, net))
+        children, *others = [list(play(node, meta, enabled)) for play in plays]
+        for other in others:  # each label once, to the same configuration in both games
+            moves = {child[0]: child for child in children}
+            if not len(children) == len(moves) == len(other) or moves != {c[0]: c for c in other}:
+                raise _Mismatch("the games reach different children")
         return children
 
     nodes: List[_Node] = []
@@ -367,8 +375,9 @@ def _checked_projection(defs, processes, parent: _Node, label: RichLabel,
 
 # Every choreography step is matched by its projection (complete), and
 # every step of the projection by the choreography (sound).
-check_epp_complete = partial(_run_game, "complete")
-check_epp_sound = partial(_run_game, "sound")
+check_epp_complete = partial(_run_game, directions=("complete",))
+check_epp_sound = partial(_run_game, directions=("sound",))
+GAMES = ("complete", "sound")
 
 _CHECKS = {
     "complete": check_epp_complete,
@@ -385,7 +394,11 @@ def check_property(name: str, program: CCProgram, state: State, depth: int) -> L
     meta-checks scan one configuration graph, explored once per call.  With
     ``all`` the graph is linked and determinism runs first: diamond and the
     sound game then read the steps it checked from the graph, and the
-    completeness game reads its moves there."""
+    completeness game reads its moves there.  Both games are then played on
+    one product graph, under ``_CHECKS["complete"]``; if they pass, each
+    reports its ``nodes``, the configurations both games reach within the
+    bound.  Any failure, or any node where the two disagree, replays each
+    game alone, so its report is the one it gives alone."""
     keys, graph, table = list(_CHECKS) if name == "all" else [name], None, None
     if name == "all" and str_proj_p(program):  # else the first game raises
         graph = _explore(program, state, depth, link=True)
@@ -394,7 +407,13 @@ def check_property(name: str, program: CCProgram, state: State, depth: int) -> L
     reports = {}
     for key in keys:
         check = _CHECKS[key]
-        if key in ("complete", "sound"):
+        if key == "complete" and table:
+            joint = check(program, state, depth, table=table, directions=GAMES)
+            if joint.passed:
+                reports.update((game, VerifyReport(game, True, joint.nodes, depth)) for game in GAMES)
+        if key in reports:
+            continue
+        if key in GAMES:
             reports[key] = check(program, state, depth, table=table)
         else:
             graph = graph or _explore(program, state, depth)

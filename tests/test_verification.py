@@ -322,7 +322,7 @@ def test_meta_check_failure_reports(monkeypatch, case):
 # o2 -> s2, which the fork program enables after its first step.
 
 def _to_s2(label):
-    return label.receiver == "s2"
+    return getattr(label, "receiver", None) == "s2"
 
 
 def _moved_s2(step):
@@ -550,11 +550,11 @@ def test_all_steps_again_only_at_the_bound(monkeypatch, program, depth):
     assert late.issuperset(by_check["diamond"])
 
 
-@pytest.mark.parametrize("case", sorted(META_FAILURES) + ["sound_state_differs"])
+@pytest.mark.parametrize("case", sorted(META_FAILURES) + sorted(GAME_FAILURES))
 def test_all_reports_equal_each_check_alone_under_a_patch(monkeypatch, case):
-    # Where a patched enumerator or step makes a meta-check fail, the other
+    # Where a patched enumerator or step makes a check fail, the other
     # checks report what they report alone: where determinism fails, they
-    # step with cc_step.
+    # step with cc_step, and where a game fails, each game is played alone.
     from chorus.verification import _CHECKS, check_property
 
     patch = (META_FAILURES.get(case) or GAME_FAILURES[case])[0]
@@ -563,6 +563,75 @@ def test_all_reports_equal_each_check_alone_under_a_patch(monkeypatch, case):
     alone = [check_property(key, program, EMPTY_STATE, 4)[0].to_json() for key in _CHECKS]
     assert [report.to_json() for report in check_property("all", program, EMPTY_STATE, 4)] == alone
     assert any(report["verdict"] == "fail" for report in alone)
+
+
+def _wider(label, net, succ):
+    """``succ``, the network after ``label`` from ``net``, with d offered a
+    second branch if the step is a -> b and e has not sent: a network above
+    the projection that neither semantics gives."""
+    offer = succ.get("d")
+    if getattr(label, "sender", None) != "a" or net.get("e") == B_END or \
+            not isinstance(offer, Branch):
+        return succ
+    return succ.put("d", Branch(offer.peer, offer.left, offer.left))
+
+
+def _patch_wider_step(monkeypatch):
+    from chorus.proc_semantics import sp_step
+
+    def patched(defs, net, state, label):
+        succ, succ_state = sp_step(defs, net, state, label)
+        return _wider(label, net, succ), succ_state
+    monkeypatch.setattr("chorus.verification.sp_step", patched)
+
+
+def _patch_repeated_label(monkeypatch):
+    # Lists a -> b twice, first to the wider network: the last of each label
+    # agrees with the complete game.
+    from chorus.proc_semantics import sp_enabled
+
+    def patched(defs, net, state):
+        enabled = sp_enabled(defs, net, state)
+        return [(label, _wider(label, net, succ), st) for label, succ, st in enabled
+                if _wider(label, net, succ) != succ] + enabled
+    monkeypatch.setattr("chorus.verification.sp_enabled", patched)
+
+
+@pytest.mark.parametrize("patch", [_patch_wider_step, _patch_repeated_label],
+                         ids=["wider_step", "repeated_label"])
+def test_all_replays_the_games_alone_where_they_disagree(monkeypatch, patch):
+    # Neither game fails alone, but from the root one game reaches a network
+    # the other does not, so the two report different nodes.
+    from chorus import parse_cc
+    from chorus.verification import _CHECKS, check_property
+
+    program = parse_cc("main { a.0 -> b.x; e.1 -> f.y; c -> d[left]; end }")
+    patch(monkeypatch)
+    alone = [check_property(key, program, EMPTY_STATE, 8)[0].to_json() for key in _CHECKS]
+    assert all(report["verdict"] == "pass" for report in alone)
+    assert alone[0]["nodes"] != alone[1]["nodes"]
+    everything = check_property("all", program, EMPTY_STATE, 8)
+    assert json.dumps([report.to_json() for report in everything]) == json.dumps(alone)
+
+
+def test_all_projects_each_product_configuration_once(monkeypatch):
+    """Under ``all`` both games are played on one product graph: each of its
+    configurations but the root is projected once in all, and both games
+    report the graph's ``nodes``."""
+    from pathlib import Path
+
+    from chorus import parse_cc
+    from chorus.verification import check_property
+
+    checked = _count_projections(monkeypatch)
+    programs = [gen_program(seed) for seed in range(50)]
+    folder = Path(__file__).resolve().parent.parent / "programs"
+    programs += [parse_cc(path.read_text()) for path in sorted(folder.glob("*.cc"))]
+    for program in programs:
+        checked.clear()
+        complete, sound = check_property("all", program, EMPTY_STATE, 8)[:2]
+        assert complete.passed and sound.passed
+        assert complete.nodes == sound.nodes == len(checked) + 1
 
 
 def _corpus():
@@ -637,11 +706,11 @@ def _partial(checked):
 
 
 def _differential_games(monkeypatch):
-    """``check_property("all")``, checking the projection of every game node
-    and every game child against ``epp_c``; and the children projected, as
-    ``_count_projections`` lists them."""
+    """``check_property("all")``, then each game alone, checking the
+    projection of every game node and every game child against ``epp_c``;
+    and the children projected, as ``_count_projections`` lists them."""
     from chorus import epp_c, verification
-    from chorus.verification import check_property
+    from chorus.verification import GAMES, check_property
 
     checked, playing = _count_projections(monkeypatch), []
     checked_projection, bfs = verification._checked_projection, verification._bfs
@@ -659,7 +728,8 @@ def _differential_games(monkeypatch):
 
     def run(program, depth):
         playing.append(program)
-        return check_property("all", program, EMPTY_STATE, depth)
+        return check_property("all", program, EMPTY_STATE, depth) + [
+            check_property(game, program, EMPTY_STATE, depth)[0] for game in GAMES]
 
     monkeypatch.setattr(verification, "_checked_projection", differential)
     monkeypatch.setattr(verification, "_bfs", nodes_checked)
