@@ -3,65 +3,48 @@
 Rich labels carry full syntactic information (stored variable, procedure
 name); ``forget`` erases them to the observable labels.  ``RCall.name`` is a
 procedure name on the choreography side and a per-process procedure copy
-``(name, process)`` on the network side.  ``step_json`` writes the JSON trace
-line of a step straight from its rich label.
+``(name, process)`` on the network side.  Each label kind is a ``Node``
+kind of leaves only, compared by kind and fields and hashed once.
+``step_json`` writes the JSON trace line of a step straight from its rich label.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json import dumps
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, FrozenSet, Sequence, Union
 
-from .values import ProcessName, SelLabel, Value, VarName, value_text, value_to_json
+from .values import Node, ProcessName, value_text, value_to_json
 
 
-@dataclass(frozen=True, slots=True)
-class RCom:
-    sender: ProcessName
-    value: Value
-    receiver: ProcessName
-    var: VarName
+class RCom(Node):
+    FIELDS = {"sender": None, "value": None, "receiver": None, "var": None}
 
 
-@dataclass(frozen=True, slots=True)
-class RSel:
-    sender: ProcessName
-    receiver: ProcessName
-    label: SelLabel
+class RSel(Node):
+    FIELDS = {"sender": None, "receiver": None, "label": None}
 
 
-@dataclass(frozen=True, slots=True)
-class RCond:
-    proc: ProcessName
+class RCond(Node):
+    FIELDS = {"proc": None}
 
 
-@dataclass(frozen=True, slots=True)
-class RCall:
-    name: object  # ProcName | TargetProcName
-    proc: ProcessName
+class RCall(Node):
+    FIELDS = {"name": None, "proc": None}  # name: ProcName | TargetProcName
 
 
 RichLabel = Union[RCom, RSel, RCond, RCall]
 
 
-@dataclass(frozen=True, slots=True)
-class TCom:
-    sender: ProcessName
-    value: Value
-    receiver: ProcessName
+class TCom(Node):
+    FIELDS = {"sender": None, "value": None, "receiver": None}
 
 
-@dataclass(frozen=True, slots=True)
-class TSel:
-    sender: ProcessName
-    receiver: ProcessName
-    label: SelLabel
+class TSel(Node):
+    FIELDS = {"sender": None, "receiver": None, "label": None}
 
 
-@dataclass(frozen=True, slots=True)
-class TTau:
-    proc: ProcessName
+class TTau(Node):
+    FIELDS = {"proc": None}
 
 
 TransitionLabel = Union[TCom, TSel, TTau]

@@ -72,9 +72,9 @@ class _Kind(type):
 
 
 class Node(metaclass=_Kind):
-    """Base of every syntax-tree kind.  Nodes are immutable by convention:
-    only ``__init__`` and the cached hash set a slot.  ``_hash`` stays None
-    until the node is first hashed."""
+    """Base of every syntax-tree kind and of the transition labels.  Nodes
+    are immutable by convention: only ``__init__`` and the cached hash set
+    a slot.  ``_hash`` stays None until the node is first hashed."""
 
     __slots__ = ("_hash",)
 
@@ -90,8 +90,8 @@ class Node(metaclass=_Kind):
             stack = [self]
             while stack:
                 top = stack.pop()
-                unhashed = top is not None and [tree for tree in top.subtrees()
-                                                if tree._hash is None]
+                unhashed = top is not None and type(top)._first is not None and [
+                    tree for tree in top.subtrees() if tree._hash is None]
                 if unhashed:  # come back to top, under the None, once they are hashed
                     stack += (top, None, *unhashed)
                     continue

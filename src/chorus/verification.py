@@ -75,7 +75,6 @@ class _Node:
     proj: Optional[Network] = None  # in the games: chor's projection, once net is checked above it
     # In a linked search: each label ``expand`` gave, to its child's node.
     children: Optional[Dict[RichLabel, "_Node"]] = None
-    agrees: bool = False  # determinism found ``cc_step`` agreeing with the enabled list
 
 
 class _Mismatch(Exception):
@@ -151,12 +150,11 @@ def _explore(program: CCProgram, state: State, depth: int,
 def _after(defs, node: Optional[_Node], chor: Choreography, state: State,
            label: RichLabel) -> Optional[Tuple[Choreography, State]]:
     """``cc_step(defs, chor, state, label)``, where ``node``, if not None, is
-    the explored node of ``(chor, state)``.  If determinism found
-    ``cc_step`` agreeing with that node's enabled list, and the list holds
-    ``label`` below the bound, the successor is read from the node's
-    children: a configuration the search saw first, so comparing two read
-    successors is an identity test."""
-    if node is not None and node.agrees:
+    the node of ``(chor, state)`` in a linked graph on which determinism has
+    passed.  If the node's enabled list holds ``label`` below the bound, the
+    successor is read from the node's children: a configuration the search
+    saw first, so comparing two read successors is an identity test."""
+    if node is not None:
         child = node.children.get(label)
         if child is not None:
             return child.chor, child.state
@@ -165,8 +163,7 @@ def _after(defs, node: Optional[_Node], chor: Choreography, state: State,
 
 def _determinism(program: CCProgram, graph: list, depth: int) -> VerifyReport:
     """Each enabled rich label occurs once, determines its successor, and
-    distinct labels lead to distinct successor choreographies.  Marks each
-    node where ``cc_step`` agrees with every enabled transition (``agrees``)."""
+    distinct labels lead to distinct successor choreographies."""
     for node, enabled in graph:
         labels = [label for label, _, _ in enabled]
         if len(labels) != len(set(labels)):
@@ -184,17 +181,16 @@ def _determinism(program: CCProgram, graph: list, depth: int) -> VerifyReport:
                     f"labels {rich_text(successors[chor])} and {rich_text(label)} "
                     "reach the same choreography")
             successors[chor] = label
-        node.agrees = True
     return VerifyReport("determinism", True, len(graph), depth)
 
 
 def _diamond(program: CCProgram, graph: list, depth: int) -> VerifyReport:
     """Any two distinct enabled labels commute and converge in one step.
-    Where determinism has marked the nodes, the steps are read from the
-    graph (``_after``)."""
+    In a linked graph, which determinism has passed, the steps are read from
+    the graph (``_after``)."""
     defs = program.defs
     for node, enabled in graph:
-        children = node.children if node.agrees else {}
+        children = node.children or {}
         for (label_a, chor_a, state_a), (label_b, chor_b, state_b) in combinations(enabled, 2):
             after_ab = _after(defs, children.get(label_a), chor_a, state_a, label_b)
             after_ba = _after(defs, children.get(label_b), chor_b, state_b, label_a)
@@ -268,10 +264,10 @@ def _run_game(program: CCProgram, state: State, depth: int,
     ``complete`` the choreography moves and the network matches each move;
     in ``sound`` the network moves and the choreography matches.  With both,
     the two must give each node the same labelled children, else the search
-    fails.  ``table``, from ``check_property("all")`` once it has checked
-    strong projectability, maps each configuration within the bound to its
-    node and enabled list in the linked meta graph: the complete game reads
-    its moves there, and the sound game its matching steps (``_after``).
+    fails.  ``table``, from ``check_property("all")`` once determinism has
+    passed, maps each configuration within the bound to its node in the
+    linked meta graph: the complete game reads its moves there, and the
+    sound game its matching steps (``_after``).
     ``expand`` only matches steps; the search checks each new
     configuration's network above its projection (``_checked_projection``),
     once."""
@@ -287,10 +283,10 @@ def _run_game(program: CCProgram, state: State, depth: int,
     root = (_Node(program.main, state, initial_network, 0) if initial_network is not None
             else _Node(program.main, state, projected.network, 0, proj=projected.network))
 
-    def complete(node, meta, enabled):
+    def complete(node, meta):
         if meta is None:
             enabled = cc_enabled(defs, node.chor, node.state)
-        elif meta.agrees:  # the same moves, each to its node's configuration
+        else:  # the same moves, each to its node's configuration
             enabled = [(label, child.chor, child.state) for label, child in meta.children.items()]
         for label, chor, succ_state in enabled:
             stepped = sp_step(net_defs, node.net, node.state, _sp_label(label))
@@ -302,7 +298,7 @@ def _run_game(program: CCProgram, state: State, depth: int,
                 raise _Mismatch("matched step ends in a different state", label)
             yield label, chor, succ_state, net
 
-    def sound(node, meta, _):
+    def sound(node, meta):
         for sp_rich, net, net_state in sp_enabled(net_defs, node.net, node.state):
             label = _cc_label(sp_rich)
             if label is None:
@@ -323,9 +319,8 @@ def _run_game(program: CCProgram, state: State, depth: int,
     def expand(node):
         if node.dist >= depth:
             return ()
-        meta, enabled = (table.get((node.chor, node.state), (None, None)) if table
-                         else (None, None))
-        children, *others = [list(play(node, meta, enabled)) for play in plays]
+        meta = table.get((node.chor, node.state)) if table else None
+        children, *others = [list(play(node, meta)) for play in plays]
         for other in others:  # each label once, to the same configuration in both games
             moves = {child[0]: child for child in children}
             if not len(children) == len(moves) == len(other) or moves != {c[0]: c for c in other}:
@@ -392,20 +387,24 @@ _CHECKS = {
 def check_property(name: str, program: CCProgram, state: State, depth: int) -> List[VerifyReport]:
     """Run one named check, or all of them, reported in a fixed order.  The
     meta-checks scan one configuration graph, explored once per call.  With
-    ``all`` the graph is linked and determinism runs first: diamond and the
-    sound game then read the steps it checked from the graph, and the
-    completeness game reads its moves there.  Both games are then played on
-    one product graph, under ``_CHECKS["complete"]``; if they pass, each
-    reports its ``nodes``, the configurations both games reach within the
-    bound.  Any failure, or any node where the two disagree, replays each
-    game alone, so its report is the one it gives alone."""
-    keys, graph, table = list(_CHECKS) if name == "all" else [name], None, None
+    ``all`` the graph is linked and determinism runs first.  If it passes,
+    diamond and the sound game read their steps from the graph, and the
+    completeness game its moves; both games are then played on one product
+    graph, under ``_CHECKS["complete"]``, and if they pass each reports its
+    ``nodes``, the configurations both games reach within the bound.  Any
+    failure, or any node where the two disagree, replays each game alone.
+    If determinism fails, the graph is unlinked and every other check runs
+    as it runs alone."""
+    reports, graph, table = {}, None, None
     if name == "all" and str_proj_p(program):  # else the first game raises
         graph = _explore(program, state, depth, link=True)
-        table = {(node.chor, node.state): (node, enabled) for node, enabled in graph}
-        keys.sort(key=lambda key: key != "determinism")  # stable: the rest keep their order
-    reports = {}
-    for key in keys:
+        table = {(node.chor, node.state): node for node, _ in graph}
+        reports["determinism"] = _CHECKS["determinism"](program, graph, depth)
+        if not reports["determinism"].passed:  # unlink, so the others run as they run alone
+            for node in table.values():
+                node.children = None
+            table = None
+    for key in _CHECKS if name == "all" else [name]:
         check = _CHECKS[key]
         if key == "complete" and table:
             joint = check(program, state, depth, table=table, directions=GAMES)
@@ -418,7 +417,6 @@ def check_property(name: str, program: CCProgram, state: State, depth: int) -> L
         else:
             graph = graph or _explore(program, state, depth)
             reports[key] = check(program, graph, depth)
-    if table:  # a node and its children point at each other: unlink, so refcounts free them
-        for node, _ in graph:
-            node.children = None
+    for node in (table or {}).values():  # break the node-children cycles, so refcounts free them
+        node.children = None
     return [reports[key] for key in _CHECKS if key in reports]

@@ -2,6 +2,7 @@
 out, deep trees hash and compare in a loop, and nothing hashes a node
 unless asked to."""
 import ast
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,12 @@ from chorus import (
 )
 from chorus.choreography import walk
 from chorus.cli import main
+from chorus.labels import RCall, RCom, RCond, RSel, TCom, TSel, TTau
 from chorus.values import Node
 
 from helpers import eq_reference, rebuild
 
-# Every syntax-tree kind, read from the base.
+# Every syntax-tree kind and transition label kind, read from the base.
 KINDS = set(Node.__subclasses__())
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -108,10 +110,45 @@ def test_constructors_leave_the_slot_unset():
     roots = [_chain(3, nest, other) for nest, _, other in _NESTINGS]
     roots += [Cond("p", And(Leq(Var("x"), Lit(1)), Eq(Lit(0), Lit(1))), END, END),
               Interaction(SelEta("p", "q", SelLabel.LEFT), "", END)]
+    roots += _LABELS
     # Rebuilt, so no node is shared with one that another test hashed.
     nodes = [node for root in roots for node in _nodes(rebuild(root))]
     assert {type(node) for node in nodes} == KINDS
     assert not any(map(_is_hashed, nodes))
+
+
+# One label of each kind, with a pair value and a procedure copy, and its fields.
+_LABEL_FIELDS = [
+    (RCom("p", (1, 2), "q", "x"), ("sender", "value", "receiver", "var")),
+    (RSel("p", "q", SelLabel.LEFT), ("sender", "receiver", "label")),
+    (RCond("p"), ("proc",)),
+    (RCall(("X", "p"), "p"), ("name", "proc")),
+    (TCom("p", (1, 2), "q"), ("sender", "value", "receiver")),
+    (TSel("p", "q", SelLabel.RIGHT), ("sender", "receiver", "label")),
+    (TTau("p"), ("proc",)),
+]
+_LABELS = [label for label, _ in _LABEL_FIELDS]
+
+
+def test_labels_compare_by_kind_and_fields():
+    for label, fields in _LABEL_FIELDS:
+        assert type(label).__match_args__ == fields
+        twin = type(label)(**{field: getattr(label, field) for field in fields})
+        assert twin is not label and twin == label and not twin != label
+        # Comparing leaves the slots unset; the first hash fills one.
+        assert not _is_hashed(twin) and not _is_hashed(label)
+        assert hash(twin) == hash(label) and _is_hashed(twin)
+        # The repr of the frozen dataclass each label kind was.
+        record = make_dataclass(type(label).__name__, fields, frozen=True, slots=True)
+        assert repr(label) == repr(record(*(getattr(label, field) for field in fields)))
+    assert repr(_LABELS[0]) == "RCom(sender='p', value=(1, 2), receiver='q', var='x')"
+    assert repr(_LABELS[3]) == "RCall(name=('X', 'p'), proc='p')"
+    assert RCom("p", (1, 2), "q", "y") != _LABELS[0] and RCond("q") != RCond("p")
+    # A label never equals a node of another kind with the same fields.
+    same = [kind("p", "q", SelLabel.LEFT) for kind in (RSel, TSel, SelEta)]
+    for first, second in [(0, 1), (0, 2), (1, 2)]:
+        assert same[first] != same[second] and not same[first] == same[second]
+    assert RCond("p") != TTau("p") and RCom("p", 1, "q", "x") != ComEta("p", 1, "q", "x")
 
 
 def test_deep_chains_hash_in_a_loop():

@@ -565,6 +565,35 @@ def test_all_reports_equal_each_check_alone_under_a_patch(monkeypatch, case):
     assert any(report["verdict"] == "fail" for report in alone)
 
 
+def test_all_steps_as_each_check_alone_where_determinism_fails(monkeypatch):
+    # Determinism fails part-way through the graph, where b0 and b1 have
+    # both received: no check reads a step from the graph, so each calls
+    # cc_step as often under ``all`` as it does alone.
+    from chorus import parse_cc
+    from chorus.chor_semantics import cc_enabled
+    from chorus.verification import _CHECKS, check_property
+
+    def repeated(defs, chor, state):
+        enabled = cc_enabled(defs, chor, state)
+        both = state.lookup("b0", "x") == state.lookup("b1", "x") == 1
+        return enabled + enabled[:1] if both else enabled
+
+    program = parse_cc("main { a0.1 -> b0.x; a1.1 -> b1.x; c.1 -> d.y; end }")
+    monkeypatch.setattr("chorus.verification.cc_enabled", repeated)
+    calls = _count_steps(monkeypatch)
+    alone, steps_alone = [], {}
+    for key in _CHECKS:
+        calls.clear()
+        alone.append(check_property(key, program, EMPTY_STATE, 4)[0].to_json())
+        steps_alone[key] = len(calls)
+    calls.clear()
+    everything = check_property("all", program, EMPTY_STATE, 4)
+    assert json.dumps([report.to_json() for report in everything]) == json.dumps(alone)
+    assert alone[2]["verdict"] == "fail" and alone[2]["detail"] == "a rich label was enumerated twice"
+    assert {key: sum(check == key for check, _, _ in calls) for key in _CHECKS} == steps_alone
+    assert (steps_alone["diamond"], steps_alone["complete"], steps_alone["sound"]) == (14, 0, 12)
+
+
 def _wider(label, net, succ):
     """``succ``, the network after ``label`` from ``net``, with d offered a
     second branch if the step is a -> b and e has not sent: a network above
