@@ -2,9 +2,9 @@
 
 Each case pins the exact stdout, stderr and exit code of one ``chorus``
 command line, and ``project`` additionally pins the bytes of the files it
-writes.  Paths that vary between checkouts are replaced by ``<programs>``
-and ``<tmp>``.  ``tests/golden/cli.json`` holds the expected output; after a
-deliberate output change, re-record it with
+writes.  Paths that vary between checkouts are replaced by ``<programs>``,
+``<golden>`` and ``<tmp>``.  ``tests/golden/cli.json`` holds the expected
+output; after a deliberate output change, re-record it with
 ``PYTHONPATH=src:tests python -c "import test_golden; test_golden.record()"``.
 """
 import contextlib
@@ -36,6 +36,15 @@ DEFAULT_DEF = str(GOLDEN / "default_def.cc")
 UNDEFINED_CALL = str(GOLDEN / "undefined_call.cc")
 # A bystander r whose two branch projections do not merge, one per reason.
 MERGE_FAILURES = ("branch_sources", "offer_annotations", "inner_guards", "called_procedures")
+# One input per parse error: exit 2 and one located line.  ``string_found``
+# names a string token (the message shows its decoded text), and
+# ``eof_after_comment`` ends in a comment, where the end of input is located
+# at the comment's start.
+PARSE_ERRORS = GOLDEN / "parse_errors"
+CC_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_twice",
+             "string_found", "eof_after_comment")
+SP_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_copy_twice",
+             "process_twice", "offer_twice")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
@@ -44,6 +53,9 @@ CASES = {
     "check_ft_text": ["check", FT],
     "check_ft_json": ["check", FT, "--format", "json"],
     "check_parse_error": ["check", DEADLOCK],
+    **{f"check_error_{name}": ["check", str(PARSE_ERRORS / f"{name}.cc")] for name in CC_ERRORS},
+    **{f"simulate_error_{name}": ["simulate", str(PARSE_ERRORS / f"{name}.sp")]
+       for name in SP_ERRORS},
     "check_self_comm_text": ["check", SELF_COMM],
     "check_self_comm_json": ["check", SELF_COMM, "--format", "json"],
     "check_undefined_call_text": ["check", UNDEFINED_CALL],
@@ -91,7 +103,7 @@ def _run(argv, tmp=None) -> dict:
         code = main(argv)
 
     def clean(text):
-        text = text.replace(str(PROGRAMS), "<programs>")
+        text = text.replace(str(PROGRAMS), "<programs>").replace(str(GOLDEN), "<golden>")
         return text.replace(str(tmp), "<tmp>") if tmp is not None else text
 
     return {"exit": code, "stdout": clean(out.getvalue()), "stderr": clean(err.getvalue())}

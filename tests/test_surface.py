@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from chorus import (
-    And, B_END, BCall, BLit, Branch, Call, ComEta, Cond, DefSet, END, Eq,
+    And, B_END, BCall, BCond, BLit, Branch, Call, ComEta, Cond, DefSet, END, Eq,
     Interaction, Leq, Lit, Network, Not, ParseError, Plus, RTCall, Send,
     Var, gen_program, parse_cc, parse_sp, print_cc, print_chor,
     print_network, print_sp, program_wf,
@@ -290,3 +290,45 @@ def test_string_error_span_covers_the_quoted_lexeme():
             span = err.value.span
             assert (span.line, span.end_line) == (1, 1)
             assert text[span.col - 1:span.end_col - 1] == lexeme, text
+
+
+# Guards that open with "(" but are comparisons: ``bterm_atom`` first tries a
+# parenthesised Boolean expression, fails, and reads a comparison instead.
+BACKTRACK_GUARDS = {
+    "(x) == 1": Eq(Var("x"), Lit(1)),
+    "((x + 1)) <= 2 && (true)": And(Leq(Plus(Var("x"), Lit(1)), Lit(2)), BLit(True)),
+}
+
+
+def test_parenthesised_comparisons_parse_after_backtracking():
+    for guard, tree in BACKTRACK_GUARDS.items():
+        program = parse_cc(f"main {{ if p.{guard} then {{ end }} else {{ end }} }}")
+        assert program.main == Cond("p", tree, END, END), guard
+        network = parse_sp(f"p[if {guard} then {{ q!1; end }} else {{ end }}]").network
+        assert network.get("p") == BCond(tree, Send("q", Lit(1), "", B_END), B_END), guard
+
+
+def test_backtracking_guards_locate_tokens_at_most_once(monkeypatch):
+    import chorus.surface as surface
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(surface, "tokenize", counted)
+    guards = list(BACKTRACK_GUARDS) * 1000
+    cc = "".join(f"def X{i}(p) {{ if p.{guard} then {{ end }} else {{ end }} }}\n"
+                 for i, guard in enumerate(guards)) + "main { end }"
+    sp = "\n| ".join(f"p{i}[if {guard} then {{ q!1; end }} else {{ end }}]"
+                     for i, guard in enumerate(guards))
+    for parse, text, count in ((parse_cc, cc, lambda p: p.defs.support()),
+                               (parse_sp, sp, lambda p: p.network.support())):
+        calls.clear()
+        assert len(count(parse(text))) == 2000
+        assert len(calls) <= 1
+        calls.clear()
+        with pytest.raises(ParseError) as err:
+            parse(text + " x")
+        assert err.value.message == "trailing input starting at 'x'"
+        assert len(calls) <= 1
