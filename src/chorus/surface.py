@@ -70,26 +70,34 @@ class Span:
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
 
 
-# A token is a plain tuple (kind, text, line, col, end col): the kind is
-# ident, nat, string, sym or eof, the text of a string is its decoded value,
-# and the end column is one past the lexeme in the source.  A plain tuple is
-# built without a Python-level ``__new__``, and one that holds only strings
-# and ints drops out of the garbage collector's tracking, which a tuple
-# subclass such as a NamedTuple never does.
+# The parser reads lexemes: each token's source text, a string with its
+# quotes, "" for the end of input.  Positions come from ``tokenize``, run only
+# for an error or a statement span.  Its token is a plain tuple (kind, text,
+# line, col, end col): the kind is ident, nat, string, sym or eof, a string's
+# text is its decoded value, and the end column is one past the lexeme.
 Token = Tuple[str, str, int, int, int]
 
 
-def _span(tok: Token) -> Span:
-    _, _, line, col, end_col = tok
-    return Span(line, col, line, end_col)
+def _span(source, first: int, last: int) -> Span:
+    """From token ``first`` to ``last`` of ``source.text``; the tokens are made once."""
+    tokens = source.tokens = source.tokens or tokenize(source.text)
+    return Span(tokens[first][2], tokens[first][3], tokens[last][2], tokens[last][4])
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: Span, expected: Tuple[str, ...] = ()):
+    """``span`` may be a function that makes the span when it is first read."""
+
+    def __init__(self, message: str, span, expected: Tuple[str, ...] = ()):
         super().__init__(message)
         self.message = message
-        self.span = span
+        self._span = span
         self.expected = expected
+
+    @property
+    def span(self) -> Span:
+        if callable(self._span):
+            self._span = self._span()
+        return self._span
 
     def __str__(self) -> str:
         note = f" (expected {' or '.join(self.expected)})" if self.expected else ""
@@ -105,6 +113,14 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
     (?P<word>\w+) | (?P<sym>\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]) | (?P<newline>\n)
   | (?P<comment>\#[^\n]*) | (?P<string>"(?:[^"\\]|\\.)*") | (?P<open>") | (?P<stray>[^ \t\r]))
 """, re.VERBOSE | re.DOTALL)
+
+# ``_scan``'s lexemes: ASCII words, split as ``tokenize`` splits them, symbols
+# and strings that ``json.loads`` takes.  Each follows blanks and comments; the
+# rest of the text stands for the first thing that is none, "" for the end.
+_LEXEME = (r'[A-Za-z_]\w*|\d+|\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]'
+           r'|"(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"')
+_GOOD = re.compile(_LEXEME, re.ASCII)
+_LEXEMES = re.compile(rf'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*({_LEXEME}|[\s\S]+|)', re.ASCII)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -148,64 +164,78 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-_MARKS = ("sym", "ident")  # the token kinds whose text can be syntax
+def _scan(text: str) -> Tuple[List[str], Optional[List[Token]]]:
+    """The lexemes of ``text``, and its tokens if they had to be made: past a
+    word character outside ASCII, a stray character or a bad string, the
+    lexemes are sliced from ``tokenize``'s tokens, or it raises its error."""
+    lexemes = _LEXEMES.findall(text)
+    if len(lexemes) > 1 and not lexemes[-2]:  # trailing blanks end in "" twice
+        lexemes.pop()
+    if len(lexemes) == 1 or _GOOD.fullmatch(lexemes[-2]):
+        return lexemes, None
+    tokens, lines = tokenize(text), text.split("\n")  # no token spans a line break
+    return [lines[line - 1][col - 1:end - 1] for _, _, line, col, end in tokens[:-1]] + [""], tokens
+
+
+def _shown(lexeme: str) -> str:
+    """A token's text as messages show it: a string's decoded value."""
+    return json.loads(lexeme) if lexeme[:1] == '"' else lexeme
+
+
+def _is_name(lexeme: str) -> bool:
+    return (lexeme[:1].isalpha() or lexeme[:1] == "_") and lexeme not in _KEYWORDS
 
 
 class _Parser:
-    """Recursive descent over the token list.  A token's kind is ``tok[0]``
-    and its text ``tok[1]``; a match tests the text first, since it rarely
-    matches, and the kind second."""
+    """Recursive descent over the lexemes."""
 
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.lexemes, self.tokens = _scan(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        # Nothing consumes the eof token, so ``pos`` never passes it.
-        return self.tokens[self.pos]
+    def error(self, message: str, expected=(), index: Optional[int] = None) -> ParseError:
+        index = self.pos if index is None else index
+        return ParseError(message, lambda: _span(self, index, index), expected)
 
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[1] == text and tok[0] in _MARKS
+    def peek(self) -> str:
+        # Nothing consumes the end of input, so ``pos`` never passes it.
+        return self.lexemes[self.pos]
 
     def accept(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok[1] == text and tok[0] in _MARKS:
+        if self.lexemes[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, *texts: str) -> Token:
-        """Consume ``texts`` in order; return the last token."""
+    def expect(self, *texts: str) -> int:
+        """Consume ``texts`` in order; return the index of the last token."""
         for text in texts:
-            tok = self.tokens[self.pos]
-            if tok[1] != text or tok[0] not in _MARKS:  # not self.at(text), inlined
-                raise ParseError(f"found {tok[1]!r}" if tok[0] != "eof"
-                                 else "unexpected end of input", _span(tok), (text,))
+            found = self.lexemes[self.pos]
+            if found != text:
+                raise self.error(f"found {_shown(found)!r}" if found
+                                 else "unexpected end of input", (text,))
             self.pos += 1
-        return tok
+        return self.pos - 1
 
     def name(self, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok[0] != "ident" or tok[1] in _KEYWORDS:
-            raise ParseError(f"found {tok[1]!r} where a {what} was needed", _span(tok), (what,))
+        lexeme = self.lexemes[self.pos]
+        if not _is_name(lexeme):
+            raise self.error(f"found {_shown(lexeme)!r} where a {what} was needed", (what,))
         self.pos += 1
-        return tok[1]
+        return lexeme
 
     def eof(self) -> None:
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input starting at {tok[1]!r}", _span(tok),
-                             ("end of file",))
+        if self.peek():
+            raise self.error(f"trailing input starting at {_shown(self.peek())!r}", ("end of file",))
 
     def annot(self) -> str:
         if not self.accept("@"):
             return ""
-        tok = self.peek()
-        if tok[0] != "string":
-            raise ParseError("annotations are quoted strings", _span(tok), ("string",))
+        if self.peek()[:1] != '"':
+            raise self.error("annotations are quoted strings", ("string",))
         self.pos += 1
-        return tok[1]
+        return json.loads(self.lexemes[self.pos - 1])
 
     # -- expressions --------------------------------------------------
 
@@ -216,24 +246,23 @@ class _Parser:
         return out
 
     def expr_atom(self) -> Expr:
-        tok = self.peek()
-        kind, text = tok[0], tok[1]
-        if kind == "ident" and text not in _KEYWORDS:
+        text = self.peek()
+        if _is_name(text):
             self.pos += 1
             return Var(text)
-        if kind == "nat":
+        if text[:1].isdigit():
             try:  # int() rejects digits that are not decimal (²) and, by default, over 4,300
                 value = int(text)
             except ValueError as err:
                 message = str(err) if text.isdecimal() else f"{text!r} is not a decimal number"
-                raise ParseError(message, _span(tok)) from None
+                raise self.error(message) from None
             self.pos += 1
             return Lit(value)
         if self.accept("("):
             inner = self.expr()
             self.expect(")")
             return inner
-        if kind == "ident" and text in ("succ", "fst", "snd", "pair"):
+        if text in ("succ", "fst", "snd", "pair"):
             self.pos += 1
             self.expect("(")
             args = [self.expr()]
@@ -242,8 +271,8 @@ class _Parser:
                 args.append(self.expr())
             self.expect(")")
             return {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}[text](*args)
-        raise ParseError(f"found {text!r} where an expression was needed",
-                         _span(tok), ("expression",))
+        raise self.error(f"found {_shown(text)!r} where an expression was needed",
+                         ("expression",))
 
     def bexpr(self) -> BExpr:
         out = self.bterm()
@@ -266,7 +295,7 @@ class _Parser:
             return BLit(True)
         if self.accept("false"):
             return BLit(False)
-        if self.at("("):
+        if self.peek() == "(":
             # Either a parenthesised Boolean expression or the start of a
             # comparison operand; try the former, fall back on the latter.
             saved = self.pos
@@ -282,16 +311,14 @@ class _Parser:
             return Eq(left, self.expr())
         if self.accept("<="):
             return Leq(left, self.expr())
-        raise ParseError("comparison needs '==' or '<='", _span(self.peek()), ("==", "<="))
+        raise self.error("comparison needs '==' or '<='", ("==", "<="))
 
     def label(self) -> SelLabel:
-        if self.accept("left"):
-            return SelLabel.LEFT
-        if self.accept("right"):
-            return SelLabel.RIGHT
-        tok = self.peek()
-        raise ParseError(f"found {tok[1]!r} where a label was needed", _span(tok),
-                         ("left", "right"))
+        if self.peek() not in ("left", "right"):
+            raise self.error(f"found {_shown(self.peek())!r} where a label was needed",
+                             ("left", "right"))
+        self.pos += 1
+        return SelLabel(self.lexemes[self.pos - 1])
 
 
 # --------------------------------------------------------------------------
@@ -302,10 +329,11 @@ class SourceFile:
     """A parsed choreography file: its text, its program and its statements' spans."""
     text: str
     program: CCProgram
-    # (line, col, end line, end col), keyed by (spine, number of "cont" steps
-    # along it), in linear space.  Spines are ("main",), ("proc", NAME) and
-    # (spine, index, "then"|"else").
-    spans: Dict[tuple, Tuple[int, int, int, int]] = field(default_factory=dict)
+    # (first token, last token) by index, keyed by (spine, number of "cont"
+    # steps along it), in linear space.  Spines are ("main",), ("proc", NAME)
+    # and (spine, index, "then"|"else").
+    spans: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
+    tokens: Optional[List[Token]] = field(default=None, repr=False)  # made on first use
 
     def span_at(self, path: Tuple[str, ...]) -> Optional[Span]:
         path = tuple(path)
@@ -314,19 +342,18 @@ class SourceFile:
         for step in path[cut:]:
             spine, index = (spine, index + 1) if step == "cont" else ((spine, index, step), 0)
         span = self.spans.get((spine, index))
-        return Span(*span) if span else None
+        return _span(self, *span) if span else None
 
 
 def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
-    spans: Dict[tuple, Tuple[int, int, int, int]] = {}
+    spans: Dict[tuple, Tuple[int, int]] = {}
     defs = {}
-    while parser.at("def"):
-        parser.expect("def")
-        name_tok = parser.peek()
+    while parser.accept("def"):
+        at = parser.pos
         name = parser.name("procedure name")
         if name in defs:
-            raise ParseError(f"procedure {name} defined twice", _span(name_tok))
+            raise parser.error(f"procedure {name} defined twice", index=at)
         parser.expect("(")
         procs = [parser.name("process name")]
         while parser.accept(","):
@@ -339,8 +366,7 @@ def parse_cc_file(text: str) -> SourceFile:
     main = _parse_chor(parser, ("main",), spans)
     parser.expect("}")
     parser.eof()
-    program = CCProgram(DefSet(defs), main)
-    return SourceFile(text, program, spans)
+    return SourceFile(text, CCProgram(DefSet(defs), main), spans, parser.tokens)
 
 
 def parse_cc(text: str) -> CCProgram:
@@ -349,18 +375,18 @@ def parse_cc(text: str) -> CCProgram:
 
 def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Choreography:
     """Read a run of interactions in a loop; only conditionals recurse.  A
-    statement's span runs from its first token to its last, ``last``."""
+    statement's span runs from its first token, ``start``, to its last."""
     prefix = []
     while True:
         key = (spine, len(prefix))
-        start = last = parser.peek()
-        first = start[1] if start[0] == "ident" else ""
+        start = last = parser.pos
+        first = parser.lexemes[start]
         if first in ("end", "call", "if"):
             parser.pos += 1
         if first == "end":
             chor: Choreography = End()
         elif first == "call":
-            last = parser.peek()
+            last = parser.pos
             chor = Call(parser.name("procedure name"))
         elif first == "if":
             proc = parser.name("process name")
@@ -389,7 +415,7 @@ def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Cho
                 eta = ComEta(sender, expr, receiver, parser.name("variable name"))
             prefix.append((eta, parser.annot()))
             last = parser.expect(";")
-        spans[key] = (start[2], start[3], last[2], last[4])
+        spans[key] = (start, last)
         if first in ("end", "call", "if"):
             break
     for eta, ann in reversed(prefix):
@@ -409,26 +435,26 @@ class SPSourceFile:
 def parse_sp_file(text: str) -> SPSourceFile:
     parser = _Parser(text)
     defs = {}
-    while parser.at("def"):
+    while parser.peek() == "def":
         start = parser.expect("def")
         name = parser.name("procedure name")
         parser.expect("@")
         proc = parser.name("process name")
         if (name, proc) in defs:
-            raise ParseError(f"procedure copy {name}@{proc} defined twice", _span(start))
+            raise parser.error(f"procedure copy {name}@{proc} defined twice", index=start)
         parser.expect("{")
         body = _parse_behaviour(parser)
         parser.expect("}")
         defs[(name, proc)] = body
     procs = {}
     while True:
-        start = parser.peek()
+        start = parser.pos
         proc = parser.name("process name")
         parser.expect("[")
         behaviour = _parse_behaviour(parser)
         parser.expect("]")
         if proc in procs:
-            raise ParseError(f"process {proc} given two behaviours", _span(start))
+            raise parser.error(f"process {proc} given two behaviours", index=start)
         procs[proc] = behaviour
         if not parser.accept("|"):
             break
@@ -444,8 +470,7 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
     """Read a run of prefixes in a loop; only conditionals and offers recurse."""
     prefixes = []
     while True:
-        start = parser.peek()
-        first = start[1] if start[0] == "ident" else ""
+        first = parser.peek()
         if first in ("end", "call", "if"):
             parser.pos += 1
         if first == "end":
@@ -476,12 +501,12 @@ def _parse_behaviour(parser: _Parser) -> Behaviour:
         else:
             parser.expect("&", "{")
             slots = {}
-            if not parser.at("}"):
+            if parser.peek() != "}":
                 while True:
-                    tok = parser.peek()
+                    at = parser.pos
                     label = parser.label()
                     if label in slots:
-                        raise ParseError(f"offer {label.value} given twice", _span(tok))
+                        raise parser.error(f"offer {label.value} given twice", index=at)
                     ann = parser.annot()
                     parser.expect(":")
                     slots[label] = (ann, _parse_behaviour(parser))
