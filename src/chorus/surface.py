@@ -39,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, DEFAULT_PROCESS, End,
@@ -78,7 +78,7 @@ class Span:
 Token = Tuple[str, str, int, int, int]
 
 
-def _span(source, first: int, last: int) -> Span:
+def _locate(source, first: int, last: int) -> Span:
     """From token ``first`` to ``last`` of ``source.text``; the tokens are made once."""
     tokens = source.tokens = source.tokens or tokenize(source.text)
     return Span(tokens[first][2], tokens[first][3], tokens[last][2], tokens[last][4])
@@ -87,7 +87,7 @@ def _span(source, first: int, last: int) -> Span:
 class ParseError(Exception):
     """``span`` may be a function that makes the span when it is first read."""
 
-    def __init__(self, message: str, span, expected: Tuple[str, ...] = ()):
+    def __init__(self, message: str, span: Union[Span, Callable[[], Span]], expected=()):
         super().__init__(message)
         self.message = message
         self._span = span
@@ -115,8 +115,8 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
 """, re.VERBOSE | re.DOTALL)
 
 # ``_scan``'s lexemes: ASCII words, split as ``tokenize`` splits them, symbols
-# and strings that ``json.loads`` takes.  Each follows blanks and comments; the
-# rest of the text stands for the first thing that is none, "" for the end.
+# and strings that ``json.loads`` takes, each after blanks and comments.  Where
+# none starts, the group takes the rest of the text; at its end, "".
 _LEXEME = (r'[A-Za-z_]\w*|\d+|\(\+\)|->|==|<=|&&|[!?@;:,.{}()\[\]+|&]'
            r'|"(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"')
 _GOOD = re.compile(_LEXEME, re.ASCII)
@@ -196,7 +196,7 @@ class _Parser:
 
     def error(self, message: str, expected=(), index: Optional[int] = None) -> ParseError:
         index = self.pos if index is None else index
-        return ParseError(message, lambda: _span(self, index, index), expected)
+        return ParseError(message, lambda: _locate(self, index, index), expected)
 
     def peek(self) -> str:
         # Nothing consumes the end of input, so ``pos`` never passes it.
@@ -333,7 +333,7 @@ class SourceFile:
     # steps along it), in linear space.  Spines are ("main",), ("proc", NAME)
     # and (spine, index, "then"|"else").
     spans: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
-    tokens: Optional[List[Token]] = field(default=None, repr=False)  # made on first use
+    tokens: Optional[List[Token]] = field(default=None, repr=False, compare=False)  # made lazily
 
     def span_at(self, path: Tuple[str, ...]) -> Optional[Span]:
         path = tuple(path)
@@ -342,7 +342,7 @@ class SourceFile:
         for step in path[cut:]:
             spine, index = (spine, index + 1) if step == "cont" else ((spine, index, step), 0)
         span = self.spans.get((spine, index))
-        return _span(self, *span) if span else None
+        return _locate(self, *span) if span else None
 
 
 def parse_cc_file(text: str) -> SourceFile:
