@@ -28,6 +28,8 @@ FT_STATE = str(GOLDEN / "ft_state.json")
 UNPROJECTABLE = str(GOLDEN / "unprojectable.cc")
 SELF_COMM = str(GOLDEN / "self_comm.cc")
 RUNAHEAD = str(GOLDEN / "runahead.cc")
+# The projection of ``FT`` that ``project`` writes (see ``PROJECTED``).
+FT_SP = str(GOLDEN / "file_transfer.sp")
 # Non-ASCII names, which JSON output escapes.
 UNICODE = str(GOLDEN / "unicode.cc")
 # Its procedure is the default definition, which ``DefSet`` does not store.
@@ -72,6 +74,7 @@ CASES = {
     "run_undefined_call": ["run", UNDEFINED_CALL],
     "simulate_deadlock": ["simulate", DEADLOCK],
     "simulate_deadlock_text": ["simulate", DEADLOCK, "--format", "text"],
+    "simulate_ft_bound": ["simulate", FT_SP, "--state", FT_STATE, "--max-steps", "12"],
     "verify_auth_json": ["verify", AUTH, "--depth", "8"],
     "verify_auth_text": ["verify", AUTH, "--depth", "8", "--format", "text"],
     "verify_default_def_text": ["verify", DEFAULT_DEF, "--format", "text"],
