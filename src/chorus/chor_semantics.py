@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction, RTCall,
@@ -99,9 +99,10 @@ def cc_step(defs: DefSet, chor: Choreography, state: State,
 
 
 def cc_moves(defs: DefSet, chor: Choreography,
-             state: State) -> List[Callable[[], Tuple[RichLabel, Choreography, State]]]:
-    """The enabled transitions as moves: calling one builds its rich label,
-    successor and state; nothing is built for a move not called.
+             state: State) -> Iterator[Callable[[], Tuple[RichLabel, Choreography, State]]]:
+    """The enabled transitions as an iterator of moves: calling one builds
+    its rich label, successor and state.  The walk goes only as far as the
+    moves pulled, and nothing is built for a move not called.
 
     The order is deterministic: the head rule first, then delayed
     transitions in syntactic depth order (join labels iterate processes in
@@ -146,15 +147,16 @@ def _move(spine: list, length: int, label: Optional[RichLabel], chor: Choreograp
     return label, chor, state
 
 
-def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> list:
-    """The moves of ``chor`` that avoid the processes in ``blocked``.  A move
-    keeps the spine with its length when made, as the walk goes on appending."""
-    out, spine = [], []
+def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> Iterator:
+    """The moves of ``chor`` that avoid the processes in ``blocked``, yielded
+    as the walk finds them.  A move keeps the spine with its length when
+    made, as the walk goes on appending."""
+    spine = []
     while chor.bits & ~blocked:
         if isinstance(chor, Interaction):
             bits = PROCESS_BIT[chor.eta.sender] | PROCESS_BIT[chor.eta.receiver]
             if not bits & blocked:
-                out.append(partial(_move, spine, len(spine), None, chor, state))
+                yield partial(_move, spine, len(spine), None, chor, state)
             spine.append(chor)
             blocked |= bits
             chor = chor.cont
@@ -162,14 +164,14 @@ def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> li
         if isinstance(chor, Cond):
             bit = PROCESS_BIT[chor.proc]
             if not bit & blocked:
-                out.append(partial(_move, spine, len(spine), None, chor, state))
+                yield partial(_move, spine, len(spine), None, chor, state)
             # Both branches must take the step to the same state: built here.
             for move in _enabled(defs, chor.then_branch, state, blocked | bit):
                 label, then_cont, succ_state = move()
                 other = cc_step(defs, chor.else_branch, state, label)
                 if other is not None and other[1] == succ_state:
                     succ = Cond(chor.proc, chor.guard, then_cont, other[0])
-                    out.append(partial(_move, spine, len(spine), label, succ, succ_state))
+                    yield partial(_move, spine, len(spine), label, succ, succ_state)
             break
         # A join: the first process of a Call, or a pending one of a runtime term.
         procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
@@ -178,15 +180,13 @@ def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> li
             if not PROCESS_BIT[process] & blocked:
                 rest = tuple(p for p in procs if p != process)
                 succ = body if len(procs) == 1 else RTCall(chor.name, rest, body)
-                out.append(partial(_move, spine, len(spine), RCall(chor.name, process),
-                                   succ, state))
+                yield partial(_move, spine, len(spine), RCall(chor.name, process), succ, state)
         if not isinstance(chor, RTCall):
             break
         # Steps in the body run ahead of the pending processes.
         spine.append(chor)
         blocked |= sum(PROCESS_BIT[p] for p in chor.pending)
         chor = body
-    return out
 
 
 def ccp_step(conf: CCConfiguration, label: TransitionLabel) -> List[CCConfiguration]:

@@ -90,21 +90,26 @@ def _drive(args, term, moves, terminated) -> int:
     """Run from ``term`` until no transition is enabled or ``--max-steps``
     have been taken, printing each step and the final status and state.
 
-    ``moves(term, state)`` lists the enabled transitions as moves, each
-    building its (rich label, term, state) when called, so only the one
-    taken is built; ``terminated(term)`` tells a finished term from a stuck one.
+    ``moves(term, state)`` iterates over the enabled transitions as moves,
+    each building its (rich label, term, state) when called, so only the one
+    taken is built.  The first scheduler pulls one move, so the walk stops
+    there; the random one lists them all.  ``terminated(term)`` tells a
+    finished term from a stuck one.
     """
     state = _initial_state(args)
     rng = random.Random(args.seed)
     for _ in range(args.max_steps):
-        enabled = moves(term, state)
-        if not enabled:
+        if args.scheduler == "random":
+            enabled = list(moves(term, state))
+            move = enabled and enabled[rng.randrange(len(enabled))]
+        else:
+            move = next(iter(moves(term, state)), None)
+        if not move:
             break
-        pick = rng.randrange(len(enabled)) if args.scheduler == "random" else 0
-        rich, term, state = enabled[pick]()
+        rich, term, state = move()
         print(step_json(rich) if args.format == "json" else transition_text(forget(rich)))
     status = ("terminated" if terminated(term) else
-              "stuck" if not moves(term, state) else "bound")
+              "stuck" if next(iter(moves(term, state)), None) is None else "bound")
     if args.format == "json":
         print(json.dumps({"status": status, "state": state_to_json(state)}))
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, multistep,
@@ -72,15 +72,16 @@ def sp_step(defs: DefSetB, network: Network, state: State,
 
 
 def sp_moves(defs: DefSetB, network: Network,
-             state: State) -> List[Callable[[], Tuple[RichLabel, Network, State]]]:
-    """The enabled transitions as moves, iterating processes in name order;
-    calling one builds its rich label, network and state.
+             state: State) -> Iterator[Callable[[], Tuple[RichLabel, Network, State]]]:
+    """The enabled transitions as an iterator of moves, found process by
+    process in name order as they are pulled; calling one builds its rich
+    label, network and state.
 
     Communications and selections are keyed by the sending process, so each
     appears exactly once.
     """
-    return [partial(_fire, defs, network, state, process)
-            for process in network.support() if _ready(network, process)]
+    return (partial(_fire, defs, network, state, process)
+            for process in network.support() if _ready(network, process))
 
 
 def sp_enabled(defs: DefSetB, network: Network,

@@ -189,7 +189,7 @@ def _bfs_compare(program, state, depth=8):
         for chor, st in frontier:
             enabled = cc_enabled(defs, chor, st)
             assert enabled == cc_enabled_unpruned(defs, chor, st)
-            built = [(move(), move()) for move in reversed(cc_moves(defs, chor, st))]
+            built = [(move(), move()) for move in reversed(list(cc_moves(defs, chor, st)))]
             assert all(first == second for first, second in built)
             assert [first for first, _ in reversed(built)] == enabled
             for label, succ, succ_state in enabled:

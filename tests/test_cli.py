@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from chorus import (
-    CCConfiguration, END, SPConfiguration, State, TTau, ccp_multistep,
-    parse_cc, parse_sp, print_cc, program_wf, spp_multistep,
+    CCConfiguration, END, SPConfiguration, State, TTau, cc_enabled, ccp_multistep,
+    parse_cc, parse_sp, print_cc, program_wf, sp_enabled, spp_multistep,
 )
 import chorus.cli
 from chorus.cli import main
@@ -263,6 +263,54 @@ def test_project_merges_long_branches_in_a_loop(tmp_path, capsys):
     assert main(["project", cc]) == 0
     assert capsys.readouterr().out.startswith("wrote ")
     assert (tmp_path / "branches.sp").read_text().count("q?x; ") == 1500
+
+
+# Programs where several moves are enabled at once: a call with two joining
+# processes, 8 disjoint pairs, and an interaction delayed past a run.
+_MANY_MOVES = {
+    "file_transfer": FT,
+    "pairs": "main { " + "".join(f"a{i}.{r} -> b{i}.x; " for r in range(2) for i in range(8))
+             + "end }",
+    "runahead": "main { " + "a.0 -> b.x; " * 20 + "c.1 -> d.y; end }",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("name", sorted(_MANY_MOVES))
+def test_run_and_simulate_pull_only_the_moves_they_take(tmp_path, capsys, monkeypatch,
+                                                        command, name):
+    """The first scheduler pulls one move per step, and one more to tell a
+    ``bound`` run from a stuck one; the random one pulls every enabled move."""
+    path = _MANY_MOVES[name]
+    if not path.endswith(".cc"):
+        path = _write(tmp_path, f"{name}.cc", path)
+    if command == "simulate":
+        projected = str(tmp_path / f"{name}.sp")
+        assert main(["project", path, "--out", projected]) == 0
+        path = projected
+    name, enabled = ("cc_moves", cc_enabled) if command == "run" else ("sp_moves", sp_enabled)
+    moves, counts = getattr(chorus.cli, name), {}
+
+    def counted(*args):
+        counts["enabled"] += len(enabled(*args))
+        for move in moves(*args):
+            counts["pulled"] += 1
+            yield move
+
+    monkeypatch.setattr(chorus.cli, name, counted)
+    capsys.readouterr()
+    for scheduler, bound, status in (("first", "100", "terminated"), ("first", "3", "bound"),
+                                     ("random", "100", "terminated")):
+        counts.update(enabled=0, pulled=0)
+        assert main([command, path, "--scheduler", scheduler, "--seed", "3",
+                     "--max-steps", bound]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[-1])["status"] == status
+        steps = len(lines) - 1
+        if scheduler == "first":
+            assert counts["pulled"] == steps + (status == "bound")
+        else:
+            assert counts["pulled"] == counts["enabled"] > steps
 
 
 def test_long_sequences_run_and_simulate_to_the_end(tmp_path, capsys):

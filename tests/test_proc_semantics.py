@@ -126,7 +126,7 @@ def _bfs_moves(defs, network, state, depth=8):
         following = []
         for net, st in frontier:
             enabled = sp_enabled(defs, net, st)
-            built = [(move(), move()) for move in reversed(sp_moves(defs, net, st))]
+            built = [(move(), move()) for move in reversed(list(sp_moves(defs, net, st)))]
             assert all(first == second for first, second in built)
             assert [first for first, _ in reversed(built)] == enabled
             for label, succ, succ_state in enabled:
