@@ -43,8 +43,9 @@ class _Kind(type):
     fields are; a field listed there is replaced.
 
     The kind gets its slots, ``__match_args__``, ``SUBTREES`` (path step to
-    field), an ``__init__`` by slot assignment, and ``leaves``, which reads
-    the fields that hold no subtree.
+    field), an ``__init__`` by slot assignment, ``leaves``, which reads the
+    fields that hold no subtree, and, when no field holds one, an ``__eq__``
+    that compares field by field.
     """
 
     def __new__(meta, name, bases, namespace):
@@ -56,7 +57,7 @@ class _Kind(type):
         namespace["__match_args__"] = tuple(fields)
         namespace["SUBTREES"] = {step: field for field, step in fields.items() if step}
         kind = super().__new__(meta, name, bases, namespace)
-        scope = {f"_{slot}": make for slot, make in derived.items()}
+        scope = {"_kind": kind, **{f"_{slot}": make for slot, make in derived.items()}}
         exec(f"def __init__(self, {', '.join(fields)}):\n"
              + "".join(f"    self.{field} = {field}\n" for field in fields)
              + "".join(f"    self.{slot} = _{slot}(self)\n" for slot in derived)
@@ -68,6 +69,10 @@ class _Kind(type):
         # For ``==``: the first subtree, followed in place, and the others, stacked.
         trees = tuple(kind.SUBTREES.values())
         kind._first, kind._rest = (attrgetter(trees[0]), trees[1:]) if trees else (None, ())
+        if not trees:
+            exec("def __eq__(self, other):\n    return self is other or type(other) is _kind"
+                 + "".join(f" and self.{field} == other.{field}" for field in fields), scope)
+            kind.__eq__ = scope["__eq__"]
         return kind
 
 
@@ -109,8 +114,6 @@ class Node(metaclass=_Kind):
         kind = type(self)
         if type(other) is not kind:
             return False
-        if kind._first is None:
-            return kind.leaves(self) == kind.leaves(other)
         mine, theirs = self._hash, other._hash
         if mine != theirs and mine is not None and theirs is not None:
             return False
