@@ -131,6 +131,36 @@ def test_program_wf_dec_reports_first_clause_in_main():
     assert report.path == ("else",)
 
 
+def _com(cont):
+    return Interaction(ComEta("p", Lit(0), "q", "x"), "", cont)
+
+
+# Runtime terms and empty process lists, which the parser never builds: one
+# program per clause that only the library reaches, with its report.
+_LIBRARY_ONLY_FAILURES = {
+    "no_empty_ann": (CCProgram(DefSet({"X": (("p",), END)}), _com(rt("X", ()))),
+                     "main", ("cont",), "runtime term with no pending processes"),
+    "consistent": (CCProgram(DefSet({"X": (("q",), END)}),
+                             Cond("p", BTRUE, END, rt("X", ("q", "r")))),
+                   "main", ("else",), "pending processes escape procedure X"),
+    "initial": (CCProgram(DefSet({"X": (("p", "q"), _com(rt("X", ("p",))))}), Call("X")),
+                "X", ("cont",), "runtime term in a procedure body"),
+    "well_ann": (CCProgram(DefSet({"X": ((), END)}), Call("X")), "X", (), "empty process list"),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(_LIBRARY_ONLY_FAILURES))
+def test_program_wf_dec_locates_library_only_failures(clause):
+    program, scope, path, detail = _LIBRARY_ONLY_FAILURES[clause]
+    report = program_wf_dec(program)
+    assert (report.ok, report.clause, report.scope, report.path, report.detail) == (
+        False, clause, scope, path, detail)
+    assert program_wf(program) is False and wf_oracle(program) is False
+    if path:
+        root = program.main if scope == "main" else program.defs.body(scope)
+        assert isinstance(node_at(root, path), RTCall)
+
+
 def test_wf_invariant_under_extra_end_procedures():
     program = file_transfer_program()
     extended = CCProgram(program.defs.with_def("Spare", ("c",), END), program.main)
