@@ -268,7 +268,7 @@ def test_project_merges_long_branches_in_a_loop(tmp_path, capsys):
 # Programs where several moves are enabled at once: a call with two joining
 # processes, 8 disjoint pairs, and an interaction delayed past a run.
 _MANY_MOVES = {
-    "file_transfer": FT,
+    "file_transfer": Path(FT).read_text(encoding="utf-8"),
     "pairs": "main { " + "".join(f"a{i}.{r} -> b{i}.x; " for r in range(2) for i in range(8))
              + "end }",
     "runahead": "main { " + "a.0 -> b.x; " * 20 + "c.1 -> d.y; end }",
@@ -281,15 +281,13 @@ def test_run_and_simulate_pull_only_the_moves_they_take(tmp_path, capsys, monkey
                                                         command, name):
     """The first scheduler pulls one move per step, and one more to tell a
     ``bound`` run from a stuck one; the random one pulls every enabled move."""
-    path = _MANY_MOVES[name]
-    if not path.endswith(".cc"):
-        path = _write(tmp_path, f"{name}.cc", path)
+    path = _write(tmp_path, f"{name}.cc", _MANY_MOVES[name])
     if command == "simulate":
         projected = str(tmp_path / f"{name}.sp")
         assert main(["project", path, "--out", projected]) == 0
         path = projected
-    name, enabled = ("cc_moves", cc_enabled) if command == "run" else ("sp_moves", sp_enabled)
-    moves, counts = getattr(chorus.cli, name), {}
+    target, enabled = ("cc_moves", cc_enabled) if command == "run" else ("sp_moves", sp_enabled)
+    moves, counts = getattr(chorus.cli, target), {}
 
     def counted(*args):
         counts["enabled"] += len(enabled(*args))
@@ -297,7 +295,7 @@ def test_run_and_simulate_pull_only_the_moves_they_take(tmp_path, capsys, monkey
             counts["pulled"] += 1
             yield move
 
-    monkeypatch.setattr(chorus.cli, name, counted)
+    monkeypatch.setattr(chorus.cli, target, counted)
     capsys.readouterr()
     for scheduler, bound, status in (("first", "100", "terminated"), ("first", "3", "bound"),
                                      ("random", "100", "terminated")):
