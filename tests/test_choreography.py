@@ -161,6 +161,43 @@ def test_program_wf_dec_locates_library_only_failures(clause):
         assert isinstance(node_at(root, path), RTCall)
 
 
+def _self_com(process, cont=END):
+    return Interaction(ComEta(process, Lit(0), process, "x"), "", cont)
+
+
+# Scopes that break several clauses, or one clause twice: the report names
+# the first clause in clause order, at its first node in pre-order.
+_CLAUSE_ORDER = {
+    "escaping_before_empty_pending": (
+        CCProgram(DefSet({"X": (("q",), END)}),
+                  Cond("p", BTRUE, rt("X", ("q", "r")), rt("X", ()))),
+        "no_empty_ann", "main", ("else",), "runtime term with no pending processes"),
+    "runtime_term_before_self_comm_and_undeclared": (
+        CCProgram(DefSet({"X": (("p",), Cond("p", BTRUE, rt("X", ("p",)), _self_com("q")))}),
+                  Call("X")),
+        "no_self_comm", "X", ("else",), "interaction with itself"),
+    "runtime_term_and_undeclared": (
+        CCProgram(DefSet({"X": (("p",), _com(rt("X", ("p",))))}), Call("X")),
+        "initial", "X", ("cont",), "runtime term in a procedure body"),
+    "self_comm_in_both_branches": (
+        CCProgram(DefSet(), Cond("p", BTRUE, _self_com("q"), _self_com("r"))),
+        "no_self_comm", "main", ("then",), "interaction with itself"),
+    "self_comm_in_both_branches_of_a_procedure": (
+        CCProgram(DefSet({"X": (("p", "q", "r"), Cond("p", BTRUE, _com(_self_com("q")),
+                                                          _self_com("r")))}), Call("X")),
+        "no_self_comm", "X", ("then", "cont"), "interaction with itself"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLAUSE_ORDER))
+def test_program_wf_dec_reports_the_first_clause_broken(case):
+    program, clause, scope, path, detail = _CLAUSE_ORDER[case]
+    report = program_wf_dec(program)
+    assert (report.ok, report.clause, report.scope, report.path, report.detail) == (
+        False, clause, scope, path, detail)
+    assert program_wf(program) is False and wf_oracle(program) is False
+
+
 def test_wf_invariant_under_extra_end_procedures():
     program = file_transfer_program()
     extended = CCProgram(program.defs.with_def("Spare", ("c",), END), program.main)
