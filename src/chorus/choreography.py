@@ -166,17 +166,22 @@ def format_path(path: Tuple[str, ...]) -> str:
 # --------------------------------------------------------------------------
 # Well-formedness clauses
 
+def _path(link) -> Tuple[str, ...]:
+    """The path a ``_walk`` link leads along, from the root."""
+    path = []
+    while link is not None:
+        step, link = link
+        path.append(step)
+    return tuple(reversed(path))
+
+
 def _first(chor: Choreography, bad: Callable[[Choreography], bool]
            ) -> Optional[Tuple[Tuple[str, ...], Choreography]]:
     """(path, node) of the first node, pre-order and left to right, that is
     ``bad``.  Only that node's path is built, from its parent links."""
     for node, link in _walk(chor):
         if bad(node):
-            path = []
-            while link is not None:
-                step, link = link
-                path.append(step)
-            return tuple(reversed(path)), node
+            return _path(link), node
     return None
 
 
@@ -289,34 +294,42 @@ def program_wf_dec(program: CCProgram) -> WfReport:
     Clauses are checked in a fixed order: the main choreography's, then each
     stored procedure's in name order.  Any other name, called or not, reads
     the default definition, which passes every clause, so the stored
-    procedures are the finitely many that matter.
+    procedures are the finitely many that matter.  One walk of a scope finds
+    each clause's first bad node (pre-order) and the processes ``well_ann``
+    needs; ``program_wf`` states the same test clause by clause.
     """
-    main = program.main
-    found = _first(main, _self_comm)
-    if found:
-        return WfReport(False, "no_self_comm", "main", found[0], "interaction with itself")
-    found = _first(main, _empty_pending)
-    if found:
-        return WfReport(False, "no_empty_ann", "main", found[0],
-                        "runtime term with no pending processes")
-    found = _first(main, _escapes(program.defs.names))
-    if found:
-        path, node = found
-        return WfReport(False, "consistent", "main", path,
-                        f"pending processes escape procedure {node.name}")
-    for name in program.defs.support():
-        body = program.defs.body(name)
-        found = _first(body, _self_comm)
-        if found:
-            return WfReport(False, "no_self_comm", name, found[0], "interaction with itself")
-        found = _first(body, _runtime_term)
-        if found:
-            return WfReport(False, "initial", name, found[0], "runtime term in a procedure body")
-        if not well_ann(program, name):
-            procs = program.defs.vars(name)
-            if not procs:
-                return WfReport(False, "well_ann", name, (), "empty process list")
-            escaped = sorted(ccc_pn(body, program.defs.names) - set(procs))
-            return WfReport(False, "well_ann", name, (),
-                            f"processes {escaped} not declared by the procedure")
+    defs = program.defs
+    scopes = [("main", program.main, ("no_self_comm", "no_empty_ann", "consistent"), None)]
+    scopes += [(name, defs.body(name), ("no_self_comm", "initial"), set(defs.vars(name)))
+               for name in defs.support()]
+    for scope, chor, clauses, declared in scopes:
+        found, processes = {}, set()  # clause: (link, detail); ccc_pn(chor, defs.names)
+        for node, link in _walk(chor):
+            kind = type(node)
+            if kind is Interaction:
+                sender, receiver = node.eta.sender, node.eta.receiver
+                if sender == receiver:
+                    found.setdefault("no_self_comm", (link, "interaction with itself"))
+                processes.add(sender)
+                processes.add(receiver)
+            elif kind is Cond:
+                processes.add(node.proc)
+            elif kind is Call:
+                processes.update(defs.names(node.name))
+            elif kind is RTCall:
+                found.setdefault("initial", (link, "runtime term in a procedure body"))
+                if not node.pending:
+                    found.setdefault("no_empty_ann",
+                                     (link, "runtime term with no pending processes"))
+                elif not set(node.pending) <= defs.names(node.name):
+                    found.setdefault("consistent",
+                                     (link, f"pending processes escape procedure {node.name}"))
+                processes.update(node.pending)
+        for clause in clauses:
+            if clause in found:
+                return WfReport(False, clause, scope, _path(found[clause][0]), found[clause][1])
+        if declared is not None and not (declared and processes <= declared):
+            detail = (f"processes {sorted(processes - declared)} not declared by the procedure"
+                      if declared else "empty process list")
+            return WfReport(False, "well_ann", scope, (), detail)
     return WfReport(True)

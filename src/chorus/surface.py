@@ -38,12 +38,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import islice, takewhile
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .choreography import (
     CCProgram, Call, Choreography, ComEta, Cond, DefSet, DEFAULT_PROCESS, End,
-    Interaction, SelEta,
+    Interaction, SelEta, node_at, walk,
 )
 from .processes import (
     BCall, BCond, BEnd, Branch, Behaviour, Choose, DefSetB, Network,
@@ -71,17 +71,36 @@ class Span:
 
 
 # The parser reads lexemes: each token's source text, a string with its
-# quotes, "" for the end of input.  Positions come from ``tokenize``, run only
-# for an error or a statement span.  Its token is a plain tuple (kind, text,
-# line, col, end col): the kind is ident, nat, string, sym or eof, a string's
-# text is its decoded value, and the end column is one past the lexeme.
+# quotes, "" for the end of input.  Positions come from ``_locate``, run only
+# for an error or a statement span.  ``tokenize``'s token is a plain tuple
+# (kind, text, line, col, end col): the kind is ident, nat, string, sym or
+# eof, a string's text is its decoded value, and the end column is one past
+# the lexeme.
 Token = Tuple[str, str, int, int, int]
 
 
 def _locate(source, first: int, last: int) -> Span:
-    """From token ``first`` to ``last`` of ``source.text``; the tokens are made once."""
-    tokens = source.tokens = source.tokens or tokenize(source.text)
+    """From token ``first`` to ``last`` of ``source.text``: from ``tokenize``'s
+    tokens where ``_scan`` made them, else from one lexeme scan up to ``last``."""
+    tokens = source.tokens
+    if not tokens:
+        matches = _LEXEMES.finditer(source.text)
+        start = next(islice(matches, first, None))
+        end = next(islice(matches, last - first - 1, None)) if last > first else start
+        tokens = {first: _token(source.text, start), last: _token(source.text, end)}
     return Span(tokens[first][2], tokens[first][3], tokens[last][2], tokens[last][4])
+
+
+def _token(text: str, match) -> Token:
+    """A token with ``tokenize``'s line and columns for a lexeme match, and
+    no kind or text.  As there, the end of input after a final comment, on
+    the comment's line, sits where that comment starts."""
+    offset = match.start(1)
+    if offset == len(text):  # the end of input
+        comment = text.find("#", text.rfind("\n", match.start(), offset) + 1 or match.start())
+        offset = offset if comment < 0 else comment
+    col = offset - text.rfind("\n", 0, offset)
+    return "", "", text.count("\n", 0, offset) + 1, col, col + (len(match[1]) or 1)
 
 
 class ParseError(Exception):
@@ -329,25 +348,25 @@ class SourceFile:
     """A parsed choreography file: its text, its program and its statements' spans."""
     text: str
     program: CCProgram
-    # (first token, last token) by index, keyed by (spine, number of "cont"
-    # steps along it), in linear space.  Spines are ("main",), ("proc", NAME)
-    # and (spine, index, "then"|"else").
-    spans: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
-    tokens: Optional[List[Token]] = field(default=None, repr=False, compare=False)  # made lazily
+    # Per scope, ("main",) or ("proc", NAME), each statement's (first token,
+    # last token) by index, in parse order, which is pre-order.
+    spans: Dict[tuple, List[Tuple[int, int]]] = field(default_factory=dict)
+    tokens: Optional[List[Token]] = field(default=None, repr=False, compare=False)  # made by _scan
 
     def span_at(self, path: Tuple[str, ...]) -> Optional[Span]:
-        path = tuple(path)
         cut = 1 if path[:1] == ("main",) else 2
-        spine, index = path[:cut], 0
+        node = self.program.main if cut == 1 else self.program.defs.body(path[1])
+        index = 0  # in pre-order: a node per step, and a then branch's nodes before its else
         for step in path[cut:]:
-            spine, index = (spine, index + 1) if step == "cont" else ((spine, index, step), 0)
-        span = self.spans.get((spine, index))
-        return _locate(self, *span) if span else None
+            index += 1 + (sum(1 for _ in walk(node.then_branch)) if step == "else" else 0)
+            node = node_at(node, (step,))
+        spans = self.spans.get(path[:cut])
+        return _locate(self, *spans[index]) if spans else None
 
 
 def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
-    spans: Dict[tuple, Tuple[int, int]] = {}
+    spans: Dict[tuple, List[Tuple[int, int]]] = {}
     defs = {}
     while parser.accept("def"):
         at = parser.pos
@@ -359,11 +378,11 @@ def parse_cc_file(text: str) -> SourceFile:
         while parser.accept(","):
             procs.append(parser.name("process name"))
         parser.expect(")", "{")
-        body = _parse_chor(parser, ("proc", name), spans)
+        body = _parse_chor(parser, spans.setdefault(("proc", name), []))
         parser.expect("}")
         defs[name] = (tuple(procs), body)
     parser.expect("main", "{")
-    main = _parse_chor(parser, ("main",), spans)
+    main = _parse_chor(parser, spans.setdefault(("main",), []))
     parser.expect("}")
     parser.eof()
     return SourceFile(text, CCProgram(DefSet(defs), main), spans, parser.tokens)
@@ -373,12 +392,12 @@ def parse_cc(text: str) -> CCProgram:
     return parse_cc_file(text).program
 
 
-def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Choreography:
+def _parse_chor(parser: _Parser, spans: List[Tuple[int, int]]) -> Choreography:
     """Read a run of interactions in a loop; only conditionals recurse.  A
-    statement's span runs from its first token, ``start``, to its last."""
+    statement's span runs from its first token, ``start``, to its last; a
+    conditional keeps its place in ``spans`` ahead of its branches'."""
     prefix = []
     while True:
-        key = (spine, len(prefix))
         start = last = parser.pos
         first = parser.lexemes[start]
         if first in ("end", "call", "if"):
@@ -389,15 +408,18 @@ def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Cho
             last = parser.pos
             chor = Call(parser.name("procedure name"))
         elif first == "if":
+            at = len(spans)
+            spans.append(None)
             proc = parser.name("process name")
             parser.expect(".")
             guard = parser.bexpr()
             parser.expect("then", "{")
-            then_branch = _parse_chor(parser, key + ("then",), spans)
+            then_branch = _parse_chor(parser, spans)
             parser.expect("}", "else", "{")
-            else_branch = _parse_chor(parser, key + ("else",), spans)
-            last = parser.expect("}")
+            else_branch = _parse_chor(parser, spans)
+            spans[at] = (start, parser.expect("}"))
             chor = Cond(proc, guard, then_branch, else_branch)
+            break
         else:
             sender = parser.name("process name")
             if parser.accept("->"):
@@ -415,8 +437,8 @@ def _parse_chor(parser: _Parser, spine: tuple, spans: Dict[tuple, tuple]) -> Cho
                 eta = ComEta(sender, expr, receiver, parser.name("variable name"))
             prefix.append((eta, parser.annot()))
             last = parser.expect(";")
-        spans[key] = (start, last)
-        if first in ("end", "call", "if"):
+        spans.append((start, last))
+        if first in ("end", "call"):
             break
     for eta, ann in reversed(prefix):
         chor = Interaction(eta, ann, chor)

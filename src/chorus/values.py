@@ -140,8 +140,23 @@ class Node(metaclass=_Kind):
         return True
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.FIELDS)
-        return f"{type(self).__name__}({fields})"
+        """``Kind(field=repr, ...)`` over ``FIELDS``, in a loop: the stack holds
+        texts still to write, nodes still to open and ``Branch`` offers."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            elif isinstance(item, Node):
+                parts = [f"{type(item).__name__}("]
+                for index, name in enumerate(item.FIELDS):
+                    value = getattr(item, name)
+                    opened = isinstance(value, Node) or (item.FIELDS[name] and value is not None)
+                    parts += f"{', ' if index else ''}{name}=", value if opened else repr(value)
+                stack += reversed((*parts, ")"))
+            else:  # an offer: (annotation, subtree)
+                stack += ")", item[1], f"({item[0]!r}, "
+        return "".join(out)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The tokenizer against the character-loop scanner it replaced, and the
 parser's lexeme scan against the tokenizer."""
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chorus.surface
-from chorus import epp, gen_program, print_cc, print_sp
+from chorus import epp, gen_program, parse_cc, print_cc, print_sp
 from chorus.cli import main
-from chorus.surface import ParseError, _scan, tokenize
+from chorus.surface import ParseError, Span, _locate, _scan, parse_cc_file, tokenize
 
 from helpers import tokenize_reference
 
@@ -67,11 +68,90 @@ def test_tokenize_matches_reference_on_generated_programs():
         _agree(text)
 
 
+def _spans_from_tokens(text):
+    """Every token's ``Span`` as ``tokenize`` places it: the reference."""
+    return [Span(line, col, line, end) for _, _, line, col, end in tokenize(text)]
+
+
+def _joined(reference, first, last):
+    """The span from token ``first`` to ``last`` of a reference."""
+    return Span(reference[first].line, reference[first].col,
+                reference[last].end_line, reference[last].end_col)
+
+
+def _located(text, first, last):
+    """``_locate`` on a text whose lexeme scan made no tokens."""
+    assert _scan(text)[1] is None, "the text needs tokenize"
+    return _locate(SimpleNamespace(text=text, tokens=None), first, last)
+
+
+def _locates_every_token(text):
+    reference = _spans_from_tokens(text)
+    for index, span in enumerate(reference):
+        assert _located(text, index, index) == span, (text, index)
+    return reference
+
+
+def _cc_texts():
+    paths = sorted(ROOT.glob("programs/*.cc")) + sorted(ROOT.glob("tests/golden/*.cc"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    return texts + [print_cc(gen_program(seed)) for seed in range(200)]
+
+
+def test_locator_places_every_token_of_the_parse_error_files_as_tokenize():
+    paths = sorted((ROOT / "tests" / "golden" / "parse_errors").iterdir())
+    assert len(paths) >= 12
+    for path in paths:
+        _locates_every_token(path.read_text(encoding="utf-8"))
+
+
+def test_locator_places_every_statement_span_as_tokenize():
+    ascii_texts = 0
+    for text in _cc_texts():
+        source = parse_cc_file(text)
+        if source.tokens is not None:  # a name outside ASCII: tokenize's own tokens
+            continue
+        ascii_texts += 1
+        reference = _spans_from_tokens(text)
+        for spans in source.spans.values():
+            for first, last in spans:
+                assert _locate(source, first, last) == _joined(reference, first, last)
+    assert ascii_texts >= 200
+
+
+@pytest.mark.parametrize("text", [
+    "main { end } # last",         # a final comment without a line break
+    "main { end } # last\n",       # and with one
+    "main { end }\n# a\n  # b  ",  # the end after comment lines and blanks
+    "main {\r\n  p.0 -> q.x;\r\n  end\r\n}\r\n",  # CRLF line ends
+    "main {\n\tp.0 -> q.x;\t# tabbed\n\tend }\t\t",
+    "", "  ", "# only a comment", "\n\n", "x", "main",
+])
+def test_locator_hand_cases(text):
+    reference = _locates_every_token(text)
+    last = len(reference) - 1
+    assert _located(text, 0, last) == _joined(reference, 0, last)
+    if last:
+        assert _located(text, 0, last - 1) == _joined(reference, 0, last - 1)
+        assert _located(text, last - 1, last) == _joined(reference, last - 1, last)
+
+
+def test_locator_falls_back_on_tokens_outside_ascii():
+    text = "main {\n  \u00e9.1 -> q.x;\n  end }"
+    source = parse_cc_file(text)
+    assert source.tokens == tokenize(text)
+    assert source.span_at(("main",)) == Span(2, 3, 2, 14)
+    with pytest.raises(ParseError) as caught:
+        parse_cc("main {\n  \u00e9.1 -> q.x;\n  end } x")
+    assert caught.value.span == Span(3, 9, 3, 10)
+
+
 def test_successful_commands_never_locate_tokens(monkeypatch, tmp_path):
-    def refuse(text):
-        raise AssertionError("tokenize called")
+    def refuse(*args):
+        raise AssertionError("a token was located")
 
     monkeypatch.setattr(chorus.surface, "tokenize", refuse)
+    monkeypatch.setattr(chorus.surface, "_locate", refuse)
     sp = str(tmp_path / "auth.sp")
     for path in sorted(ROOT.glob("programs/*.cc")):
         source = str(path)
@@ -80,3 +160,8 @@ def test_successful_commands_never_locate_tokens(monkeypatch, tmp_path):
             assert main(argv) == 0, argv
     with pytest.raises(AssertionError):
         main(["check", str(ROOT / "tests" / "golden" / "parse_errors" / "comparison.cc")])
+    located = []
+    monkeypatch.setattr(chorus.surface, "_locate",
+                        lambda *args: located.append(args) or _locate(*args))
+    assert main(["check", str(ROOT / "tests" / "golden" / "parse_errors" / "comparison.cc")]) == 2
+    assert len(located) == 1

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorus import (
-    And, B_END, BFALSE, BLit, BTRUE, DefSet, DefSetB, EMPTY_STATE, END, Eq, Fst,
-    Leq, Lit, Network, Not, Pair, Plus, Send, Snd, State, Succ, Var,
-    eval_bexpr, eval_expr,
+    And, B_END, BFALSE, BLit, BTRUE, Branch, CCProgram, Choose, DefSet, DefSetB, EMPTY_STATE, END,
+    Eq, Fst, Leq, Lit, Network, Not, Pair, Plus, RCom, RSel, RTCall, SPProgram, SelLabel,
+    Send, Snd, State, Succ, Var, cc_enabled, epp, eval_bexpr, eval_expr, gen_program,
 )
 from chorus.choreography import DEFAULT_PROCESS
 from chorus.surface import parse_cc, print_bexpr, print_expr
 from chorus.values import (
-    eval_on_state, leftmost_nat, state_from_json, state_to_json,
+    Node, eval_on_state, leftmost_nat, state_from_json, state_to_json,
     value_from_json, value_to_json,
 )
 
@@ -256,3 +256,46 @@ def test_right_nested_chains_keep_their_parentheses():
     assert guard == And(Eq(Plus(Plus(Var("a"), Plus(Var("b"), Var("c"))), Var("d")), Lit(1)),
                         And(BTRUE, BFALSE))
     assert print_bexpr(guard) == "a + (b + c) + d == 1 && (true && false)"
+
+
+def _repr_reference(value):
+    """The recursive ``Kind(field=repr, ...)`` that ``Node.__repr__`` writes in a loop."""
+    if isinstance(value, Node):
+        fields = ", ".join(f"{name}={_repr_reference(getattr(value, name))}"
+                           for name in value.FIELDS)
+        return f"{type(value).__name__}({fields})"
+    if type(value) is tuple:
+        inner = ", ".join(map(_repr_reference, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
+
+
+def test_node_repr_matches_the_recursive_reference():
+    trees = [RTCall("X", ("q", "p"), END), RCom("p", (1, (2, 3)), "q", "x"),
+             Branch("p", None, ("ann", Send("q", Var("x"), "", B_END))),
+             RSel("p", SelLabel.LEFT, "q"), Not(And(BTRUE, Leq(Lit(1), Var("x")))),
+             parse_cc("main { p.1 + (2 + x) -> q.x @ \"a\"; if p.!(true) then "
+                      "{ p -> q[left]; end } else { call X } }").main]
+    for seed in range(40):
+        program = gen_program(seed)
+        trees += [program.main, *(program.defs.body(name) for name in program.defs.support())]
+        trees += [label for label, _, _ in cc_enabled(program.defs, program.main, EMPTY_STATE)]
+        projected = epp(program)
+        trees += [behaviour for _, behaviour in projected.network.items()]
+        trees += [body for _, body in projected.defs.items()]
+    for tree in trees:
+        assert repr(tree) == _repr_reference(tree)
+    assert repr(State({("p", "x"): (1, 2)})) == "State({('p', 'x'): (1, 2)})"
+
+
+def test_repr_of_a_long_chain_does_not_recurse():
+    chain = parse_cc("main { " + "p.0 -> q.x; " * 20000 + "end }").main
+    text = repr(chain)
+    assert text.startswith("Interaction(eta=ComEta(sender='p', expr=Lit(value=0), ")
+    assert text.count("Interaction(") == 20000 and text.endswith("cont=End()" + ")" * 20000)
+    behaviour = B_END
+    for _ in range(20000):
+        behaviour = Choose("q", SelLabel.LEFT, "", behaviour)
+    for holder in (CCProgram(DefSet({"X": (("p", "q"), chain)}), chain),
+                   SPProgram(DefSetB(), Network({"p": behaviour}))):
+        assert repr(holder).count("cont=") >= 20000
