@@ -24,14 +24,14 @@ from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .choreography import (
-    CCProgram, Call, Choreography, ComEta, Cond, DefSet, Interaction, RTCall,
-    SelEta, PROCESS_BIT, eta_processes,
+    CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction, RTCall,
+    SelEta, PROCESS_BIT,
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, label_processes,
     multistep,
 )
-from .values import State, eval_bexpr_on_state, eval_on_state
+from .values import Failure, State, eval_bexpr_on_state, eval_on_state, fold
 
 
 @dataclass(frozen=True)
@@ -42,60 +42,59 @@ class CCConfiguration:
 
 def cc_step(defs: DefSet, chor: Choreography, state: State,
             label: RichLabel) -> Optional[Tuple[Choreography, State]]:
-    """Apply one rich-labelled transition; None when the label is not enabled.
-    The instructions the label is delayed past, runs of interactions and
-    runtime terms, are walked in a loop and rebuilt on the way back; only a
-    conditional it is delayed past recurses, into both branches."""
-    processes, spine = label_processes(label), []
-    while True:
-        if isinstance(chor, Interaction):
+    """Apply one rich-labelled transition; None when the label is not
+    enabled.  A ``fold``: the step is taken where the label's rule applies,
+    the interactions and runtime terms it is delayed past are rebuilt over
+    it, and past a conditional both branches step, to one state."""
+    processes = label_processes(label)
+
+    def taken(chor):
+        kind = type(chor)
+        if kind is Interaction:
             eta = chor.eta
-            if isinstance(eta, ComEta) and isinstance(label, RCom):
-                if (label.sender == eta.sender and label.receiver == eta.receiver
-                        and label.var == eta.var
+            if eta.sender not in processes and eta.receiver not in processes:
+                return chor.children()  # the label is delayed past it
+            if type(eta) is ComEta:
+                if (type(label) is RCom and label.sender == eta.sender
+                        and label.receiver == eta.receiver and label.var == eta.var
                         and label.value == eval_on_state(eta.expr, state, eta.sender)):
-                    chor, state = chor.cont, state.put((eta.receiver, eta.var), label.value)
-                    break
-            elif isinstance(eta, SelEta) and isinstance(label, RSel):
-                if (label.sender == eta.sender and label.receiver == eta.receiver
-                        and label.label is eta.label):
-                    chor = chor.cont
-                    break
-            if not processes.isdisjoint(eta_processes(eta)):
-                return None
-            spine.append(chor)
-            chor = chor.cont
-        elif isinstance(chor, Cond):
-            if isinstance(label, RCond) and label.proc == chor.proc:
-                chor = (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
-                        else chor.else_branch)
-                break
-            if chor.proc in processes:
-                return None
-            first = cc_step(defs, chor.then_branch, state, label)
-            second = first and cc_step(defs, chor.else_branch, state, label)
-            if second is None or first[1] != second[1]:
-                return None
-            chor, state = Cond(chor.proc, chor.guard, first[0], second[0]), first[1]
-            break
-        elif isinstance(chor, (Call, RTCall)):
-            # A join: the first process of a Call, or a pending one of a runtime term.
-            procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
-                           else (chor.pending, chor.body))
-            if isinstance(label, RCall) and label.name == chor.name and label.proc in procs:
-                rest = tuple(p for p in procs if p != label.proc)
-                chor = RTCall(chor.name, rest, body) if rest else body
-                break
-            if not (isinstance(chor, RTCall) and processes.isdisjoint(chor.pending)):
-                return None
-            spine.append(chor)
-            chor = body
-        else:
-            return None  # End has no transitions
-    for node in reversed(spine):
-        chor = (Interaction(node.eta, node.ann, chor) if isinstance(node, Interaction)
-                else RTCall(node.name, node.pending, chor))
-    return chor, state
+                    return chor.cont, state.put((eta.receiver, eta.var), label.value)
+            elif (type(label) is RSel and label.sender == eta.sender
+                  and label.receiver == eta.receiver and label.label is eta.label):
+                return chor.cont, state
+            raise Failure
+        if kind is Cond:
+            if chor.proc not in processes:
+                return chor.children()
+            if type(label) is not RCond:
+                raise Failure
+            return (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
+                    else chor.else_branch), state
+        if kind is End:
+            raise Failure  # End has no transitions
+        # A join: the first process of a Call, or a pending one of a runtime term.
+        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if kind is Call
+                       else (chor.pending, chor.body))
+        if type(label) is RCall and label.name == chor.name and label.proc in procs:
+            rest = tuple(p for p in procs if p != label.proc)
+            return (RTCall(chor.name, rest, body) if rest else body), state
+        if not (kind is RTCall and processes.isdisjoint(chor.pending)):
+            raise Failure
+        return chor.children()
+
+    def rebuilt(chor, results):
+        succ, succ_state = results[0]
+        if len(results) == 1:
+            return chor.rebuild(succ), succ_state
+        other, other_state = results[1]
+        if other_state != succ_state:
+            raise Failure
+        return chor.rebuild(succ, other), succ_state
+
+    try:
+        return fold(chor, taken, rebuilt)
+    except Failure:
+        return None
 
 
 def cc_moves(defs: DefSet, chor: Choreography,
@@ -112,10 +111,10 @@ def cc_moves(defs: DefSet, chor: Choreography,
     processes are disjoint from those of every instruction above the node.
     Each of its processes lies in the node's ``bits`` (all bits if the node
     holds a ``Call``); so the walk skips every node whose processes are all
-    blocked, and a step costs the nodes above that frontier.  Runs of
-    interactions and runtime terms are walked in a loop, without recursion.
+    blocked, and a step costs the nodes above that frontier.  The walk is
+    one loop, which keeps the conditionals it went into on a stack.
     """
-    return _enabled(defs, chor, state, 0)
+    return _enabled(defs, chor, state)
 
 
 def cc_enabled(defs: DefSet, chor: Choreography,
@@ -142,51 +141,66 @@ def _move(spine: list, length: int, label: Optional[RichLabel], chor: Choreograp
         else:
             label = RSel(eta.sender, eta.receiver, eta.label)
     for node in reversed(spine[:length]):
-        chor = (Interaction(node.eta, node.ann, chor) if isinstance(node, Interaction)
-                else RTCall(node.name, node.pending, chor))
+        chor = node.rebuild(chor)
     return label, chor, state
 
 
-def _enabled(defs: DefSet, chor: Choreography, state: State, blocked: int) -> Iterator:
-    """The moves of ``chor`` that avoid the processes in ``blocked``, yielded
-    as the walk finds them.  A move keeps the spine with its length when
-    made, as the walk goes on appending."""
-    spine = []
+def _enabled(defs: DefSet, chor: Choreography, state: State) -> Iterator:
+    """The moves of ``chor``, yielded as the walk finds them.  The walk goes
+    down one path: along runs of interactions and runtime terms, and past a
+    conditional's head move into its then branch, with the processes of what
+    it went past blocked.  ``conds`` holds each conditional it went into,
+    with the spine above it; a move found below them is lifted out
+    (``_lift``).  A move keeps the spine with its length when made, as the
+    walk goes on appending."""
+    spine, conds, blocked = [], [], 0
     while chor.bits & ~blocked:
-        if isinstance(chor, Interaction):
-            bits = PROCESS_BIT[chor.eta.sender] | PROCESS_BIT[chor.eta.receiver]
+        kind = type(chor)
+        if kind is Interaction or kind is Cond:
+            bits = (PROCESS_BIT[chor.eta.sender] | PROCESS_BIT[chor.eta.receiver]
+                    if kind is Interaction else PROCESS_BIT[chor.proc])
             if not bits & blocked:
-                yield partial(_move, spine, len(spine), None, chor, state)
-            spine.append(chor)
+                move = partial(_move, spine, len(spine), None, chor, state)
+                if not conds or (move := _lift(defs, conds, move, state)):
+                    yield move
             blocked |= bits
+            if kind is Cond:
+                conds.append((spine, chor))
+                spine, chor = [], chor.then_branch
+                continue
+            spine.append(chor)
             chor = chor.cont
             continue
-        if isinstance(chor, Cond):
-            bit = PROCESS_BIT[chor.proc]
-            if not bit & blocked:
-                yield partial(_move, spine, len(spine), None, chor, state)
-            # Both branches must take the step to the same state: built here.
-            for move in _enabled(defs, chor.then_branch, state, blocked | bit):
-                label, then_cont, succ_state = move()
-                other = cc_step(defs, chor.else_branch, state, label)
-                if other is not None and other[1] == succ_state:
-                    succ = Cond(chor.proc, chor.guard, then_cont, other[0])
-                    yield partial(_move, spine, len(spine), label, succ, succ_state)
-            break
         # A join: the first process of a Call, or a pending one of a runtime term.
-        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if isinstance(chor, Call)
+        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if kind is Call
                        else (chor.pending, chor.body))
         for process in procs:
             if not PROCESS_BIT[process] & blocked:
                 rest = tuple(p for p in procs if p != process)
-                succ = body if len(procs) == 1 else RTCall(chor.name, rest, body)
-                yield partial(_move, spine, len(spine), RCall(chor.name, process), succ, state)
-        if not isinstance(chor, RTCall):
+                move = partial(_move, spine, len(spine), RCall(chor.name, process),
+                               RTCall(chor.name, rest, body) if rest else body, state)
+                if not conds or (move := _lift(defs, conds, move, state)):
+                    yield move
+        if kind is Call:
             break
         # Steps in the body run ahead of the pending processes.
         spine.append(chor)
         blocked |= sum(PROCESS_BIT[p] for p in chor.pending)
         chor = body
+
+
+def _lift(defs: DefSet, conds: list, move, state: State):
+    """``move``, found in the then branches of the conditionals of ``conds``,
+    as a move of the whole term, or None if one of them does not take it:
+    its else branch must take the same step to the same state."""
+    for spine, cond in reversed(conds):
+        label, then_cont, succ_state = move()
+        other = cc_step(defs, cond.else_branch, state, label)
+        if other is None or other[1] != succ_state:
+            return None
+        move = partial(_move, spine, len(spine), label, cond.rebuild(then_cont, other[0]),
+                       succ_state)
+    return move
 
 
 def ccp_step(conf: CCConfiguration, label: TransitionLabel) -> List[CCConfiguration]:

@@ -11,7 +11,8 @@ Commands::
 
 Exit codes: 0 on success, 1 when an analysis rejects the input or a
 verified property fails, 2 on parse or usage errors, a malformed state
-file, or an input nested past the recursion limit.
+file, a state file nested past the recursion limit, or ``verify``
+comparing two pair values nested past it.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import os
 import random
 import sys
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .chor_semantics import cc_enabled, cc_moves
@@ -32,7 +34,7 @@ from .surface import (
     ParseError, SourceFile, parse_cc_file, parse_sp_file, print_behaviour,
     print_chor, print_sp,
 )
-from .values import EMPTY_STATE, State, state_from_json, state_to_json
+from .values import EMPTY_STATE, State, state_from_json, state_to_json, value_text
 from .verification import _CHECKS, NotStronglyProjectable, check_property
 
 
@@ -110,10 +112,13 @@ def _drive(args, term, moves, terminated) -> int:
         print(step_json(rich) if args.format == "json" else transition_text(forget(rich)))
     status = ("terminated" if terminated(term) else
               "stuck" if next(iter(moves(term, state)), None) is None else "bound")
+    # json.dumps's text, written by ``write``, which no nesting of pairs stops.
+    shown = ", ".join(f"{_quote(key)}: {value_text(value, '[]')}"
+                      for key, value in state_to_json(state).items())
     if args.format == "json":
-        print(json.dumps({"status": status, "state": state_to_json(state)}))
+        print(f'{{"status": "{status}", "state": {{{shown}}}}}')
     else:
-        print(f"{status}; state {json.dumps(state_to_json(state))}")
+        print(f"{status}; state {{{shown}}}")
     return 0
 
 
@@ -245,8 +250,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Nested parentheses, negations and conditionals recurse once per
-        # level; deeper inputs are rejected.
+        # Two causes are left to CPython, which recurses in C: == on two pair
+        # values nested past the limit, which verify makes, and json.load of
+        # a --state file nested past it.
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     finally:

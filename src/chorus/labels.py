@@ -9,7 +9,6 @@ kind of leaves only, compared by kind and fields and hashed once.
 """
 from __future__ import annotations
 
-from json import dumps
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, FrozenSet, Sequence, Union
 
@@ -133,7 +132,7 @@ def step_json(rich: RichLabel) -> str:
     with one f-string per kind and no intermediate dicts."""
     if isinstance(rich, RCom):
         value = rich.value
-        shown = str(value) if type(value) is int else dumps(value_to_json(value))
+        shown = str(value) if type(value) is int else value_text(value, "[]")
         ends = f'"from": {_quote(rich.sender)}, "to": {_quote(rich.receiver)}, "value": {shown}'
         return (f'{{"label": {{"kind": "com", {ends}}}, '
                 f'"rich": {{"kind": "com", {ends}, "var": {_quote(rich.var)}}}}}')

@@ -33,6 +33,11 @@ class Choose(Node):
 class Branch(Node):
     FIELDS = {"peer": None, "left": "left", "right": "right"}
 
+    def children(self) -> list:
+        """The subtree of each offer made."""
+        return [(step, offer[1]) for step, offer in (("left", self.left), ("right", self.right))
+                if offer is not None]
+
 
 class BCond(Node):
     FIELDS = {"guard": None, "then_branch": "then", "else_branch": "else"}
@@ -54,7 +59,7 @@ def behaviour_wf(process: ProcessName, behaviour: Behaviour) -> bool:
         node = stack.pop()
         if getattr(node, "peer", None) == process:
             return False
-        stack += node.subtrees()
+        stack += (tree for _, tree in node.children())
     return True
 
 

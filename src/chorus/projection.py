@@ -31,13 +31,13 @@ from functools import lru_cache
 from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
-    CCProgram, Choreography, ComEta, Cond, DefSet, End, Interaction,
-    RTCall, ccp_pn, format_path, program_wf, walk,
+    Call, CCProgram, Choreography, ComEta, Cond, DefSet, Interaction, PROCESS_BIT, RTCall,
+    ccp_pn, format_path, program_wf, walk,
 )
 from .processes import (
     B_END, BCall, BCond, Branch, Behaviour, Choose, DefSetB, Network, Recv, SPProgram, Send,
 )
-from .values import ProcessName, SelLabel
+from .values import Failure, ProcessName, SelLabel, fold
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,17 @@ class ProjectionResult:
         return self.behaviour
 
 
-def _fail(reason: str, path: Tuple[str, ...] = ()) -> ProjectionResult:
-    return ProjectionResult(None, Diagnostic(reason, path))
-
-
-def _push(result: ProjectionResult, *steps: str) -> ProjectionResult:
-    failure = result.failure
-    return ProjectionResult(None, Diagnostic(failure.reason, steps + failure.path))
+def _projected(root, open, close) -> ProjectionResult:
+    """``fold``'s result, or its ``Failure`` as a diagnostic."""
+    try:
+        return ProjectionResult(fold(root, open, close))
+    except Failure as failure:
+        return ProjectionResult(None, Diagnostic(failure.reason, failure.path))
 
 
 # --------------------------------------------------------------------------
 # Branching order
 
-_PREFIXES = (Send, Recv, Choose)
 # What differs when two nodes of one kind differ in ``leaves``, the fields that hold no subtree.
 _DIFFER = {Send: "send prefixes", Recv: "receive prefixes", Choose: "selection prefixes",
            Branch: "branching sources", BCond: "conditional guards", BCall: "procedure copies"}
@@ -84,27 +82,9 @@ _DIFFER = {Send: "send prefixes", Recv: "receive prefixes", Choose: "selection p
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
     """``first >> second``: first has at least the branches of second, and
-    the same leaves everywhere.  Runs of prefixes are read in a loop; only
-    branchings and conditionals recurse."""
-    while type(first) in _PREFIXES and type(first) is type(second):
-        if type(first).leaves(first) != type(first).leaves(second):
-            return False
-        first, second = first.cont, second.cont
-    kind = type(first)
-    if kind is not type(second) or kind.leaves(first) != kind.leaves(second):
-        return False
-    for name in kind.SUBTREES.values():
-        big, small = getattr(first, name), getattr(second, name)
-        if kind is Branch:
-            # A missing offer is below anything; a present one needs one with its annotation above.
-            if small is None:
-                continue
-            if big is None or big[0] != small[0]:
-                return False
-            big, small = big[1], small[1]
-        if not more_branches(big, small):
-            return False
-    return True
+    the same leaves everywhere.  ``merge`` is the join of this order, so
+    this holds when merging the two gives ``first``."""
+    return first == second or merge(first, second).behaviour == first
 
 
 def more_branches_net(first: Network, second: Network) -> bool:
@@ -117,48 +97,42 @@ def more_branches_net(first: Network, second: Network) -> bool:
 # Merge
 
 def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
-    """Runs of prefixes are read in a loop; only branchings and conditionals
-    recurse.  A failure's path, the ``cont`` steps walked and then the path
-    inside, is built only on failure."""
-    walked = []
-    while type(first) in _PREFIXES and type(first) is type(second):
-        kind = type(first)
-        if kind.leaves(first) != kind.leaves(second):
-            return _fail(f"{_DIFFER[kind]} differ", ("cont",) * len(walked))
-        walked.append(first)
-        first, second = first.cont, second.cont
-    merged = _merge_node(first, second)
-    if not merged.ok:
-        return _push(merged, *("cont",) * len(walked))
-    behaviour = merged.behaviour
-    for node in reversed(walked):
-        behaviour = type(node)(*type(node).leaves(node), behaviour)
-    return ProjectionResult(behaviour)
+    """A ``fold`` over the two side by side; a failure's path is built only
+    on failure.  Equal behaviours merge to themselves with no fold."""
+    if first == second:
+        return ProjectionResult(first)
+    return _projected((first, second), _merge_pair, _merged)
 
 
-def _merge_node(first: Behaviour, second: Behaviour) -> ProjectionResult:
-    """Merge two nodes of one kind subtree by subtree, as ``more_branches`` compares them."""
+def _merge_pair(pair) -> list:
+    """The pairs of subtrees to merge next.  An offer made on one side only
+    is kept as it is; two offers whose annotations differ are a pair None."""
+    if pair is None:
+        raise Failure("offer annotations differ")
+    first, second = pair
     kind = type(first)
     if kind is not type(second):
-        return _fail(f"{kind.__name__} cannot merge with {type(second).__name__}")
+        raise Failure(f"{kind.__name__} cannot merge with {type(second).__name__}")
     if kind.leaves(first) != kind.leaves(second):
-        return _fail(f"{_DIFFER[kind]} differ")
-    subtrees = []
-    for step, name in kind.SUBTREES.items():
-        mine, theirs = getattr(first, name), getattr(second, name)
-        if kind is Branch:
-            if mine is None or theirs is None:  # an offer made on one side only is kept
-                subtrees.append(mine or theirs)
-                continue
-            if mine[0] != theirs[0]:
-                return _fail("offer annotations differ", (step,))
-            ann, mine, theirs = mine[0], mine[1], theirs[1]
-        merged = merge(mine, theirs)
-        if not merged.ok:
-            return _push(merged, step)
-        subtrees.append((ann, merged.behaviour) if kind is Branch else merged.behaviour)
-    # Branch and BCond have one leaf, which ``leaves`` returns bare; BEnd and BCall have no subtree.
-    return ProjectionResult(kind(kind.leaves(first), *subtrees) if subtrees else first)
+        raise Failure(f"{_DIFFER[kind]} differ")
+    if kind is not Branch:
+        return [(step, (getattr(first, name), getattr(second, name)))
+                for step, name in kind.SUBTREES.items()]
+    return [(step, (mine[1], theirs[1]) if mine[0] == theirs[0] else None)
+            for step, mine, theirs in _offers(first, second) if mine and theirs]
+
+
+def _merged(pair, results: list) -> Behaviour:
+    first, second = pair
+    if type(first) is not Branch:
+        return first.rebuild(*results) if results else first
+    merged = iter(results)
+    return first.rebuild(*((mine[0], next(merged)) if mine and theirs else mine or theirs
+                           for _, mine, theirs in _offers(first, second)))
+
+
+def _offers(first: Branch, second: Branch) -> tuple:
+    return ("left", first.left, second.left), ("right", first.right, second.right)
 
 
 # --------------------------------------------------------------------------
@@ -167,61 +141,99 @@ def _merge_node(first: Behaviour, second: Behaviour) -> ProjectionResult:
 # maxsize=0 stores and hashes nothing; it counts calls as misses for bench/layers.py.
 @lru_cache(maxsize=0)
 def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionResult:
-    """Project ``chor`` onto ``process``; partial because of merge.  Runs of
-    interactions, and runtime terms ``process`` has joined, are read in a
-    loop; only conditionals recurse."""
-    walked = []
-    while True:
-        kind = type(chor)
+    """Project ``chor`` onto ``process`` by ``fold``; partial because of
+    merge.  A subtree that does not name ``process`` projects to End, and an
+    interaction that does not name it, or a runtime term it has joined,
+    passes its subtree's projection up."""
+    bit = PROCESS_BIT[process]
+
+    def down(node):
+        if not node.bits & bit:
+            return B_END
+        kind = type(node)
         if kind is Interaction:
-            walked.append(chor)
-            chor = chor.cont
-        elif kind is RTCall and process not in chor.pending:
-            walked.append(chor)
-            chor = chor.body
-        else:
-            break
-    if kind is Cond:
-        then_proj = bproj(defs, chor.then_branch, process)
-        if not then_proj.ok:
-            return _push(then_proj, *_steps(walked), "then")
-        else_proj = bproj(defs, chor.else_branch, process)
-        if not else_proj.ok:
-            return _push(else_proj, *_steps(walked), "else")
-        if process == chor.proc:
-            behaviour = BCond(chor.guard, then_proj.behaviour, else_proj.behaviour)
-        else:
-            merged = merge(then_proj.behaviour, else_proj.behaviour)
-            if not merged.ok:
-                return _fail(f"conditional at {chor.proc} is ambiguous for {process}: "
-                             f"{merged.failure.reason}", _steps(walked))
-            behaviour = merged.behaviour
-    elif kind is End:
-        behaviour = B_END
-    else:
-        # A call, or a runtime term: processes still to join call their copy.
-        joins = chor.pending if kind is RTCall else defs.vars(chor.name)
-        behaviour = BCall((chor.name, process)) if process in joins else B_END
-    for node in reversed(walked):
-        if type(node) is RTCall:
-            continue
-        eta = node.eta
-        if process == eta.sender:
-            behaviour = (Send(eta.receiver, eta.expr, node.ann, behaviour) if type(eta) is ComEta
-                         else Choose(eta.receiver, eta.label, node.ann, behaviour))
-        elif process == eta.receiver:
-            if type(eta) is ComEta:
-                behaviour = Recv(eta.sender, eta.var, node.ann, behaviour)
-            else:
-                offer = (node.ann, behaviour)
-                behaviour = (Branch(eta.sender, offer, None) if eta.label is SelLabel.LEFT
-                             else Branch(eta.sender, None, offer))
-    return ProjectionResult(behaviour)
+            named = process == node.eta.sender or process == node.eta.receiver
+            return [("cont", node.cont)] if named else [("cont", node.cont, None)]
+        if kind is Cond:
+            return node.children()
+        if kind is Call:  # the processes of the procedure call their copies
+            return BCall((node.name, process)) if process in defs.vars(node.name) else B_END
+        return BCall((node.name, process)) if process in node.pending else [("body", node.body, None)]
+
+    def up(node, results) -> Behaviour:
+        if type(node) is Cond:
+            return _branches(process, node, *results)
+        return _prefix(process, node, results[0])
+
+    return _projected(chor, down, up)
 
 
-def _steps(walked) -> Tuple[str, ...]:
-    """The path through ``walked``: ``cont`` past an interaction, ``body`` into a runtime term."""
-    return tuple("cont" if type(node) is Interaction else "body" for node in walked)
+def _projections(defs: DefSet, chor: Choreography, processes) -> dict:
+    """``bproj`` onto each of ``processes`` at once, in one ``fold``: a
+    subtree's result maps each process it projects to something other than
+    End to that projection, and goes up to one parent, which extends it in
+    place.  Raises the ``Failure`` of a merge that fails, for some process."""
+    mask = 0
+    for process in processes:
+        mask |= PROCESS_BIT[process]
+    wanted = [frozenset(processes)]  # less the pending ones of each runtime term entered
+
+    def down(node):
+        if not node.bits & mask:
+            return {}
+        kind = type(node)
+        if kind is Interaction:
+            named = node.eta.sender in wanted[-1] or node.eta.receiver in wanted[-1]
+            return [("cont", node.cont)] if named else [("cont", node.cont, None)]
+        if kind is Cond:
+            return node.children()
+        if kind is Call:
+            return {process: BCall((node.name, process)) for process in defs.vars(node.name)
+                    if process in wanted[-1]}
+        wanted.append(wanted[-1] - set(node.pending))
+        return [("body", node.body)]
+
+    def up(node, results) -> dict:
+        projections, kind = results[0], type(node)
+        if kind is Interaction:
+            for process in {node.eta.sender, node.eta.receiver} & wanted[-1]:
+                projections[process] = _prefix(process, node, projections.get(process, B_END))
+        elif kind is RTCall:
+            wanted.pop()
+            projections.update((process, BCall((node.name, process))) for process in node.pending
+                               if process in wanted[-1])
+        else:
+            projections = {process: _branches(process, node, projections.get(process, B_END),
+                                              results[1].get(process, B_END))
+                           for process in projections.keys() | results[1].keys()
+                           | ({node.proc} & wanted[-1])}
+        return projections
+
+    return fold(chor, down, up)
+
+
+def _prefix(process: ProcessName, node: Interaction, after: Behaviour) -> Behaviour:
+    """The interaction ``node``, which names ``process``, projected onto it before ``after``."""
+    eta, ann = node.eta, node.ann
+    if process == eta.sender:
+        return (Send(eta.receiver, eta.expr, ann, after) if type(eta) is ComEta
+                else Choose(eta.receiver, eta.label, ann, after))
+    if type(eta) is ComEta:
+        return Recv(eta.sender, eta.var, ann, after)
+    return (Branch(eta.sender, (ann, after), None) if eta.label is SelLabel.LEFT
+            else Branch(eta.sender, None, (ann, after)))
+
+
+def _branches(process: ProcessName, node: Cond, then_proj: Behaviour,
+              else_proj: Behaviour) -> Behaviour:
+    """The conditional ``node`` projected onto ``process`` from its branches' projections."""
+    if process == node.proc:
+        return BCond(node.guard, then_proj, else_proj)
+    merged = merge(then_proj, else_proj)
+    if not merged.ok:
+        raise Failure(f"conditional at {node.proc} is ambiguous for {process}: "
+                      f"{merged.failure.reason}")
+    return merged.behaviour
 
 
 def projectable_d(defs: DefSet) -> bool:
@@ -290,13 +302,7 @@ class EppFailure:
 def epp_c(defs: DefSet, processes: Iterable[ProcessName],
           chor: Choreography) -> Union[Network, EppFailure]:
     """Project a choreography onto each listed process."""
-    out = {}
-    for process in sorted(set(processes)):
-        result = bproj(defs, chor, process)
-        if not result.ok:
-            return EppFailure("main", process, result.failure)
-        out[process] = result.behaviour
-    return Network(out)
+    return _each(defs, chor, sorted(set(processes)), "main", Network)
 
 
 def epp_d(defs: DefSet) -> Union[DefSetB, EppFailure]:
@@ -304,13 +310,25 @@ def epp_d(defs: DefSet) -> Union[DefSetB, EppFailure]:
     other name projects to ``End``, which ``DefSetB`` does not store)."""
     out = {}
     for name in defs.support():
-        body = defs.body(name)
-        for process in defs.vars(name):
-            result = bproj(defs, body, process)
-            if not result.ok:
-                return EppFailure(name, process, result.failure)
-            out[(name, process)] = result.behaviour
+        projected = _each(defs, defs.body(name), defs.vars(name), name, dict)
+        if isinstance(projected, EppFailure):
+            return projected
+        out.update(((name, process), behaviour) for process, behaviour in projected.items())
     return DefSetB(out)
+
+
+def _each(defs: DefSet, chor: Choreography, processes: list, scope: str, kind):
+    """``kind`` of each of ``processes``, in order, to its projection of
+    ``chor``, or the failure of the first whose projection fails."""
+    try:
+        projected = _projections(defs, chor, processes)
+    except Failure:
+        for process in processes:
+            result = bproj(defs, chor, process)
+            if not result.ok:
+                return EppFailure(scope, process, result.failure)
+        raise
+    return kind((process, projected.get(process, B_END)) for process in processes)
 
 
 def epp(program: CCProgram) -> Union[SPProgram, EppFailure]:

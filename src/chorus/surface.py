@@ -51,7 +51,7 @@ from .processes import (
 )
 from .values import (
     And, BExpr, BLit, Eq, Expr, Fst, Leq, Lit, Not, Pair, Plus, SelLabel,
-    Snd, Succ, Var, left_spine,
+    Snd, Succ, Var, write,
 )
 
 _KEYWORDS = frozenset((
@@ -205,8 +205,23 @@ def _is_name(lexeme: str) -> bool:
     return (lexeme[:1].isalpha() or lexeme[:1] == "_") and lexeme not in _KEYWORDS
 
 
+_CALLS = {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}
+
+
+def _turn(stack: list, error: ParseError) -> None:
+    """Turn the ``try`` frames on top of ``stack`` into ``bool`` ones; the
+    lowest keeps ``error``, where an expression in it failed."""
+    index = len(stack) - 1
+    while stack[index][0] == "try":
+        stack[index][0] = "bool"
+        index -= 1
+    stack[index + 1][2] = error
+
+
 class _Parser:
-    """Recursive descent over the lexemes."""
+    """Reads the lexemes front to back with explicit stacks: of the blocks
+    open around a statement (``_parse_chor``, ``_parse_behaviour``), and of
+    the parentheses, calls, negations and comparisons open in a formula."""
 
     def __init__(self, text: str):
         self.text = text
@@ -258,14 +273,106 @@ class _Parser:
 
     # -- expressions --------------------------------------------------
 
-    def expr(self) -> Expr:
-        out = self.expr_atom()
-        while self.accept("+"):
-            out = Plus(out, self.expr_atom())
-        return out
+    def formula(self, guard: bool = False) -> Union[Expr, BExpr]:
+        """An expression, or with ``guard`` a Boolean expression, read with
+        one stack of frames [kind, operand so far, extra]: the bottom, ``(``,
+        a call, ``!``, ``cmp`` (extra: operator and left side), ``try`` and
+        ``bool``.  A ``(`` where a Boolean term may start is read once, as
+        ``try``: it closes as an expression if one fills it, and turns
+        ``bool``, with the ``try`` frames below it, at the first token an
+        expression cannot take there (``!``, ``true``, ``false`` first, ``==``
+        or ``<=`` after an expression).  So the trees and errors are those of
+        reading a Boolean parenthesis first and an expression where that
+        fails: an error inside a ``bool`` frame is the one an expression met
+        where the lowest turned, which that frame keeps."""
+        text = self.lexemes[self.pos]
+        if not guard and text and self.lexemes[self.pos + 1] != "+" and text != "(" \
+                and text not in _CALLS:  # a name or a number alone needs no stack
+            return self.operand(text)
+        stack = [["bool" if guard else "expr", None, None]]
+        term = guard  # at a Boolean term's place
+        try:
+            while True:
+                text = self.lexemes[self.pos]
+                boolean = term and text in ("!", "true", "false")
+                if boolean:
+                    if stack[-1][0] == "try":
+                        _turn(stack, self.error(
+                            f"found {_shown(text)!r} where an expression was needed", ("expression",)))
+                    self.pos += 1
+                    if text == "!":
+                        stack.append(["!", None, None])
+                        continue
+                    value = BLit(text == "true")
+                elif term and text == "(":
+                    self.pos += 1
+                    stack.append(["try", None, None])
+                    continue
+                else:
+                    if term and stack[-1][0] != "try":
+                        stack.append(["cmp", None, None])
+                    term = False
+                    if text == "(" or text in _CALLS:
+                        self.pos += 1
+                        if text != "(":
+                            self.expect("(")
+                        stack.append([text, None, None])
+                        continue
+                    value = self.operand(text)
+                while True:  # close the frames that ``value`` ends
+                    top = stack[-1]
+                    kind = top[0]
+                    if boolean:
+                        if kind == "!":
+                            stack.pop()
+                            value = Not(value)
+                            continue
+                        top[1] = value if top[1] is None else And(top[1], value)
+                        if self.accept("&&"):
+                            term = True
+                            break
+                        if len(stack) == 1:
+                            return top[1]
+                        self.expect(")")
+                        stack.pop()
+                        value = top[1]
+                        continue
+                    top[1] = value if top[1] is None else Plus(top[1], value)
+                    if self.accept("+"):
+                        break
+                    value, after = top[1], self.lexemes[self.pos]
+                    if kind == "expr":
+                        return value
+                    if kind == "try" and after in ("==", "<="):
+                        _turn(stack, self.error(f"found {_shown(after)!r}", (")",)))
+                        top[1], top, kind = None, ["cmp", None, None], "cmp"
+                        stack.append(top)
+                    if kind in ("cmp", "pair") and top[2] is None:
+                        if kind == "pair":
+                            self.expect(",")
+                        elif after in ("==", "<="):
+                            self.pos += 1
+                            value = (Eq if after == "==" else Leq, value)
+                        else:
+                            raise self.error("comparison needs '==' or '<='", ("==", "<="))
+                        top[1], top[2] = None, value
+                        break
+                    stack.pop()
+                    if kind == "cmp":
+                        value, boolean = top[2][0](top[2][1], value), True
+                        continue
+                    self.expect(")")
+                    if kind == "try" and stack[-1][0] != "try":
+                        stack.append(["cmp", None, None])
+                    elif kind == "pair":
+                        value = Pair(top[2], value)
+                    elif kind in _CALLS:
+                        value = _CALLS[kind](value)
+        except ParseError as error:
+            turned = [frame[2] for frame in stack if frame[0] == "bool" and frame[2]]
+            raise (turned[0] if turned else error) from None
 
-    def expr_atom(self) -> Expr:
-        text = self.peek()
+    def operand(self, text: str) -> Expr:
         if _is_name(text):
             self.pos += 1
             return Var(text)
@@ -277,60 +384,8 @@ class _Parser:
                 raise self.error(message) from None
             self.pos += 1
             return Lit(value)
-        if self.accept("("):
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if text in ("succ", "fst", "snd", "pair"):
-            self.pos += 1
-            self.expect("(")
-            args = [self.expr()]
-            if text == "pair":
-                self.expect(",")
-                args.append(self.expr())
-            self.expect(")")
-            return {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}[text](*args)
         raise self.error(f"found {_shown(text)!r} where an expression was needed",
                          ("expression",))
-
-    def bexpr(self) -> BExpr:
-        out = self.bterm()
-        while self.accept("&&"):
-            out = And(out, self.bterm())
-        return out
-
-    def bterm(self) -> BExpr:
-        """A run of ``!`` is read in a loop, then negates the term after it."""
-        negations = 0
-        while self.accept("!"):
-            negations += 1
-        term = self.bterm_atom()
-        for _ in range(negations):
-            term = Not(term)
-        return term
-
-    def bterm_atom(self) -> BExpr:
-        if self.accept("true"):
-            return BLit(True)
-        if self.accept("false"):
-            return BLit(False)
-        if self.peek() == "(":
-            # Either a parenthesised Boolean expression or the start of a
-            # comparison operand; try the former, fall back on the latter.
-            saved = self.pos
-            try:
-                self.expect("(")
-                inner = self.bexpr()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = saved
-        left = self.expr()
-        if self.accept("=="):
-            return Eq(left, self.expr())
-        if self.accept("<="):
-            return Leq(left, self.expr())
-        raise self.error("comparison needs '==' or '<='", ("==", "<="))
 
     def label(self) -> SelLabel:
         if self.peek() not in ("left", "right"):
@@ -393,33 +448,31 @@ def parse_cc(text: str) -> CCProgram:
 
 
 def _parse_chor(parser: _Parser, spans: List[Tuple[int, int]]) -> Choreography:
-    """Read a run of interactions in a loop; only conditionals recurse.  A
-    statement's span runs from its first token, ``start``, to its last; a
-    conditional keeps its place in ``spans`` ahead of its branches'."""
-    prefix = []
+    """Read statements in a loop, with a stack of the conditionals open
+    around them: [span index, first token, process, guard, interactions
+    before, then branch once read].  A statement's span runs from its first
+    token, ``start``, to its last; a conditional keeps its place in
+    ``spans`` ahead of its branches'."""
+    conds, prefix = [], []
     while True:
         start = last = parser.pos
         first = parser.lexemes[start]
         if first in ("end", "call", "if"):
             parser.pos += 1
+        if first == "if":
+            spans.append(None)
+            proc = parser.name("process name")
+            parser.expect(".")
+            guard = parser.formula(True)
+            parser.expect("then", "{")
+            conds.append([len(spans) - 1, start, proc, guard, prefix, None])
+            prefix = []
+            continue
         if first == "end":
             chor: Choreography = End()
         elif first == "call":
             last = parser.pos
             chor = Call(parser.name("procedure name"))
-        elif first == "if":
-            at = len(spans)
-            spans.append(None)
-            proc = parser.name("process name")
-            parser.expect(".")
-            guard = parser.bexpr()
-            parser.expect("then", "{")
-            then_branch = _parse_chor(parser, spans)
-            parser.expect("}", "else", "{")
-            else_branch = _parse_chor(parser, spans)
-            spans[at] = (start, parser.expect("}"))
-            chor = Cond(proc, guard, then_branch, else_branch)
-            break
         else:
             sender = parser.name("process name")
             if parser.accept("->"):
@@ -430,19 +483,28 @@ def _parse_chor(parser: _Parser, spans: List[Tuple[int, int]]) -> Choreography:
                 eta = SelEta(sender, receiver, label)
             else:
                 parser.expect(".")
-                expr = parser.expr()
+                expr = parser.formula()
                 parser.expect("->")
                 receiver = parser.name("process name")
                 parser.expect(".")
                 eta = ComEta(sender, expr, receiver, parser.name("variable name"))
             prefix.append((eta, parser.annot()))
-            last = parser.expect(";")
+            spans.append((start, parser.expect(";")))
+            continue
         spans.append((start, last))
-        if first in ("end", "call"):
-            break
-    for eta, ann in reversed(prefix):
-        chor = Interaction(eta, ann, chor)
-    return chor
+        while True:  # the branch ends here; so do the conditionals it closes
+            for eta, ann in reversed(prefix):
+                chor = Interaction(eta, ann, chor)
+            if not conds:
+                return chor
+            if conds[-1][5] is None:
+                conds[-1][5] = chor
+                parser.expect("}", "else", "{")
+                prefix = []
+                break
+            at, start, proc, guard, prefix, then_branch = conds.pop()
+            spans[at] = (start, parser.expect("}"))
+            chor = Cond(proc, guard, then_branch, chor)
 
 
 # --------------------------------------------------------------------------
@@ -489,179 +551,187 @@ def parse_sp(text: str) -> SPProgram:
 
 
 def _parse_behaviour(parser: _Parser) -> Behaviour:
-    """Read a run of prefixes in a loop; only conditionals and offers recurse."""
-    prefixes = []
+    """Read prefixes in a loop, with a stack of the blocks open around them:
+    [prefixes before, BCond, guard, then branch once read] for a conditional,
+    [prefixes before, Branch, peer, offers read, label, annotation] for an
+    offer."""
+    blocks, prefixes = [], []
     while True:
         first = parser.peek()
         if first in ("end", "call", "if"):
             parser.pos += 1
+        if first == "if":
+            blocks.append([prefixes, BCond, parser.formula(True), None])
+            parser.expect("then", "{")
+            prefixes = []
+            continue
         if first == "end":
             behaviour: Behaviour = BEnd()
-            break
-        if first == "call":
+        elif first == "call":
             name = parser.name("procedure name")
             parser.expect("@")
             behaviour = BCall((name, parser.name("process name")))
-            break
-        if first == "if":
-            guard = parser.bexpr()
-            parser.expect("then", "{")
-            then_branch = _parse_behaviour(parser)
-            parser.expect("}", "else", "{")
-            else_branch = _parse_behaviour(parser)
-            parser.expect("}")
-            behaviour = BCond(guard, then_branch, else_branch)
+        else:
+            peer = parser.name("process name")
+            if parser.accept("!"):
+                kind, arg = Send, parser.formula()
+            elif parser.accept("?"):
+                kind, arg = Recv, parser.name("variable name")
+            elif parser.accept("(+)"):
+                kind, arg = Choose, parser.label()
+            else:
+                parser.expect("&", "{")
+                if parser.peek() != "}":
+                    blocks.append([prefixes, Branch, peer, {}, *_slot(parser, {})])
+                    prefixes = []
+                    continue
+                parser.expect("}")
+                kind = Branch
+            if kind is not Branch:
+                prefixes.append((kind, peer, arg, parser.annot()))
+                parser.expect(";")
+                continue
+            behaviour = Branch(peer, None, None)
+        while True:  # the behaviour ends here; so do the blocks it closes
+            for kind, peer, arg, ann in reversed(prefixes):
+                behaviour = kind(peer, arg, ann, behaviour)
+            if not blocks:
+                return behaviour
+            block = blocks[-1]
+            if block[1] is BCond and block[3] is None:
+                block[3] = behaviour
+                parser.expect("}", "else", "{")
+            elif block[1] is Branch:
+                offers, label = block[3], block[4]
+                offers[label] = (block[5], behaviour)
+                if parser.accept("|"):
+                    block[4:] = _slot(parser, offers)
+                else:
+                    parser.expect("}")
+                    blocks.pop()
+                    prefixes = block[0]
+                    behaviour = Branch(block[2], offers.get(SelLabel.LEFT), offers.get(SelLabel.RIGHT))
+                    continue
+            else:
+                parser.expect("}")
+                blocks.pop()
+                prefixes = block[0]
+                behaviour = BCond(block[2], block[3], behaviour)
+                continue
+            prefixes = []
             break
 
-        peer = parser.name("process name")
-        if parser.accept("!"):
-            kind, arg = Send, parser.expr()
-        elif parser.accept("?"):
-            kind, arg = Recv, parser.name("variable name")
-        elif parser.accept("(+)"):
-            kind, arg = Choose, parser.label()
-        else:
-            parser.expect("&", "{")
-            slots = {}
-            if parser.peek() != "}":
-                while True:
-                    at = parser.pos
-                    label = parser.label()
-                    if label in slots:
-                        raise parser.error(f"offer {label.value} given twice", index=at)
-                    ann = parser.annot()
-                    parser.expect(":")
-                    slots[label] = (ann, _parse_behaviour(parser))
-                    if not parser.accept("|"):
-                        break
-            parser.expect("}")
-            behaviour = Branch(peer, slots.get(SelLabel.LEFT), slots.get(SelLabel.RIGHT))
-            break
-        prefixes.append((kind, peer, arg, parser.annot()))
-        parser.expect(";")
-    for kind, peer, arg, ann in reversed(prefixes):
-        behaviour = kind(peer, arg, ann, behaviour)
-    return behaviour
+
+def _slot(parser: _Parser, offers: dict) -> Tuple[SelLabel, str]:
+    """An offer's label and annotation, up to its ``:``."""
+    at = parser.pos
+    label = parser.label()
+    if label in offers:
+        raise parser.error(f"offer {label.value} given twice", index=at)
+    ann = parser.annot()
+    parser.expect(":")
+    return label, ann
 
 
 # --------------------------------------------------------------------------
 # Printers
 
-def print_expr(expr: Expr) -> str:
-    if isinstance(expr, Lit):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Succ):
-        return f"succ({print_expr(expr.arg)})"
-    if isinstance(expr, Plus):
-        first, rights = left_spine(expr, Plus)
-        return " + ".join([print_expr(first), *(
-            f"({print_expr(right)})" if isinstance(right, Plus) else print_expr(right)
-            for right in rights)])
-    if isinstance(expr, Pair):
-        return f"pair({print_expr(expr.left)}, {print_expr(expr.right)})"
-    if isinstance(expr, Fst):
-        return f"fst({print_expr(expr.arg)})"
-    return f"snd({print_expr(expr.arg)})"
+def print_expr(expr: Union[Expr, BExpr]) -> str:
+    return write(expr, _parts)
 
 
-def print_bexpr(bexpr: BExpr) -> str:
-    if isinstance(bexpr, BLit):
-        return "true" if bexpr.value else "false"
-    if isinstance(bexpr, Eq):
-        return f"{print_expr(bexpr.left)} == {print_expr(bexpr.right)}"
-    if isinstance(bexpr, Leq):
-        return f"{print_expr(bexpr.left)} <= {print_expr(bexpr.right)}"
-    if isinstance(bexpr, Not):
-        negations = 0
-        while isinstance(bexpr, Not):
-            bexpr, negations = bexpr.arg, negations + 1
-        return f"{'!' * negations}({print_bexpr(bexpr)})"
-    first, rights = left_spine(bexpr, And)
-    return " && ".join([print_bexpr(first), *(
-        f"({print_bexpr(right)})" if isinstance(right, And) else print_bexpr(right)
-        for right in rights)])
+print_bexpr = print_expr
+
+
+def _parts(node) -> list:
+    """``write``'s parts of a node of a behaviour, an expression or a Boolean
+    expression.  The right operand of a ``+`` or ``&&`` of its own kind is
+    parenthesised, and so is the term a ``!`` negates, unless it is a negation."""
+    kind = type(node)
+    if kind is Send:
+        return [f"{node.peer}!", _leaf(node.expr), f"{_ann_text(node.ann)}; ", node.cont]
+    if kind is Recv or kind is Choose:
+        action = f"?{node.var}" if kind is Recv else f"(+){node.label.value}"
+        return [f"{node.peer}{action}{_ann_text(node.ann)}; ", node.cont]
+    if kind is Lit or kind is Var:
+        return [str(node.value) if kind is Lit else node.name]
+    if kind is BEnd or kind is BLit:
+        return ["end" if kind is BEnd else "true" if node.value else "false"]
+    if kind is BCall:
+        return [f"call {node.name[0]}@{node.name[1]}"]
+    if kind is BCond:
+        return ["if ", node.guard, " then { ", node.then_branch, " } else { ", node.else_branch, " }"]
+    if kind is Branch:
+        parts = [f"{node.peer} & {{"]
+        for label, slot in ((SelLabel.LEFT, node.left), (SelLabel.RIGHT, node.right)):
+            if slot is not None:
+                parts += f"{' | ' if len(parts) > 1 else ''}{label.value}{_ann_text(slot[0])}: ", slot[1]
+        return parts + ["}"]
+    if kind is Eq or kind is Leq:
+        return [node.left, " == " if kind is Eq else " <= ", node.right]
+    if kind is Plus or kind is And:
+        operator = " + " if kind is Plus else " && "
+        if type(node.right) is kind:
+            return [node.left, operator + "(", node.right, ")"]
+        return [node.left, operator, node.right]
+    if kind is Pair:
+        return ["pair(", node.left, ", ", node.right, ")"]
+    if kind is Not:
+        return ["!", node.arg] if type(node.arg) is Not else ["!(", node.arg, ")"]
+    return [f"{kind.__name__.lower()}(", node.arg, ")"]
+
+
+def _leaf(expr: Expr) -> Union[str, Expr]:
+    """The text of a literal or a variable, which ``write`` then need not
+    open, else ``expr``."""
+    kind = type(expr)
+    return str(expr.value) if kind is Lit else expr.name if kind is Var else expr
 
 
 def _ann_text(ann: str) -> str:
     return f" @ {json.dumps(ann)}" if ann else ""
 
 
-def print_eta(eta) -> str:
-    if isinstance(eta, ComEta):
-        return f"{eta.sender}.{print_expr(eta.expr)} -> {eta.receiver}.{eta.var}"
-    return f"{eta.sender} -> {eta.receiver}[{eta.label.value}]"
+def _chor_text(chor: Choreography, indent: int) -> str:
+    """The lines of ``chor``, each ending in a line break, by ``write``."""
+    return write((chor, "  " * indent), _chor_parts)
 
 
-def _chor_lines(chor: Choreography, indent: int) -> List[str]:
-    """Runs of interactions print in a loop; only conditionals and runtime
-    terms recurse."""
-    pad = "  " * indent
-    out = []
-    while isinstance(chor, Interaction):
-        out.append(pad + print_eta(chor.eta) + _ann_text(chor.ann) + ";")
-        chor = chor.cont
-    if isinstance(chor, (End, Call)):
-        out.append(pad + ("end" if isinstance(chor, End) else f"call {chor.name}"))
-        return out
-    if isinstance(chor, Cond):
-        out.append(pad + f"if {chor.proc}.{print_bexpr(chor.guard)} then {{")
-        out += _chor_lines(chor.then_branch, indent + 1)
-        out.append(pad + "} else {")
-        out += _chor_lines(chor.else_branch, indent + 1)
-    else:  # Runtime terms appear in traces only; this form is not parseable.
-        out.append(pad + f"rt_call {chor.name} [{', '.join(chor.pending)}] {{")
-        out += _chor_lines(chor.body, indent + 1)
-    out.append(pad + "}")
-    return out
+def _chor_parts(item) -> list:
+    """``write``'s parts of a (choreography, indentation) pair, or else of
+    an expression or a Boolean expression."""
+    if type(item) is not tuple:
+        return _parts(item)
+    chor, pad = item
+    kind = type(chor)
+    if kind is Interaction:
+        eta, end = chor.eta, f"{_ann_text(chor.ann)};\n"
+        if type(eta) is ComEta:
+            return [f"{pad}{eta.sender}.", _leaf(eta.expr), f" -> {eta.receiver}.{eta.var}{end}",
+                    (chor.cont, pad)]
+        return [f"{pad}{eta.sender} -> {eta.receiver}[{eta.label.value}]{end}", (chor.cont, pad)]
+    if kind is End or kind is Call:
+        return [pad + ("end\n" if kind is End else f"call {chor.name}\n")]
+    if kind is Cond:
+        return [f"{pad}if {chor.proc}.", chor.guard, " then {\n", (chor.then_branch, pad + "  "),
+                pad + "} else {\n", (chor.else_branch, pad + "  "), pad + "}\n"]
+    # Runtime terms appear in traces only; this form is not parseable.
+    return [f"{pad}rt_call {chor.name} [{', '.join(chor.pending)}] {{\n",
+            (chor.body, pad + "  "), pad + "}\n"]
 
 
 def print_chor(chor: Choreography) -> str:
-    return "\n".join(_chor_lines(chor, 0))
+    return _chor_text(chor, 0)[:-1]
 
 
 def print_cc(program: CCProgram) -> str:
-    lines: List[str] = []
-    for name, (procs, body) in program.defs.items():
-        lines.append(f"def {name}({', '.join(procs)}) {{")
-        lines += _chor_lines(body, 1)
-        lines.append("}")
-        lines.append("")
-    lines.append("main {")
-    lines += _chor_lines(program.main, 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-_ACTIONS = {Send: lambda b: f"{b.peer}!{print_expr(b.expr)}",
-            Recv: lambda b: f"{b.peer}?{b.var}",
-            Choose: lambda b: f"{b.peer}(+){b.label.value}"}
+    defs = "".join(f"def {name}({', '.join(procs)}) {{\n{_chor_text(body, 1)}}}\n\n"
+                   for name, (procs, body) in program.defs.items())
+    return f"{defs}main {{\n{_chor_text(program.main, 1)}}}\n"
 
 
 def print_behaviour(behaviour: Behaviour) -> str:
-    """Runs of prefixes print in a loop; only offers and conditionals recurse."""
-    prefix = []
-    while type(behaviour) in _ACTIONS:
-        prefix.append(f"{_ACTIONS[type(behaviour)](behaviour)}{_ann_text(behaviour.ann)}; ")
-        behaviour = behaviour.cont
-    if isinstance(behaviour, BEnd):
-        tail = "end"
-    elif isinstance(behaviour, Branch):
-        slots = []
-        for label, slot in ((SelLabel.LEFT, behaviour.left), (SelLabel.RIGHT, behaviour.right)):
-            if slot is not None:
-                ann, cont = slot
-                slots.append(f"{label.value}{_ann_text(ann)}: {print_behaviour(cont)}")
-        tail = f"{behaviour.peer} & {{{' | '.join(slots)}}}"
-    elif isinstance(behaviour, BCond):
-        tail = (f"if {print_bexpr(behaviour.guard)} "
-                f"then {{ {print_behaviour(behaviour.then_branch)} }} "
-                f"else {{ {print_behaviour(behaviour.else_branch)} }}")
-    else:
-        name, proc = behaviour.name
-        tail = f"call {name}@{proc}"
-    return "".join(prefix) + tail
+    return write(behaviour, _parts)
 
 
 def print_network(network: Network) -> str:

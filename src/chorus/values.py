@@ -9,6 +9,7 @@ instead of failing.
 from __future__ import annotations
 
 from enum import Enum
+from json import dumps
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Tuple, Union
 
@@ -44,8 +45,10 @@ class _Kind(type):
 
     The kind gets its slots, ``__match_args__``, ``SUBTREES`` (path step to
     field), an ``__init__`` by slot assignment, ``leaves``, which reads the
-    fields that hold no subtree, and, when no field holds one, an ``__eq__``
-    that compares field by field.
+    fields that hold no subtree, ``rebuild``, which makes the node again
+    over new subtrees, given in field order, ``children``, the (path step,
+    subtree) pairs ``fold`` takes, unless the kind writes its own, and, when
+    no field holds a subtree, an ``__eq__`` that compares field by field.
     """
 
     def __new__(meta, name, bases, namespace):
@@ -69,6 +72,15 @@ class _Kind(type):
         # For ``==``: the first subtree, followed in place, and the others, stacked.
         trees = tuple(kind.SUBTREES.values())
         kind._first, kind._rest = (attrgetter(trees[0]), trees[1:]) if trees else (None, ())
+        exec(f"def rebuild(self, {', '.join(trees)}):\n    return _kind("
+             + ", ".join(field if step else f"self.{field}" for field, step in fields.items())
+             + ")", scope)
+        kind.rebuild = scope["rebuild"]
+        if "children" not in namespace:
+            exec("def children(self):\n    return ["
+                 + "".join(f"({step!r}, self.{field}), " for field, step in fields.items() if step)
+                 + "]", scope)
+            kind.children = scope["children"]
         if not trees:
             exec("def __eq__(self, other):\n    return self is other or type(other) is _kind"
                  + "".join(f" and self.{field} == other.{field}" for field in fields), scope)
@@ -83,26 +95,18 @@ class Node(metaclass=_Kind):
 
     __slots__ = ("_hash",)
 
-    def subtrees(self) -> list:
-        """The subtrees, in field order; an empty offer has none."""
-        trees = [getattr(self, name) for name in self.SUBTREES.values()]
-        return [tree[1] if type(tree) is tuple else tree for tree in trees if tree is not None]
-
     def __hash__(self) -> int:
-        """The hash of the kind and the fields, computed once.  The unset
-        slots below are filled first, bottom-up in a loop."""
+        """The hash of the kind and the fields, computed once, by ``fold``:
+        the subtrees whose hashes are unset are hashed first."""
         if self._hash is None:
-            stack = [self]
-            while stack:
-                top = stack.pop()
-                unhashed = top is not None and type(top)._first is not None and [
-                    tree for tree in top.subtrees() if tree._hash is None]
-                if unhashed:  # come back to top, under the None, once they are hashed
-                    stack += (top, None, *unhashed)
-                    continue
-                if top is None:
-                    top = stack.pop()
-                top._hash = hash((type(top), type(top)._values(top)))
+            if not self.SUBTREES:  # a leaf kind needs no fold
+                return self._hashed(())
+            fold(self, lambda node: node._hash if node._hash is not None else node.children(),
+                 Node._hashed)
+        return self._hash
+
+    def _hashed(self, hashes: list) -> int:
+        self._hash = hash((type(self), type(self)._values(self)))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -140,23 +144,95 @@ class Node(metaclass=_Kind):
         return True
 
     def __repr__(self) -> str:
-        """``Kind(field=repr, ...)`` over ``FIELDS``, in a loop: the stack holds
-        texts still to write, nodes still to open and ``Branch`` offers."""
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-            elif isinstance(item, Node):
-                parts = [f"{type(item).__name__}("]
-                for index, name in enumerate(item.FIELDS):
-                    value = getattr(item, name)
-                    opened = isinstance(value, Node) or (item.FIELDS[name] and value is not None)
-                    parts += f"{', ' if index else ''}{name}=", value if opened else repr(value)
-                stack += reversed((*parts, ")"))
-            else:  # an offer: (annotation, subtree)
-                stack += ")", item[1], f"({item[0]!r}, "
-        return "".join(out)
+        """``Kind(field=repr, ...)`` over ``FIELDS``, by ``write``."""
+        return write(self, _repr_parts)
+
+
+def _repr_parts(item) -> list:
+    """``write``'s parts of a node, or of a ``Branch`` offer: (annotation, subtree)."""
+    if not isinstance(item, Node):
+        return [f"({item[0]!r}, ", item[1], ")"]
+    parts = [f"{type(item).__name__}("]
+    for index, name in enumerate(item.FIELDS):
+        value = getattr(item, name)
+        opened = isinstance(value, Node) or (item.FIELDS[name] and value is not None)
+        parts += f"{', ' if index else ''}{name}=", value if opened else repr(value)
+    return parts + [")"]
+
+
+class Failure(Exception):
+    """Stops a ``fold``: ``path`` leads from the item that raised it to the
+    fault, and the fold puts the steps from its root to that item before it."""
+
+    def __init__(self, reason: str = "", path: Tuple[str, ...] = ()):
+        super().__init__(reason)
+        self.reason, self.path = reason, path
+
+
+def fold(root, open, close):
+    """The post-order fold of every syntax-directed function, with an
+    explicit stack, over trees, pairs of trees or values.  ``open(item)``
+    returns the item's result, or a list of (path step, child) to fold
+    first; ``close(item, results)`` then makes it from theirs.  An only child
+    given as (step, child, None) passes its result up unclosed.  A child is
+    followed in place while its item waits in a frame: its step alone if it
+    passes the result up, (item, step) on a chain, else [item, children,
+    results].  A ``Failure`` from ``open`` or ``close`` leaves with the steps
+    from the root to its item put before its path."""
+    frames, item = [], root
+    push, pop = frames.append, frames.pop
+    try:
+        while True:
+            result = open(item)
+            while type(result) is list:
+                if len(result) == 1:
+                    child = result[0]
+                    push((item, child[0]) if len(child) == 2 else child[0])
+                elif result:
+                    push([item, result, []])
+                    child = result[0]
+                else:
+                    result = close(item, result)
+                    break
+                item = child[1]
+                result = open(item)
+            while frames:
+                frame = frames[-1]
+                if type(frame) is not list:
+                    pop()
+                    if type(frame) is tuple:
+                        result = close(frame[0], (result,))
+                    continue
+                item, children, results = frame
+                results.append(result)
+                if len(results) < len(children):
+                    item = children[len(results)][1]
+                    break
+                pop()
+                result = close(item, results)
+            else:
+                return result
+    except Failure as failure:
+        failure.path = (*(frame if type(frame) is str else frame[1] if type(frame) is tuple
+                          else frame[1][len(frame[2])][0] for frame in frames), *failure.path)
+        raise
+
+
+def write(root, parts) -> str:
+    """The text of ``root``, written pre-order with an explicit stack:
+    ``parts(item)`` lists the item's texts and child items, in order, and
+    the stack holds the parts still to write of each item open."""
+    out, stack = [], [iter((root,))]
+    while stack:
+        for part in stack[-1]:
+            if type(part) is str:
+                out.append(part)
+            else:
+                stack.append(iter(parts(part)))
+                break
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -229,58 +305,53 @@ def leftmost_nat(value: Value) -> int:
     return value
 
 
-def left_spine(tree, kind) -> Tuple[object, list]:
-    """The leftmost operand of a chain of ``kind`` nodes nested on the left,
-    as the parser builds ``a + b + c`` and ``a && b && c``, and the right
-    operands from the left: read in a loop."""
-    rights = []
-    while type(tree) is kind:
-        rights.append(tree.right)
-        tree = tree.left
-    return tree, rights[::-1]
-
-
 def eval_expr(expr: Expr, env: Callable[[VarName], Value]) -> Value:
-    """Evaluate ``expr`` under ``env``.  Total; never raises on value shapes."""
-    if isinstance(expr, Lit):
+    """Evaluate ``expr`` under ``env`` by ``fold``; a literal or a variable
+    needs none.  Total; never raises on value shapes."""
+    kind = type(expr)
+    if kind is Lit:
         return expr.value
-    if isinstance(expr, Var):
+    if kind is Var:
         return env(expr.name)
-    if isinstance(expr, Succ):
-        return leftmost_nat(eval_expr(expr.arg, env)) + 1
-    if isinstance(expr, Plus):
-        first, rights = left_spine(expr, Plus)
-        return leftmost_nat(eval_expr(first, env)) + sum(
-            leftmost_nat(eval_expr(right, env)) for right in rights)
-    if isinstance(expr, Pair):
-        return (eval_expr(expr.left, env), eval_expr(expr.right, env))
-    if isinstance(expr, Fst):
-        value = eval_expr(expr.arg, env)
-        return value[0] if isinstance(value, tuple) else value
-    if isinstance(expr, Snd):
-        value = eval_expr(expr.arg, env)
-        return value[1] if isinstance(value, tuple) else value
-    raise TypeError(f"not an expression: {expr!r}")
+
+    def leaf(node):
+        kind = type(node)
+        return node.value if kind is Lit else env(node.name) if kind is Var else node.children()
+
+    return fold(expr, leaf, _combine)
+
+
+def _combine(node, values: list) -> Value:
+    kind = type(node)
+    if kind is Pair:
+        return tuple(values)
+    if kind is Plus:
+        return leftmost_nat(values[0]) + leftmost_nat(values[1])
+    if kind is Succ:
+        return leftmost_nat(values[0]) + 1
+    value = values[0]  # fst or snd
+    return value[kind is Snd] if isinstance(value, tuple) else value
 
 
 def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
-    """Evaluate a Boolean expression; ``==`` is structural value equality.
-    A run of negations is counted in a loop."""
-    negated = False
-    while isinstance(bexpr, Not):
-        bexpr, negated = bexpr.arg, not negated
-    if isinstance(bexpr, BLit):
-        value = bexpr.value
-    elif isinstance(bexpr, Eq):
-        value = eval_expr(bexpr.left, env) == eval_expr(bexpr.right, env)
-    elif isinstance(bexpr, Leq):
-        value = leftmost_nat(eval_expr(bexpr.left, env)) <= leftmost_nat(eval_expr(bexpr.right, env))
-    elif isinstance(bexpr, And):
-        first, rights = left_spine(bexpr, And)
-        value = eval_bexpr(first, env) and all(eval_bexpr(right, env) for right in rights)
-    else:
-        raise TypeError(f"not a boolean expression: {bexpr!r}")
-    return value != negated
+    """Evaluate a Boolean expression by ``fold``; ``==`` is structural value
+    equality, and a comparison or a literal needs no fold."""
+    value = _truth(bexpr, env)
+    if type(value) is not list:
+        return value
+    return fold(bexpr, lambda node: _truth(node, env),
+                lambda node, values: values[0] and values[-1] if type(node) is And
+                else not values[0])
+
+
+def _truth(node, env) -> Union[bool, list]:
+    """A comparison's or a literal's truth, else the node's children."""
+    kind = type(node)
+    if kind is Eq:
+        return eval_expr(node.left, env) == eval_expr(node.right, env)
+    if kind is Leq:
+        return leftmost_nat(eval_expr(node.left, env)) <= leftmost_nat(eval_expr(node.right, env))
+    return node.value if kind is BLit else node.children()
 
 
 # --------------------------------------------------------------------------
@@ -374,26 +445,34 @@ def eval_bexpr_on_state(bexpr: BExpr, state: State, process: ProcessName) -> boo
 # Serialisation
 
 def value_to_json(value: Value):
-    """Naturals render as numbers, pairs as two-element arrays."""
-    if isinstance(value, tuple):
-        return [value_to_json(value[0]), value_to_json(value[1])]
-    return value
+    """Naturals render as numbers, pairs as two-element arrays, by ``fold``."""
+    return fold(value, lambda item: [(0, item[0]), (1, item[1])] if isinstance(item, tuple)
+                else item, lambda pair, values: values)
 
 
 def value_from_json(data) -> Value:
-    if isinstance(data, list):
-        if len(data) != 2:
-            raise ValueError(f"pair values need exactly two components: {data!r}")
-        return (value_from_json(data[0]), value_from_json(data[1]))
-    if isinstance(data, int) and not isinstance(data, bool) and data >= 0:
-        return data
-    raise ValueError(f"not a value: {data!r}")
+    def leaf(data):
+        if isinstance(data, list):
+            if len(data) != 2:
+                raise ValueError(f"pair values need exactly two components: {data!r}")
+            return [(0, data[0]), (1, data[1])]
+        if isinstance(data, int) and not isinstance(data, bool) and data >= 0:
+            return data
+        raise ValueError(f"not a value: {data!r}")
+
+    return fold(data, leaf, lambda data, values: tuple(values))
 
 
-def value_text(value: Value) -> str:
-    if isinstance(value, tuple):
-        return f"({value_text(value[0])}, {value_text(value[1])})"
-    return str(value)
+def value_text(value: Value, brackets: str = "()") -> str:
+    """``(a, b)`` for a pair, by ``write``.  With ``brackets="[]"``, of a
+    value or of its ``value_to_json``, it is the text ``json.dumps`` gives
+    ``value_to_json(value)``."""
+    def parts(item) -> list:
+        if isinstance(item, (tuple, list)):
+            return [brackets[0], item[0], ", ", item[1], brackets[1]]
+        return [str(item) if type(item) is int or brackets == "()" else dumps(item)]
+
+    return write(value, parts)
 
 
 def state_to_json(state: State) -> dict:

@@ -245,13 +245,35 @@ def test_state_file_must_hold_an_object(tmp_path, capsys):
 
 
 def test_deep_inputs_exit_2_with_one_line(tmp_path, capsys):
-    # The parser recurses once per nested parenthesis.
+    # Nested parentheses are read with a stack: 1,500 check, and print back.
     nested = "(" * 1500 + "1" + ")" * 1500
-    cc = _write(tmp_path, "deep.cc", f"main {{ p.{nested} -> q.x; end }}\n")
-    assert main(["check", cc]) == 2
+    text = f"main {{ p.{nested} -> q.x; end }}\n"
+    cc = _write(tmp_path, "deep.cc", text)
+    assert main(["check", cc]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert parse_cc(print_cc(parse_cc(text))) == parse_cc(text)
+    # Comparing two pair values, which verify does, recurses in C; so a value
+    # nested 100,000 deep exits 2 there, with one line.
+    pair = "pair(" * 100000 + "1" + ", 0)" * 100000
+    cc = _write(tmp_path, "pair.cc", f"main {{ p.{pair} -> q.x; end }}\n")
+    assert main(["verify", cc, "--depth", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_run_writes_values_nested_one_pair_deeper_each_round(tmp_path, capsys):
+    # Each round nests x one pair deeper, so the value sent at step 4,000 is
+    # nested 2,000 deep; every line is written in a loop.
+    cc = _write(tmp_path, "nesting.cc", "def X(p, q) { p.pair(x, 0) -> q.x; q.pair(x, 0) -> p.x; "
+                                        "call X } main { call X }\n")
+    for fmt, steps in (("json", 4000), ("text", 2000)):
+        assert main(["run", cc, "--max-steps", str(steps), "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == steps + 1
+        assert lines[-1].startswith('{"status": "bound", "state": {"p.x": [[[' if fmt == "json"
+                                    else 'bound; state {"p.x": [[[')
+    assert lines[-2].startswith("com(q,((((")
 
 
 def test_project_merges_long_branches_in_a_loop(tmp_path, capsys):

@@ -308,6 +308,17 @@ def test_parenthesised_comparisons_parse_after_backtracking():
         assert network.get("p") == BCond(tree, Send("q", Lit(1), "", B_END), B_END), guard
 
 
+def test_parenthesised_guards_read_each_parenthesis_once():
+    # 100,000 levels parse at once: a quadratic reading would not finish.
+    depth = 100000
+    guard = "(" * depth + "x" + ")" * depth + " == 1"
+    assert parse_cc(f"main {{ if p.{guard} then {{ end }} else {{ end }} }}").main == Cond(
+        "p", Eq(Var("x"), Lit(1)), END, END)
+    guard = "(" * depth + "x == 1" + ")" * depth + " && !(true)"
+    assert parse_sp(f"p[if {guard} then {{ end }} else {{ end }}]").network.get("p") == BCond(
+        And(Eq(Var("x"), Lit(1)), Not(BLit(True))), B_END, B_END)
+
+
 def test_backtracking_guards_locate_tokens_at_most_once(monkeypatch):
     import chorus.surface as surface
     calls = []

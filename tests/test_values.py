@@ -12,7 +12,7 @@ from chorus.choreography import DEFAULT_PROCESS
 from chorus.surface import parse_cc, print_bexpr, print_expr
 from chorus.values import (
     Node, eval_on_state, leftmost_nat, state_from_json, state_to_json,
-    value_from_json, value_to_json,
+    value_from_json, value_text, value_to_json,
 )
 
 
@@ -177,6 +177,32 @@ def test_deep_behaviours_hash():
 def test_value_json_round_trip():
     for value in (0, 5, (1, 2), ((3, 0), (1, (2, 2)))):
         assert value_from_json(value_to_json(value)) == value
+
+
+_VALUES = st.recursive(st.integers(0, 2**70), lambda inner: st.tuples(inner, inner),
+                       max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_value_writers_match_json_dumps(value):
+    import json
+    data = value_to_json(value)
+    assert value_text(value, "[]") == value_text(data, "[]") == json.dumps(data)
+    assert value_from_json(json.loads(json.dumps(data))) == value
+    expected = str(value).replace(",)", ")") if isinstance(value, tuple) else str(value)
+    assert value_text(value) == expected
+
+
+def test_values_nested_past_the_recursion_limit_write_and_read_in_a_loop():
+    value = 0
+    for _ in range(100000):
+        value = (value, 1)
+    data = value_to_json(value)
+    text = value_text(data, "[]")
+    assert text == "[" * 100000 + "0" + ", 1]" * 100000
+    assert value_text(value) == "(" * 100000 + "0" + ", 1)" * 100000
+    assert value_from_json(data)[1] == 1 and leftmost_nat(value_from_json(data)) == 0
 
 
 def test_state_json_round_trip():
