@@ -24,8 +24,7 @@ from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .choreography import (
-    CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction, RTCall,
-    SelEta, PROCESS_BIT,
+    CCProgram, Call, Choreography, ComEta, Cond, DefSet, End, Interaction, RTCall, PROCESS_BIT,
 )
 from .labels import (
     RCall, RCom, RCond, RSel, RichLabel, TransitionLabel, forget, label_processes,

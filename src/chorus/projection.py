@@ -82,9 +82,23 @@ _DIFFER = {Send: "send prefixes", Recv: "receive prefixes", Choose: "selection p
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
     """``first >> second``: first has at least the branches of second, and
-    the same leaves everywhere.  ``merge`` is the join of this order, so
-    this holds when merging the two gives ``first``."""
-    return first == second or merge(first, second).behaviour == first
+    the same leaves everywhere.  A ``fold`` over the two side by side that
+    builds nothing: the pairs ``merge`` would merge, each offer of second
+    needing one of first."""
+    if first == second:
+        return True
+    try:
+        return fold((first, second), _below, lambda pair, results: True)
+    except Failure:
+        return False
+
+
+def _below(pair) -> list:
+    first, second = pair or (None, None)
+    if type(first) is Branch and type(second) is Branch and (
+            first.left is None and second.left or first.right is None and second.right):
+        raise Failure("an offer is missing")
+    return _merge_pair(pair)
 
 
 def more_branches_net(first: Network, second: Network) -> bool:
@@ -166,50 +180,6 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
         return _prefix(process, node, results[0])
 
     return _projected(chor, down, up)
-
-
-def _projections(defs: DefSet, chor: Choreography, processes) -> dict:
-    """``bproj`` onto each of ``processes`` at once, in one ``fold``: a
-    subtree's result maps each process it projects to something other than
-    End to that projection, and goes up to one parent, which extends it in
-    place.  Raises the ``Failure`` of a merge that fails, for some process."""
-    mask = 0
-    for process in processes:
-        mask |= PROCESS_BIT[process]
-    wanted = [frozenset(processes)]  # less the pending ones of each runtime term entered
-
-    def down(node):
-        if not node.bits & mask:
-            return {}
-        kind = type(node)
-        if kind is Interaction:
-            named = node.eta.sender in wanted[-1] or node.eta.receiver in wanted[-1]
-            return [("cont", node.cont)] if named else [("cont", node.cont, None)]
-        if kind is Cond:
-            return node.children()
-        if kind is Call:
-            return {process: BCall((node.name, process)) for process in defs.vars(node.name)
-                    if process in wanted[-1]}
-        wanted.append(wanted[-1] - set(node.pending))
-        return [("body", node.body)]
-
-    def up(node, results) -> dict:
-        projections, kind = results[0], type(node)
-        if kind is Interaction:
-            for process in {node.eta.sender, node.eta.receiver} & wanted[-1]:
-                projections[process] = _prefix(process, node, projections.get(process, B_END))
-        elif kind is RTCall:
-            wanted.pop()
-            projections.update((process, BCall((node.name, process))) for process in node.pending
-                               if process in wanted[-1])
-        else:
-            projections = {process: _branches(process, node, projections.get(process, B_END),
-                                              results[1].get(process, B_END))
-                           for process in projections.keys() | results[1].keys()
-                           | ({node.proc} & wanted[-1])}
-        return projections
-
-    return fold(chor, down, up)
 
 
 def _prefix(process: ProcessName, node: Interaction, after: Behaviour) -> Behaviour:
@@ -302,7 +272,13 @@ class EppFailure:
 def epp_c(defs: DefSet, processes: Iterable[ProcessName],
           chor: Choreography) -> Union[Network, EppFailure]:
     """Project a choreography onto each listed process."""
-    return _each(defs, chor, sorted(set(processes)), "main", Network)
+    out = {}
+    for process in sorted(set(processes)):
+        result = bproj(defs, chor, process)
+        if not result.ok:
+            return EppFailure("main", process, result.failure)
+        out[process] = result.behaviour
+    return Network(out)
 
 
 def epp_d(defs: DefSet) -> Union[DefSetB, EppFailure]:
@@ -310,25 +286,13 @@ def epp_d(defs: DefSet) -> Union[DefSetB, EppFailure]:
     other name projects to ``End``, which ``DefSetB`` does not store)."""
     out = {}
     for name in defs.support():
-        projected = _each(defs, defs.body(name), defs.vars(name), name, dict)
-        if isinstance(projected, EppFailure):
-            return projected
-        out.update(((name, process), behaviour) for process, behaviour in projected.items())
-    return DefSetB(out)
-
-
-def _each(defs: DefSet, chor: Choreography, processes: list, scope: str, kind):
-    """``kind`` of each of ``processes``, in order, to its projection of
-    ``chor``, or the failure of the first whose projection fails."""
-    try:
-        projected = _projections(defs, chor, processes)
-    except Failure:
-        for process in processes:
-            result = bproj(defs, chor, process)
+        body = defs.body(name)
+        for process in defs.vars(name):
+            result = bproj(defs, body, process)
             if not result.ok:
-                return EppFailure(scope, process, result.failure)
-        raise
-    return kind((process, projected.get(process, B_END)) for process in processes)
+                return EppFailure(name, process, result.failure)
+            out[(name, process)] = result.behaviour
+    return DefSetB(out)
 
 
 def epp(program: CCProgram) -> Union[SPProgram, EppFailure]:

@@ -261,7 +261,7 @@ def test_bproj_counts_calls_and_stores_nothing():
     from chorus import verification
 
     misses = bproj.cache_info().misses
-    str_proj_p(auth_program())
+    epp(auth_program())
     info = bproj.cache_info()
     assert (info.maxsize, info.currsize, info.hits) == (0, 0, 0)
     assert info.misses > misses
@@ -369,10 +369,9 @@ def test_str_proj_p_projects_each_process_once():
 
 
 def test_str_proj_p_decides_the_runtime_term_clause_once():
-    # 8 pairs, then a joins X: 19 projections of main and the clause's 4
-    # (X's definition and the runtime term's body, for b and c), once rather
-    # than once per process; projectable_d projects X's body onto its three
-    # processes in one fold, with no call.
+    # 8 pairs, then a joins X: 19 projections of main, 3 of X's body for
+    # projectable_d, and the clause's 4 (X's definition and the runtime
+    # term's body, for b and c), once rather than once per process.
     pairs = "".join(f"x{i}.1 -> y{i}.v; " for i in range(8))
     program = parse_cc("def X(a, b, c) { a.1 -> b.x; b.1 -> c.y; end } main { " + pairs
                        + "call X }")
@@ -380,7 +379,7 @@ def test_str_proj_p_decides_the_runtime_term_clause_once():
               if label == RCall("X", "a")]
     misses = bproj.cache_info().misses
     assert str_proj_p(CCProgram(program.defs, chor))
-    assert bproj.cache_info().misses - misses == 19 + 4
+    assert bproj.cache_info().misses - misses == 19 + 3 + 4
 
 
 def test_merge_preserves_behaviour_wf():
