@@ -156,42 +156,73 @@ def _offers(first: Branch, second: Branch) -> tuple:
 @lru_cache(maxsize=0)
 def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionResult:
     """Project ``chor`` onto ``process`` by ``fold``; partial because of
-    merge.  A subtree that does not name ``process`` projects to End, and an
-    interaction that does not name it, or a runtime term it has joined,
-    passes its subtree's projection up."""
+    merge.  A run of interactions, and of runtime terms ``process`` has
+    joined, is one item of the fold, read in a loop (``_run``): its
+    prefixes go before the projection of what ends it, a conditional that
+    is folded next, or a node projected at once.  A subtree that does not
+    name ``process`` projects to End, and so does ``End``."""
     bit = PROCESS_BIT[process]
 
     def down(node):
-        if not node.bits & bit:
-            return B_END
-        kind = type(node)
-        if kind is Interaction:
-            named = process == node.eta.sender or process == node.eta.receiver
-            return [("cont", node.cont)] if named else [("cont", node.cont, None)]
-        if kind is Cond:
-            return node.children()
+        walked, end = _run(node, process, bit)
+        kind = type(end)
+        if kind is Cond and end.bits & bit:
+            return [(_steps(walked), end)] if walked else end.children()
+        if not end.bits & bit:
+            return _prefixes(process, walked, B_END)
         if kind is Call:  # the processes of the procedure call their copies
-            return BCall((node.name, process)) if process in defs.vars(node.name) else B_END
-        return BCall((node.name, process)) if process in node.pending else [("body", node.body, None)]
+            joins = defs.vars(end.name)
+        else:  # a runtime term ``process`` has still to join
+            joins = end.pending
+        return _prefixes(process, walked, BCall((end.name, process)) if process in joins else B_END)
 
     def up(node, results) -> Behaviour:
         if type(node) is Cond:
             return _branches(process, node, *results)
-        return _prefix(process, node, results[0])
+        return _prefixes(process, _run(node, process, bit)[0], results[0])
 
     return _projected(chor, down, up)
 
 
-def _prefix(process: ProcessName, node: Interaction, after: Behaviour) -> Behaviour:
-    """The interaction ``node``, which names ``process``, projected onto it before ``after``."""
-    eta, ann = node.eta, node.ann
-    if process == eta.sender:
-        return (Send(eta.receiver, eta.expr, ann, after) if type(eta) is ComEta
-                else Choose(eta.receiver, eta.label, ann, after))
-    if type(eta) is ComEta:
-        return Recv(eta.sender, eta.var, ann, after)
-    return (Branch(eta.sender, (ann, after), None) if eta.label is SelLabel.LEFT
-            else Branch(eta.sender, None, (ann, after)))
+def _run(node: Choreography, process: ProcessName, bit: int) -> tuple:
+    """The interactions and joined runtime terms from ``node`` down, while
+    the subtree names ``process``, and the node that ends them."""
+    walked = []
+    while node.bits & bit:
+        kind = type(node)
+        if kind is Interaction:
+            walked.append(node)
+            node = node.cont
+        elif kind is RTCall and process not in node.pending:
+            walked.append(node)
+            node = node.body
+        else:
+            break
+    return walked, node
+
+
+def _steps(walked: list) -> Tuple[str, ...]:
+    """The path through ``walked``: ``cont`` past an interaction, ``body`` into a runtime term."""
+    return tuple("cont" if type(node) is Interaction else "body" for node in walked)
+
+
+def _prefixes(process: ProcessName, walked: list, behaviour: Behaviour) -> Behaviour:
+    """The interactions of ``walked`` that name ``process``, projected onto it before ``behaviour``."""
+    for node in reversed(walked):
+        if type(node) is RTCall:
+            continue
+        eta, ann = node.eta, node.ann
+        if process == eta.sender:
+            behaviour = (Send(eta.receiver, eta.expr, ann, behaviour) if type(eta) is ComEta
+                         else Choose(eta.receiver, eta.label, ann, behaviour))
+        elif process == eta.receiver:
+            if type(eta) is ComEta:
+                behaviour = Recv(eta.sender, eta.var, ann, behaviour)
+            else:
+                offer = (ann, behaviour)
+                behaviour = (Branch(eta.sender, offer, None) if eta.label is SelLabel.LEFT
+                             else Branch(eta.sender, None, offer))
+    return behaviour
 
 
 def _branches(process: ProcessName, node: Cond, then_proj: Behaviour,

@@ -178,7 +178,8 @@ def fold(root, open, close):
     followed in place while its item waits in a frame: its step alone if it
     passes the result up, (item, step) on a chain, else [item, children,
     results].  A ``Failure`` from ``open`` or ``close`` leaves with the steps
-    from the root to its item put before its path."""
+    from the root to its item put before its path; a step may be a tuple
+    of steps."""
     frames, item = [], root
     push, pop = frames.append, frames.pop
     try:
@@ -213,8 +214,10 @@ def fold(root, open, close):
             else:
                 return result
     except Failure as failure:
-        failure.path = (*(frame if type(frame) is str else frame[1] if type(frame) is tuple
-                          else frame[1][len(frame[2])][0] for frame in frames), *failure.path)
+        steps = [frame if type(frame) is str else frame[1] if type(frame) is tuple
+                 else frame[1][len(frame[2])][0] for frame in frames]
+        failure.path = (*(part for step in steps
+                          for part in (step if type(step) is tuple else (step,))), *failure.path)
         raise
 
 
