@@ -158,16 +158,19 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
     """Project ``chor`` onto ``process`` by ``fold``; partial because of
     merge.  A run of interactions, and of runtime terms ``process`` has
     joined, is one item of the fold, read in a loop (``_run``): its
-    prefixes go before the projection of what ends it, a conditional that
-    is folded next, or a node projected at once.  A subtree that does not
-    name ``process`` projects to End, and so does ``End``."""
+    prefixes go before the projection of what ends it, a conditional whose
+    branches are folded, or a node projected at once.  A subtree that does
+    not name ``process`` projects to End, and so does ``End``."""
     bit = PROCESS_BIT[process]
+    conds = {}  # id of an item whose run ends in a conditional: the run and the conditional
 
     def down(node):
         walked, end = _run(node, process, bit)
         kind = type(end)
         if kind is Cond and end.bits & bit:
-            return [(_steps(walked), end)] if walked else end.children()
+            conds[id(node)] = walked, end
+            steps = _steps(walked)
+            return [((*steps, "then"), end.then_branch), ((*steps, "else"), end.else_branch)]
         if not end.bits & bit:
             return _prefixes(process, walked, B_END)
         if kind is Call:  # the processes of the procedure call their copies
@@ -177,9 +180,14 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
         return _prefixes(process, walked, BCall((end.name, process)) if process in joins else B_END)
 
     def up(node, results) -> Behaviour:
-        if type(node) is Cond:
-            return _branches(process, node, *results)
-        return _prefixes(process, _run(node, process, bit)[0], results[0])
+        walked, cond = conds.pop(id(node))
+        if process == cond.proc:
+            return _prefixes(process, walked, BCond(cond.guard, *results))
+        merged = merge(*results)
+        if not merged.ok:
+            raise Failure(f"conditional at {cond.proc} is ambiguous for {process}: "
+                          f"{merged.failure.reason}", _steps(walked))
+        return _prefixes(process, walked, merged.behaviour)
 
     return _projected(chor, down, up)
 
@@ -223,18 +231,6 @@ def _prefixes(process: ProcessName, walked: list, behaviour: Behaviour) -> Behav
                 behaviour = (Branch(eta.sender, offer, None) if eta.label is SelLabel.LEFT
                              else Branch(eta.sender, None, offer))
     return behaviour
-
-
-def _branches(process: ProcessName, node: Cond, then_proj: Behaviour,
-              else_proj: Behaviour) -> Behaviour:
-    """The conditional ``node`` projected onto ``process`` from its branches' projections."""
-    if process == node.proc:
-        return BCond(node.guard, then_proj, else_proj)
-    merged = merge(then_proj, else_proj)
-    if not merged.ok:
-        raise Failure(f"conditional at {node.proc} is ambiguous for {process}: "
-                      f"{merged.failure.reason}")
-    return merged.behaviour
 
 
 def projectable_d(defs: DefSet) -> bool:

@@ -648,11 +648,18 @@ def _parts(node) -> list:
     expression.  The right operand of a ``+`` or ``&&`` of its own kind is
     parenthesised, and so is the term a ``!`` negates, unless it is a negation."""
     kind = type(node)
-    if kind is Send:
-        return [f"{node.peer}!", _leaf(node.expr), f"{_ann_text(node.ann)}; ", node.cont]
-    if kind is Recv or kind is Choose:
-        action = f"?{node.var}" if kind is Recv else f"(+){node.label.value}"
-        return [f"{node.peer}{action}{_ann_text(node.ann)}; ", node.cont]
+    if kind is Send or kind is Recv or kind is Choose:  # a run of prefixes is one item
+        parts = []
+        while kind is Send or kind is Recv or kind is Choose:
+            if kind is Send:
+                parts += f"{node.peer}!", _leaf(node.expr), f"{_ann_text(node.ann)}; "
+            else:
+                action = f"?{node.var}" if kind is Recv else f"(+){node.label.value}"
+                parts.append(f"{node.peer}{action}{_ann_text(node.ann)}; ")
+            node = node.cont
+            kind = type(node)
+        parts.append("end" if kind is BEnd else node)
+        return parts
     if kind is Lit or kind is Var:
         return [str(node.value) if kind is Lit else node.name]
     if kind is BEnd or kind is BLit:
@@ -668,17 +675,17 @@ def _parts(node) -> list:
                 parts += f"{' | ' if len(parts) > 1 else ''}{label.value}{_ann_text(slot[0])}: ", slot[1]
         return parts + ["}"]
     if kind is Eq or kind is Leq:
-        return [node.left, " == " if kind is Eq else " <= ", node.right]
+        return [_leaf(node.left), " == " if kind is Eq else " <= ", _leaf(node.right)]
     if kind is Plus or kind is And:
         operator = " + " if kind is Plus else " && "
         if type(node.right) is kind:
-            return [node.left, operator + "(", node.right, ")"]
-        return [node.left, operator, node.right]
+            return [_leaf(node.left), operator + "(", node.right, ")"]
+        return [_leaf(node.left), operator, _leaf(node.right)]
     if kind is Pair:
-        return ["pair(", node.left, ", ", node.right, ")"]
+        return ["pair(", _leaf(node.left), ", ", _leaf(node.right), ")"]
     if kind is Not:
         return ["!", node.arg] if type(node.arg) is Not else ["!(", node.arg, ")"]
-    return [f"{kind.__name__.lower()}(", node.arg, ")"]
+    return [f"{kind.__name__.lower()}(", _leaf(node.arg), ")"]
 
 
 def _leaf(expr: Expr) -> Union[str, Expr]:

@@ -225,7 +225,7 @@ def write(root, parts) -> str:
     """The text of ``root``, written pre-order with an explicit stack:
     ``parts(item)`` lists the item's texts and child items, in order, and
     the stack holds the parts still to write of each item open."""
-    out, stack = [], [iter((root,))]
+    out, stack = [], [iter(parts(root))]
     while stack:
         for part in stack[-1]:
             if type(part) is str:
