@@ -162,14 +162,17 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
     branches are folded, or a node projected at once.  A subtree that does
     not name ``process`` projects to End, and so does ``End``."""
     bit = PROCESS_BIT[process]
-    conds = {}  # id of an item whose run ends in a conditional: the run and the conditional
+    runs = {}  # id of an item whose run ends in a conditional: the run, then the conditional
 
     def down(node):
         walked, end = _run(node, process, bit)
         kind = type(end)
         if kind is Cond and end.bits & bit:
-            conds[id(node)] = walked, end
+            if not walked:
+                return end.children()
+            runs[id(node)] = walked
             steps = _steps(walked)
+            walked.append(end)
             return [((*steps, "then"), end.then_branch), ((*steps, "else"), end.else_branch)]
         if not end.bits & bit:
             return _prefixes(process, walked, B_END)
@@ -180,7 +183,11 @@ def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionR
         return _prefixes(process, walked, BCall((end.name, process)) if process in joins else B_END)
 
     def up(node, results) -> Behaviour:
-        walked, cond = conds.pop(id(node))
+        if type(node) is Cond:
+            walked, cond = (), node
+        else:
+            walked = runs.pop(id(node))
+            cond = walked.pop()
         if process == cond.proc:
             return _prefixes(process, walked, BCond(cond.guard, *results))
         merged = merge(*results)
