@@ -42,58 +42,67 @@ class CCConfiguration:
 def cc_step(defs: DefSet, chor: Choreography, state: State,
             label: RichLabel) -> Optional[Tuple[Choreography, State]]:
     """Apply one rich-labelled transition; None when the label is not
-    enabled.  A ``fold``: the step is taken where the label's rule applies,
-    the interactions and runtime terms it is delayed past are rebuilt over
-    it, and past a conditional both branches step, to one state."""
-    processes = label_processes(label)
-
-    def taken(chor):
-        kind = type(chor)
-        if kind is Interaction:
-            eta = chor.eta
-            if eta.sender not in processes and eta.receiver not in processes:
-                return chor.children()  # the label is delayed past it
-            if type(eta) is ComEta:
-                if (type(label) is RCom and label.sender == eta.sender
-                        and label.receiver == eta.receiver and label.var == eta.var
-                        and label.value == eval_on_state(eta.expr, state, eta.sender)):
-                    return chor.cont, state.put((eta.receiver, eta.var), label.value)
-            elif (type(label) is RSel and label.sender == eta.sender
-                  and label.receiver == eta.receiver and label.label is eta.label):
-                return chor.cont, state
-            raise Failure
-        if kind is Cond:
-            if chor.proc not in processes:
-                return chor.children()
-            if type(label) is not RCond:
-                raise Failure
-            return (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
-                    else chor.else_branch), state
-        if kind is End:
-            raise Failure  # End has no transitions
-        # A join: the first process of a Call, or a pending one of a runtime term.
-        procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if kind is Call
-                       else (chor.pending, chor.body))
-        if type(label) is RCall and label.name == chor.name and label.proc in procs:
-            rest = tuple(p for p in procs if p != label.proc)
-            return (RTCall(chor.name, rest, body) if rest else body), state
-        if not (kind is RTCall and processes.isdisjoint(chor.pending)):
-            raise Failure
-        return chor.children()
-
-    def rebuilt(chor, results):
-        succ, succ_state = results[0]
-        if len(results) == 1:
-            return chor.rebuild(succ), succ_state
-        other, other_state = results[1]
-        if other_state != succ_state:
-            raise Failure
-        return chor.rebuild(succ, other), succ_state
-
+    enabled.  The interactions and runtime terms it is delayed past are
+    walked in a loop and rebuilt over the step (``_taken``); only a
+    conditional starts a ``fold``, its branches stepping to one state."""
+    taken, spine = partial(_taken, defs, state, label, label_processes(label)), []
     try:
-        return fold(chor, taken, rebuilt)
+        result = taken(chor)
+        while type(result) is list and len(result) == 1:
+            spine.append(chor)
+            chor = result[0][1]
+            result = taken(chor)
+        succ, state = fold(chor, taken, _rebuilt) if type(result) is list else result
     except Failure:
         return None
+    for node in reversed(spine):
+        succ = node.rebuild(succ)
+    return succ, state
+
+
+def _taken(defs: DefSet, state: State, label: RichLabel, processes, chor: Choreography):
+    """The successor and state where ``label``'s rule applies to ``chor``,
+    or the subtrees it is delayed past; a ``Failure`` where it is neither."""
+    kind = type(chor)
+    if kind is Interaction:
+        eta = chor.eta
+        if eta.sender not in processes and eta.receiver not in processes:
+            return chor.children()  # the label is delayed past it
+        if type(eta) is ComEta:
+            if (type(label) is RCom and label.sender == eta.sender
+                    and label.receiver == eta.receiver and label.var == eta.var
+                    and label.value == eval_on_state(eta.expr, state, eta.sender)):
+                return chor.cont, state.put((eta.receiver, eta.var), label.value)
+        elif (type(label) is RSel and label.sender == eta.sender
+              and label.receiver == eta.receiver and label.label is eta.label):
+            return chor.cont, state
+        raise Failure
+    if kind is Cond:
+        if chor.proc not in processes:
+            return chor.children()
+        if type(label) is not RCond:
+            raise Failure
+        return (chor.then_branch if eval_bexpr_on_state(chor.guard, state, chor.proc)
+                else chor.else_branch), state
+    if kind is End:
+        raise Failure  # End has no transitions
+    # A join: the first process of a Call, or a pending one of a runtime term.
+    procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if kind is Call
+                   else (chor.pending, chor.body))
+    if type(label) is RCall and label.name == chor.name and label.proc in procs:
+        rest = tuple(p for p in procs if p != label.proc)
+        return (RTCall(chor.name, rest, body) if rest else body), state
+    if not (kind is RTCall and processes.isdisjoint(chor.pending)):
+        raise Failure
+    return chor.children()
+
+
+def _rebuilt(chor: Choreography, results) -> Tuple[Choreography, State]:
+    """``chor`` over its stepped subtrees; the branches of a conditional step to one state."""
+    (succ, succ_state), *others = results
+    if any(state != succ_state for _, state in others):
+        raise Failure
+    return chor.rebuild(succ, *(other for other, _ in others)), succ_state
 
 
 def cc_moves(defs: DefSet, chor: Choreography,

@@ -27,7 +27,7 @@ locates the offending node relative to the projected root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Tuple, Union
 
 from .choreography import (
@@ -64,10 +64,10 @@ class ProjectionResult:
         return self.behaviour
 
 
-def _projected(root, open, close) -> ProjectionResult:
-    """``fold``'s result, or its ``Failure`` as a diagnostic."""
+def _projected(make, *args) -> ProjectionResult:
+    """``make(*args)``, or its ``Failure`` as a diagnostic."""
     try:
-        return ProjectionResult(fold(root, open, close))
+        return ProjectionResult(make(*args))
     except Failure as failure:
         return ProjectionResult(None, Diagnostic(failure.reason, failure.path))
 
@@ -111,11 +111,14 @@ def more_branches_net(first: Network, second: Network) -> bool:
 # Merge
 
 def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
+    """``_merge``'s behaviour, or its ``Failure`` as a diagnostic."""
+    return _projected(_merge, first, second)
+
+
+def _merge(first: Behaviour, second: Behaviour) -> Behaviour:
     """A ``fold`` over the two side by side; a failure's path is built only
     on failure.  Equal behaviours merge to themselves with no fold."""
-    if first == second:
-        return ProjectionResult(first)
-    return _projected((first, second), _merge_pair, _merged)
+    return first if first == second else fold((first, second), _merge_pair, _merged)
 
 
 def _merge_pair(pair) -> list:
@@ -155,53 +158,53 @@ def _offers(first: Branch, second: Branch) -> tuple:
 # maxsize=0 stores and hashes nothing; it counts calls as misses for bench/layers.py.
 @lru_cache(maxsize=0)
 def bproj(defs: DefSet, chor: Choreography, process: ProcessName) -> ProjectionResult:
-    """Project ``chor`` onto ``process`` by ``fold``; partial because of
-    merge.  A run of interactions, and of runtime terms ``process`` has
-    joined, is one item of the fold, read in a loop (``_run``): its
-    prefixes go before the projection of what ends it, a conditional whose
-    branches are folded, or a node projected at once.  A subtree that does
-    not name ``process`` projects to End, and so does ``End``."""
-    bit = PROCESS_BIT[process]
-    runs = {}  # id of an item whose run ends in a conditional: the run, then the conditional
-
-    def down(node):
-        walked, end = _run(node, process, bit)
-        kind = type(end)
-        if kind is Cond and end.bits & bit:
-            if not walked:
-                return end.children()
-            runs[id(node)] = walked
-            steps = _steps(walked)
-            walked.append(end)
-            return [((*steps, "then"), end.then_branch), ((*steps, "else"), end.else_branch)]
-        if not end.bits & bit:
-            return _prefixes(process, walked, B_END)
-        if kind is Call:  # the processes of the procedure call their copies
-            joins = defs.vars(end.name)
-        else:  # a runtime term ``process`` has still to join
-            joins = end.pending
-        return _prefixes(process, walked, BCall((end.name, process)) if process in joins else B_END)
-
-    def up(node, results) -> Behaviour:
-        if type(node) is Cond:
-            walked, cond = (), node
-        else:
-            walked = runs.pop(id(node))
-            cond = walked.pop()
-        if process == cond.proc:
-            return _prefixes(process, walked, BCond(cond.guard, *results))
-        merged = merge(*results)
-        if not merged.ok:
-            raise Failure(f"conditional at {cond.proc} is ambiguous for {process}: "
-                          f"{merged.failure.reason}", _steps(walked))
-        return _prefixes(process, walked, merged.behaviour)
-
-    return _projected(chor, down, up)
+    """Project ``chor`` onto ``process``; partial because of merge.  A run
+    of interactions and joined runtime terms is read in a loop (``_item``).
+    A ``fold`` of such runs starts only at a conditional that names
+    ``process`` and has one in a branch (``_opened``, ``_joined``).  A
+    subtree that does not name ``process`` projects to End."""
+    return _projected(_project, defs, chor, process, PROCESS_BIT[process])
 
 
-def _run(node: Choreography, process: ProcessName, bit: int) -> tuple:
+def _project(defs: DefSet, chor: Choreography, process: ProcessName, bit: int) -> Behaviour:
+    item = _item(defs, chor, process, bit)
+    if type(item) is not tuple:
+        return item
+    branches = [_item(defs, item[1].then_branch, process, bit),
+                _item(defs, item[1].else_branch, process, bit)]
+    if tuple in map(type, branches):
+        return fold(item, partial(_opened, defs, process, bit), partial(_joined, process))
+    return _joined(process, item, branches)
+
+
+def _opened(defs: DefSet, process: ProcessName, bit: int, item) -> Union[Behaviour, list]:
+    """``fold``'s children of a run ended by a conditional, else the projection."""
+    if type(item) is not tuple:
+        return item
+    walked, cond = item
+    steps = _steps(walked) if walked else ()
+    return [((*steps, "then"), _item(defs, cond.then_branch, process, bit)),
+            ((*steps, "else"), _item(defs, cond.else_branch, process, bit))]
+
+
+def _joined(process: ProcessName, item: tuple, branches) -> Behaviour:
+    """The projection of a run ended by a conditional, given its branches':
+    a local conditional at the process that decides it, else their merge."""
+    walked, cond = item
+    if process == cond.proc:
+        return _prefixes(process, walked, BCond(cond.guard, *branches))
+    try:
+        return _prefixes(process, walked, _merge(*branches))
+    except Failure as failure:
+        raise Failure(f"conditional at {cond.proc} is ambiguous for {process}: "
+                      f"{failure.reason}", _steps(walked)) from None
+
+
+def _item(defs: DefSet, node: Choreography, process: ProcessName, bit: int):
     """The interactions and joined runtime terms from ``node`` down, while
-    the subtree names ``process``, and the node that ends them."""
+    the subtree names ``process``, projected before what ends them: the
+    process's copy of a procedure it is to join, else End; or the run and
+    the conditional that names ``process`` and ends it."""
     walked = []
     while node.bits & bit:
         kind = type(node)
@@ -211,9 +214,13 @@ def _run(node: Choreography, process: ProcessName, bit: int) -> tuple:
         elif kind is RTCall and process not in node.pending:
             walked.append(node)
             node = node.body
+        elif kind is Cond:
+            return walked, node
         else:
-            break
-    return walked, node
+            joins = defs.vars(node.name) if kind is Call else node.pending
+            return _prefixes(process, walked,
+                             BCall((node.name, process)) if process in joins else B_END)
+    return _prefixes(process, walked, B_END)
 
 
 def _steps(walked: list) -> Tuple[str, ...]:

@@ -9,6 +9,7 @@ instead of failing.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from json import dumps
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Tuple, Union
@@ -96,14 +97,13 @@ class Node(metaclass=_Kind):
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        """The hash of the kind and the fields, computed once, by ``fold``:
-        the subtrees whose hashes are unset are hashed first."""
-        if self._hash is None:
-            if not self.SUBTREES:  # a leaf kind needs no fold
-                return self._hashed(())
-            fold(self, lambda node: node._hash if node._hash is not None else node.children(),
-                 Node._hashed)
-        return self._hash
+        """The hash of the kind and the fields, computed once; a ``fold``
+        hashes the subtrees whose hashes are unset first, if there are any."""
+        if self._hash is not None:
+            return self._hash
+        if self.SUBTREES and _unhashed(self):
+            return fold(self, _unhashed, Node._hashed)
+        return self._hashed(())
 
     def _hashed(self, hashes: list) -> int:
         self._hash = hash((type(self), type(self)._values(self)))
@@ -146,6 +146,13 @@ class Node(metaclass=_Kind):
     def __repr__(self) -> str:
         """``Kind(field=repr, ...)`` over ``FIELDS``, by ``write``."""
         return write(self, _repr_parts)
+
+
+def _unhashed(node) -> Union[int, list]:
+    """The node's hash if set, else its subtrees whose hashes are unset."""
+    if node._hash is not None:
+        return node._hash
+    return [child for child in node.children() if child[1]._hash is None]
 
 
 def _repr_parts(item) -> list:
@@ -309,19 +316,19 @@ def leftmost_nat(value: Value) -> int:
 
 
 def eval_expr(expr: Expr, env: Callable[[VarName], Value]) -> Value:
-    """Evaluate ``expr`` under ``env`` by ``fold``; a literal or a variable
-    needs none.  Total; never raises on value shapes."""
+    """Evaluate ``expr`` under ``env`` (``_evaluate``); a literal or a
+    variable is read at once.  Total; never raises on value shapes."""
     kind = type(expr)
     if kind is Lit:
         return expr.value
     if kind is Var:
         return env(expr.name)
+    return _evaluate(expr, env, _operand, _combine, (Succ, Fst, Snd))
 
-    def leaf(node):
-        kind = type(node)
-        return node.value if kind is Lit else env(node.name) if kind is Var else node.children()
 
-    return fold(expr, leaf, _combine)
+def _operand(node, env) -> Union[Value, list]:
+    kind = type(node)
+    return node.value if kind is Lit else env(node.name) if kind is Var else node.children()
 
 
 def _combine(node, values: list) -> Value:
@@ -337,14 +344,9 @@ def _combine(node, values: list) -> Value:
 
 
 def eval_bexpr(bexpr: BExpr, env: Callable[[VarName], Value]) -> bool:
-    """Evaluate a Boolean expression by ``fold``; ``==`` is structural value
-    equality, and a comparison or a literal needs no fold."""
-    value = _truth(bexpr, env)
-    if type(value) is not list:
-        return value
-    return fold(bexpr, lambda node: _truth(node, env),
-                lambda node, values: values[0] and values[-1] if type(node) is And
-                else not values[0])
+    """Evaluate a Boolean expression (``_evaluate``); ``==`` is structural
+    value equality."""
+    return _evaluate(bexpr, env, _truth, _decide, (Not,))
 
 
 def _truth(node, env) -> Union[bool, list]:
@@ -355,6 +357,28 @@ def _truth(node, env) -> Union[bool, list]:
     if kind is Leq:
         return leftmost_nat(eval_expr(node.left, env)) <= leftmost_nat(eval_expr(node.right, env))
     return node.value if kind is BLit else node.children()
+
+
+def _decide(node, values: list) -> bool:
+    return values[0] and values[-1] if type(node) is And else not values[0]
+
+
+def _evaluate(node, env, leaf, combine, unary: tuple):
+    """``fold`` of ``leaf(node, env)``, a leaf's value or else the node's
+    children, and ``combine``, entered below a chain of the ``unary`` kinds,
+    walked in a loop, only if an operand of the node there is no leaf."""
+    chain = []
+    while type(node) in unary:
+        chain.append(node)
+        node = node.arg
+    value = leaf(node, env)
+    if type(value) is list:
+        values = [leaf(child, env) for _, child in value]
+        value = (fold(node, partial(leaf, env=env), combine) if list in map(type, values)
+                 else combine(node, values))
+    for node in reversed(chain):
+        value = combine(node, (value,))
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,100 @@
-"""Recursive definitions of projection, merge, the branching order and the
-printers, one case per syntax kind as the paper states them.  ``chorus``
-computes each of them by one explicit-stack fold or writer; the tests check
-the two agree on shallow trees, where recursion is safe."""
+"""Recursive definitions of evaluation, the step relation, projection,
+merge, the branching order and the printers, one case per syntax kind as
+the paper states them.  ``chorus`` computes each of them by loops and an
+explicit-stack fold or writer; the tests check the two agree on shallow
+trees, where recursion is safe."""
 from __future__ import annotations
 
 import json
 
 from chorus import (
-    B_END, BCall, BCond, BEnd, Branch, Call, Choose, ComEta, Cond, End,
-    Interaction, Recv, RTCall, SelLabel, Send,
+    B_END, BCall, BCond, BEnd, BLit, Branch, Call, Choose, ComEta, Cond, End, Eq, Fst,
+    Interaction, Leq, Lit, Not, Pair, Plus, RCall, RCom, RCond, RSel, Recv, RTCall, SelEta,
+    SelLabel, Send, Succ, Var,
 )
+from chorus.labels import label_processes
 from chorus.projection import _DIFFER, Diagnostic, ProjectionResult
 from chorus.surface import print_bexpr, print_expr
+from chorus.values import leftmost_nat
+
+
+def eval_expr_reference(expr, env):
+    kind = type(expr)
+    if kind is Lit:
+        return expr.value
+    if kind is Var:
+        return env(expr.name)
+    if kind is Succ:
+        return leftmost_nat(eval_expr_reference(expr.arg, env)) + 1
+    if kind is Plus:
+        return (leftmost_nat(eval_expr_reference(expr.left, env))
+                + leftmost_nat(eval_expr_reference(expr.right, env)))
+    if kind is Pair:
+        return (eval_expr_reference(expr.left, env), eval_expr_reference(expr.right, env))
+    value = eval_expr_reference(expr.arg, env)
+    if not isinstance(value, tuple):
+        return value
+    return value[0] if kind is Fst else value[1]
+
+
+def eval_bexpr_reference(bexpr, env):
+    kind = type(bexpr)
+    if kind is BLit:
+        return bexpr.value
+    if kind is Eq:
+        return eval_expr_reference(bexpr.left, env) == eval_expr_reference(bexpr.right, env)
+    if kind is Leq:
+        return (leftmost_nat(eval_expr_reference(bexpr.left, env))
+                <= leftmost_nat(eval_expr_reference(bexpr.right, env)))
+    if kind is Not:
+        return not eval_bexpr_reference(bexpr.arg, env)
+    return eval_bexpr_reference(bexpr.left, env) and eval_bexpr_reference(bexpr.right, env)
+
+
+def cc_step_reference(defs, chor, state, label):
+    """The step by ``label``, or None: the head rules of each kind, the
+    joins of a call and of a runtime term, and the delay rules past an
+    interaction, a conditional (both branches step, to one state) and a
+    runtime term whose pending processes the label does not name."""
+    processes = label_processes(label)
+    kind = type(chor)
+    if kind is Interaction:
+        eta = chor.eta
+        if type(eta) is ComEta and type(label) is RCom and (
+                label.sender, label.receiver, label.var) == (eta.sender, eta.receiver, eta.var):
+            value = eval_expr_reference(eta.expr, lambda var: state.lookup(eta.sender, var))
+            if label.value != value:
+                return None
+            return chor.cont, state.update(eta.receiver, eta.var, value)
+        if type(eta) is SelEta and type(label) is RSel and (
+                label.sender, label.receiver, label.label) == (eta.sender, eta.receiver, eta.label):
+            return chor.cont, state
+        if {eta.sender, eta.receiver} & processes:
+            return None
+        stepped = cc_step_reference(defs, chor.cont, state, label)
+        return stepped and (Interaction(eta, chor.ann, stepped[0]), stepped[1])
+    if kind is Cond:
+        if type(label) is RCond and label.proc == chor.proc:
+            guard = eval_bexpr_reference(chor.guard, lambda var: state.lookup(chor.proc, var))
+            return (chor.then_branch if guard else chor.else_branch), state
+        if chor.proc in processes:
+            return None
+        then_step = cc_step_reference(defs, chor.then_branch, state, label)
+        else_step = cc_step_reference(defs, chor.else_branch, state, label)
+        if then_step is None or else_step is None or then_step[1] != else_step[1]:
+            return None
+        return Cond(chor.proc, chor.guard, then_step[0], else_step[0]), then_step[1]
+    if kind is End:
+        return None
+    procs, body = ((defs.vars(chor.name), defs.body(chor.name)) if kind is Call
+                   else (chor.pending, chor.body))
+    if type(label) is RCall and label.name == chor.name and label.proc in procs:
+        rest = tuple(p for p in procs if p != label.proc)
+        return (RTCall(chor.name, rest, body) if rest else body), state
+    if kind is Call or set(chor.pending) & processes:
+        return None
+    stepped = cc_step_reference(defs, chor.body, state, label)
+    return stepped and (RTCall(chor.name, chor.pending, stepped[0]), stepped[1])
 
 
 def _fail(reason, path=()):

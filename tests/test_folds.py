@@ -1,19 +1,26 @@
-"""The folds and writers against the recursive definitions in references.py,
-on shallow trees drawn by hypothesis, and the mechanism itself."""
+"""The folds, loops and writers against the recursive definitions in
+references.py, on shallow trees drawn by hypothesis, and the mechanism
+itself: where ``fold`` is entered, and where not."""
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorus import (
-    B_END, BCall, BCond, BFALSE, BTRUE, Branch, Call, Choose, ComEta, Cond,
-    DefSet, END, Eq, Interaction, Lit, Plus, RTCall, Recv, SelEta, SelLabel, Send, Var,
-    Network, ProjectionResult, bproj, epp_c, merge, more_branches, parse_cc, parse_sp,
-    print_behaviour, print_cc, print_chor,
+    And, B_END, BCall, BCond, BFALSE, BLit, BTRUE, Branch, Call, Choose, ComEta, Cond,
+    DefSet, EMPTY_STATE, END, Eq, Fst, Interaction, Leq, Lit, Not, Pair, Plus, RCall, RCom,
+    RCond, RSel, RTCall, Recv, SelEta, SelLabel, Send, Snd, State, Succ, Var, Network,
+    ProjectionResult, bproj, cc_step, epp_c, eval_bexpr, eval_expr, merge, more_branches,
+    parse_cc, parse_sp, print_behaviour, print_cc, print_chor,
 )
 from chorus.values import Failure, fold, write
+from chorus.verification import check_property
 
+from helpers import cc_enabled_unpruned
 from references import (
-    bproj_reference, chor_lines_reference, merge_reference, more_branches_reference,
-    print_behaviour_reference,
+    bproj_reference, cc_step_reference, chor_lines_reference, eval_bexpr_reference,
+    eval_expr_reference, merge_reference, more_branches_reference, print_behaviour_reference,
 )
 
 PROCESSES = st.sampled_from("pqr")
@@ -74,6 +81,100 @@ def test_merge_and_the_branching_order_agree_with_the_recursive_definitions(firs
         assert _outcome(merge(big, small)) == _outcome(merge_reference(big, small))
         assert more_branches(big, small) is more_branches_reference(big, small)
     assert print_behaviour(first) == print_behaviour_reference(first)
+
+
+EXPR_TREES = st.recursive(
+    st.builds(Lit, st.integers(0, 3)) | st.builds(Var, st.sampled_from("xy")),
+    lambda inner: (st.builds(Succ, inner) | st.builds(Fst, inner) | st.builds(Snd, inner)
+                   | st.builds(Plus, inner, inner) | st.builds(Pair, inner, inner)),
+    max_leaves=8)
+BEXPR_TREES = st.recursive(
+    st.builds(BLit, st.booleans()) | st.builds(Eq, EXPR_TREES, EXPR_TREES)
+    | st.builds(Leq, EXPR_TREES, EXPR_TREES),
+    lambda inner: st.builds(Not, inner) | st.builds(And, inner, inner), max_leaves=6)
+STATE = State({("p", "x"): 1, ("q", "x"): (2, 0), ("r", "y"): 3})
+# Labels each of which some drawn choreography does not enable.
+DISABLED = [RCom("p", 0, "q", "x"), RCom("q", 1, "r", "y"), RSel("q", "r", SelLabel.LEFT),
+            RSel("p", "q", SelLabel.RIGHT), RCond("r"), RCall("X", "q"), RCall("Y", "p0")]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(CHORS)
+def test_the_step_agrees_with_the_recursive_definition(chor):
+    labels = [label for label, _, _ in cc_enabled_unpruned(DEFS, chor, STATE)]
+    for label in labels + DISABLED:
+        assert cc_step(DEFS, chor, STATE, label) == cc_step_reference(DEFS, chor, STATE, label)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(EXPR_TREES, BEXPR_TREES)
+def test_evaluation_agrees_with_the_recursive_definitions(expr, bexpr):
+    env = {"x": (2, (1, 0)), "y": 5}.get
+    assert eval_expr(expr, lambda name: env(name, 0)) == eval_expr_reference(
+        expr, lambda name: env(name, 0))
+    assert eval_bexpr(bexpr, lambda name: env(name, 0)) is eval_bexpr_reference(
+        bexpr, lambda name: env(name, 0))
+
+
+@pytest.fixture
+def fold_entries(monkeypatch):
+    """The roots ``values.fold`` is entered with, from any module of ``chorus``."""
+    entries = []
+
+    def counted(root, open, close):
+        entries.append(root)
+        return fold(root, open, close)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chorus") and getattr(module, "fold", None) is fold:
+            monkeypatch.setattr(module, "fold", counted)
+    return entries
+
+
+def test_chains_and_leaf_operands_enter_no_fold(fold_entries):
+    # Interactions and a runtime term are walked in a loop, and the step is
+    # rebuilt under them.
+    ahead = Interaction(ComEta("r", Lit(4), "s", "y"), "", END)
+    chor = Interaction(ComEta("p", Plus(Var("x"), Lit(1)), "q", "x"), "",
+                       Interaction(SelEta("q", "p", SelLabel.LEFT), "",
+                                   RTCall("X", ("q",), ahead)))
+    assert cc_step(DEFS, chor, STATE, RCom("p", 2, "q", "x"))[0] == chor.cont
+    delayed = cc_step(DEFS, chor, STATE, RCom("r", 4, "s", "y"))
+    assert delayed == (Interaction(chor.eta, "", Interaction(chor.cont.eta, "",
+                                                             RTCall("X", ("q",), END))),
+                       STATE.put(("s", "y"), 4))
+    # One level of operands, and chains of one-argument nodes over it.
+    assert eval_expr(Plus(Var("x"), Lit(1)), lambda name: 3) == 4
+    assert eval_expr(Succ(Fst(Pair(Lit(1), Var("x")))), lambda name: 3) == 2
+    assert eval_bexpr(Not(Not(And(BTRUE, Eq(Var("x"), Lit(3))))), lambda name: 3) is True
+    # No conditional that names the process, and equal branches to merge.
+    told = Cond("r", BTRUE, Interaction(SelEta("r", "s", SelLabel.LEFT), "",
+                                        Interaction(ComEta("r", Lit(0), "s", "y"), "", END)),
+                Interaction(SelEta("r", "s", SelLabel.RIGHT), "", END))
+    assert bproj(DEFS, Interaction(chor.eta, "", told), "q").behaviour == Recv(
+        "p", "x", "", B_END)
+    assert bproj(DEFS, Cond("r", BTRUE, chor, chor), "q").behaviour == Recv(
+        "p", "x", "", Choose("p", SelLabel.LEFT, "", BCall(("X", "q"))))
+    assert fold_entries == []
+    # Differing branches are merged by one fold.
+    assert bproj(DEFS, told, "s").behaviour == Branch(
+        "r", ("", Recv("r", "y", "", B_END)), ("", B_END))
+    assert len(fold_entries) == 1
+
+
+def test_the_run_ahead_search_folds_only_to_hash_new_chains(fold_entries):
+    program = parse_cc(Path(__file__).parent.joinpath("golden", "runahead.cc").read_text())
+    reports = check_property("all", program, EMPTY_STATE, 8)
+    assert [report.verdict for report in reports] == ["pass"] * 6
+    # Each fold hashes a successor whose rebuilt spine has unhashed nodes.
+    assert len(fold_entries) == 46
+    assert all(root._hash is not None for root in fold_entries)
+    fold_entries.clear()
+    # A fold starts only where a tree branches: both of a conditional's
+    # branches name the process and end in a conditional that names it.
+    inner = Cond("p", BTRUE, END, END)
+    bproj(DEFS, Cond("p", BTRUE, inner, inner), "p")
+    assert len(fold_entries) == 1
 
 
 def test_a_failure_names_the_first_branch_that_fails_and_its_path():

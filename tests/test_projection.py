@@ -254,6 +254,14 @@ def test_merge_reports_differing_else_branches():
     assert (failure.reason, failure.path) == ("BEnd cannot merge with Send", ("else",))
 
 
+def test_unwrap_names_the_diagnostic_of_a_failed_projection():
+    failed = bproj(DefSet(), _AMBIGUOUS, "a")
+    with pytest.raises(ValueError) as raised:
+        failed.unwrap()
+    assert str(raised.value) == f"projection failed: {_AMBIGUOUS_SEND} (at <root>)"
+    assert bproj(DefSet(), _AMBIGUOUS, "q").unwrap() == B_END
+
+
 def test_bproj_counts_calls_and_stores_nothing():
     # bench/layers.py reads the declared projection.bproj.hit_ratio and
     # .entries from bproj.cache_info(); without the wrapper they vanish from

@@ -15,6 +15,8 @@ from chorus.values import (
     value_from_json, value_text, value_to_json,
 )
 
+from references import eval_bexpr_reference, eval_expr_reference
+
 
 def env(**bindings):
     return lambda name: bindings.get(name, 0)
@@ -69,6 +71,14 @@ def test_state_update_prunes_defaults():
     state = EMPTY_STATE.update("p", "x", 3)
     assert state.lookup("p", "x") == 3
     assert state.update("p", "x", 0) == EMPTY_STATE
+
+
+def test_total_maps_repr_as_their_kind_over_sorted_entries():
+    assert repr(State({("q", "y"): (1, 2), ("p", "x"): 3})) == (
+        "State({('p', 'x'): 3, ('q', 'y'): (1, 2)})")
+    assert repr(EMPTY_STATE) == "State({})"
+    assert repr(Network({"q": B_END, "p": Send("q", Lit(1), "", B_END)})) == (
+        "Network({'p': Send(peer='q', expr=Lit(value=1), ann='', cont=BEnd())})")
 
 
 def test_state_eq_last_write_wins():
@@ -212,27 +222,8 @@ def test_state_json_round_trip():
 
 
 # --------------------------------------------------------------------------
-# Chains of ``+`` and ``&&`` evaluate and print in a loop, as the recursive
-# definitions below did.
-
-def _eval_reference(expr, env):
-    if isinstance(expr, Plus):
-        return (leftmost_nat(_eval_reference(expr.left, env))
-                + leftmost_nat(_eval_reference(expr.right, env)))
-    if isinstance(expr, Pair):
-        return (_eval_reference(expr.left, env), _eval_reference(expr.right, env))
-    return eval_expr(expr, env)
-
-
-def _eval_b_reference(bexpr, env):
-    if isinstance(bexpr, And):
-        return _eval_b_reference(bexpr.left, env) and _eval_b_reference(bexpr.right, env)
-    if isinstance(bexpr, Not):
-        return not _eval_b_reference(bexpr.arg, env)
-    if isinstance(bexpr, Eq):
-        return _eval_reference(bexpr.left, env) == _eval_reference(bexpr.right, env)
-    return eval_bexpr(bexpr, env)
-
+# Chains of ``+`` and ``&&`` evaluate as the recursive definitions in
+# references.py, and print as the recursive definitions below.
 
 def _print_reference(expr) -> str:
     if isinstance(expr, Plus):
@@ -270,8 +261,8 @@ _BEXPRS = st.recursive(
 @given(_EXPRS, _BEXPRS)
 def test_chains_evaluate_and_print_as_the_recursive_definitions(expr, bexpr):
     bindings = env(x=(2, 1), y=5)
-    assert eval_expr(expr, bindings) == _eval_reference(expr, bindings)
-    assert eval_bexpr(bexpr, bindings) is _eval_b_reference(bexpr, bindings)
+    assert eval_expr(expr, bindings) == eval_expr_reference(expr, bindings)
+    assert eval_bexpr(bexpr, bindings) is eval_bexpr_reference(bexpr, bindings)
     assert print_expr(expr) == _print_reference(expr)
     assert print_bexpr(bexpr) == _print_b_reference(bexpr)
 
