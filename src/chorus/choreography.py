@@ -77,7 +77,7 @@ class Call(Node):
 class RTCall(Node):
     FIELDS = {"name": None, "pending": None, "body": "body"}
     # Canonical form: the pending list behaves as a set.
-    DERIVED = {"pending": lambda node: tuple(sorted(set(node.pending))),
+    DERIVED = {"pending": lambda pending: tuple(sorted(set(pending))),
                "bits": lambda node: sum(PROCESS_BIT[p] for p in node.pending) | node.body.bits}
 
 

@@ -4,7 +4,9 @@ Rich labels carry full syntactic information (stored variable, procedure
 name); ``forget`` erases them to the observable labels.  ``RCall.name`` is a
 procedure name on the choreography side and a per-process procedure copy
 ``(name, process)`` on the network side.  Each label kind is a ``Node``
-kind of leaves only, compared by kind and fields and hashed once.
+kind of leaves only, but not shared as syntax is: a label carries values,
+and a key holding a pair value nested deep would overflow the C stack when
+hashed.  So labels compare by kind and fields, and hash once.
 ``step_json`` writes the JSON trace line of a step straight from its rich label.
 """
 from __future__ import annotations
@@ -15,34 +17,34 @@ from typing import Callable, FrozenSet, Sequence, Union
 from .values import Node, ProcessName, value_text, value_to_json
 
 
-class RCom(Node):
+class RCom(Node, shared=False):
     FIELDS = {"sender": None, "value": None, "receiver": None, "var": None}
 
 
-class RSel(Node):
+class RSel(Node, shared=False):
     FIELDS = {"sender": None, "receiver": None, "label": None}
 
 
-class RCond(Node):
+class RCond(Node, shared=False):
     FIELDS = {"proc": None}
 
 
-class RCall(Node):
+class RCall(Node, shared=False):
     FIELDS = {"name": None, "proc": None}  # name: ProcName | TargetProcName
 
 
 RichLabel = Union[RCom, RSel, RCond, RCall]
 
 
-class TCom(Node):
+class TCom(Node, shared=False):
     FIELDS = {"sender": None, "value": None, "receiver": None}
 
 
-class TSel(Node):
+class TSel(Node, shared=False):
     FIELDS = {"sender": None, "receiver": None, "label": None}
 
 
-class TTau(Node):
+class TTau(Node, shared=False):
     FIELDS = {"proc": None}
 
 

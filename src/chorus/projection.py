@@ -82,23 +82,13 @@ _DIFFER = {Send: "send prefixes", Recv: "receive prefixes", Choose: "selection p
 
 def more_branches(first: Behaviour, second: Behaviour) -> bool:
     """``first >> second``: first has at least the branches of second, and
-    the same leaves everywhere.  A ``fold`` over the two side by side that
-    builds nothing: the pairs ``merge`` would merge, each offer of second
-    needing one of first."""
-    if first == second:
-        return True
+    the same leaves everywhere.  ``merge`` is the least upper bound of this
+    order, so it holds exactly when merging the two gives first back, the
+    one node of its tree."""
     try:
-        return fold((first, second), _below, lambda pair, results: True)
+        return _merge(first, second) is first
     except Failure:
         return False
-
-
-def _below(pair) -> list:
-    first, second = pair or (None, None)
-    if type(first) is Branch and type(second) is Branch and (
-            first.left is None and second.left or first.right is None and second.right):
-        raise Failure("an offer is missing")
-    return _merge_pair(pair)
 
 
 def more_branches_net(first: Network, second: Network) -> bool:
@@ -117,16 +107,19 @@ def merge(first: Behaviour, second: Behaviour) -> ProjectionResult:
 
 def _merge(first: Behaviour, second: Behaviour) -> Behaviour:
     """A ``fold`` over the two side by side; a failure's path is built only
-    on failure.  Equal behaviours merge to themselves with no fold."""
-    return first if first == second else fold((first, second), _merge_pair, _merged)
+    on failure.  A behaviour merges with itself to itself, with no fold."""
+    return first if first is second else fold((first, second), _merge_pair, _merged)
 
 
-def _merge_pair(pair) -> list:
-    """The pairs of subtrees to merge next.  An offer made on one side only
-    is kept as it is; two offers whose annotations differ are a pair None."""
+def _merge_pair(pair) -> Union[Behaviour, list]:
+    """The pairs of subtrees to merge next, or the merge of a tree with
+    itself.  An offer made on one side only is kept as it is; two offers
+    whose annotations differ are a pair None."""
     if pair is None:
         raise Failure("offer annotations differ")
     first, second = pair
+    if first is second:
+        return first
     kind = type(first)
     if kind is not type(second):
         raise Failure(f"{kind.__name__} cannot merge with {type(second).__name__}")

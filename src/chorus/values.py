@@ -12,6 +12,7 @@ from enum import Enum
 from functools import partial
 from json import dumps
 from operator import attrgetter
+from sys import getrefcount
 from typing import Callable, Iterable, Mapping, Tuple, Union
 
 ProcessName = str
@@ -42,117 +43,100 @@ class _Kind(type):
     subtree of the same syntax, else to None.  A ``Branch`` offer is None
     or an (annotation, subtree) pair.  A kind may also name ``DERIVED``
     slots, each with a function of the new node, set in order once the
-    fields are; a field listed there is replaced.
+    fields are; a field listed there is made canonical by its function.
 
-    The kind gets its slots, ``__match_args__``, ``SUBTREES`` (path step to
-    field), an ``__init__`` by slot assignment, ``leaves``, which reads the
-    fields that hold no subtree, ``rebuild``, which makes the node again
-    over new subtrees, given in field order, ``children``, the (path step,
-    subtree) pairs ``fold`` takes, unless the kind writes its own, and, when
-    no field holds a subtree, an ``__eq__`` that compares field by field.
+    The constructor returns the live node of the kind with equal fields
+    (leaves by ``==``, subtrees by identity) from ``_NODES``, if there is
+    one, so equal trees are one object and ``==`` and ``hash`` are
+    identity.  A kind made with ``shared=False`` (the labels) builds a new
+    record each time, compared field by field and hashed once.  The kind
+    also gets its slots, ``__match_args__``, ``SUBTREES`` (path step to
+    field), ``leaves``, which reads the fields that hold no subtree,
+    ``rebuild``, which makes the node again over new subtrees, given in
+    field order, and ``children``, the (path step, subtree) pairs ``fold``
+    takes, unless the kind writes its own.
     """
 
-    def __new__(meta, name, bases, namespace):
+    def __new__(meta, name, bases, namespace, shared=True):
         fields = namespace.get("FIELDS")
         if fields is None:  # the base
             return super().__new__(meta, name, bases, namespace)
         derived = namespace.get("DERIVED", {})
-        namespace["__slots__"] = (*fields, *(slot for slot in derived if slot not in fields))
+        slots = (*fields, *(slot for slot in derived if slot not in fields))
+        namespace["__slots__"] = slots if shared else (*slots, "_hash")
         namespace["__match_args__"] = tuple(fields)
         namespace["SUBTREES"] = {step: field for field, step in fields.items() if step}
-        kind = super().__new__(meta, name, bases, namespace)
-        scope = {"_kind": kind, **{f"_{slot}": make for slot, make in derived.items()}}
-        exec(f"def __init__(self, {', '.join(fields)}):\n"
-             + "".join(f"    self.{field} = {field}\n" for field in fields)
-             + "".join(f"    self.{slot} = _{slot}(self)\n" for slot in derived)
-             + "    self._hash = None\n", scope)
-        kind.__init__ = scope["__init__"]
         leaves = [field for field, step in fields.items() if not step]
-        kind.leaves = attrgetter(*leaves) if leaves else staticmethod(lambda node: ())
-        kind._values = attrgetter(*fields) if fields else staticmethod(lambda node: ())
-        # For ``==``: the first subtree, followed in place, and the others, stacked.
-        trees = tuple(kind.SUBTREES.values())
-        kind._first, kind._rest = (attrgetter(trees[0]), trees[1:]) if trees else (None, ())
-        exec(f"def rebuild(self, {', '.join(trees)}):\n    return _kind("
-             + ", ".join(field if step else f"self.{field}" for field, step in fields.items())
-             + ")", scope)
-        kind.rebuild = scope["rebuild"]
+        namespace["leaves"] = attrgetter(*leaves) if leaves else staticmethod(lambda node: ())
+        scope = {"_new": object.__new__, "_get": _NODES.get, "_add": _interned,
+                 **{f"_{slot}": make for slot, make in derived.items()}}
+        sets = "".join(f"    node.{field} = {field}\n" for field in fields) + "".join(
+            f"    node.{slot} = _{slot}(node)\n" for slot in derived if slot not in fields)
+        if shared:
+            code = (f"def __new__(_cls, {', '.join(fields)}):\n"
+                    + "".join(f"    {field} = _{field}({field})\n" for field in derived if field in fields)
+                    + f"    key = (_kind, {''.join(f'{field}, ' for field in fields)})\n"
+                    + "    node = _get(key)\n    if node is not None:\n        return node\n"
+                    + "    node = _new(_kind)\n" + sets + "    return _add(key, node)\n")
+        else:
+            code = (f"def __init__(node, {', '.join(fields)}):\n{sets}    node._hash = None\n"
+                    "def __eq__(self, other):\n    return self is other or type(other) is _kind"
+                    + "".join(f" and self.{field} == other.{field}" for field in fields)
+                    + "\ndef __hash__(self):\n    if self._hash is None:\n        self._hash = hash("
+                    + f"(_kind, {''.join(f'self.{field}, ' for field in fields)}))\n"
+                    + "    return self._hash\n")
+        trees = tuple(namespace["SUBTREES"].values())
+        code += (f"def rebuild(self, {', '.join(trees)}):\n    return _kind("
+                 + ", ".join(field if step else f"self.{field}" for field, step in fields.items())
+                 + ")\n")
         if "children" not in namespace:
-            exec("def children(self):\n    return ["
-                 + "".join(f"({step!r}, self.{field}), " for field, step in fields.items() if step)
-                 + "]", scope)
-            kind.children = scope["children"]
-        if not trees:
-            exec("def __eq__(self, other):\n    return self is other or type(other) is _kind"
-                 + "".join(f" and self.{field} == other.{field}" for field in fields), scope)
-            kind.__eq__ = scope["__eq__"]
+            code += ("def children(self):\n    return ["
+                     + "".join(f"({step!r}, self.{field}), " for field, step in fields.items() if step)
+                     + "]\n")
+        exec(code, scope, namespace)
+        scope["_kind"] = kind = super().__new__(meta, name, bases, namespace)
         return kind
 
 
 class Node(metaclass=_Kind):
     """Base of every syntax-tree kind and of the transition labels.  Nodes
-    are immutable by convention: only ``__init__`` and the cached hash set
-    a slot.  ``_hash`` stays None until the node is first hashed."""
+    are immutable: only the constructors the kind builds set a slot."""
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        """The hash of the kind and the fields, computed once; a ``fold``
-        hashes the subtrees whose hashes are unset first, if there are any."""
-        if self._hash is not None:
-            return self._hash
-        if self.SUBTREES and _unhashed(self):
-            return fold(self, _unhashed, Node._hashed)
-        return self._hashed(())
-
-    def _hashed(self, hashes: list) -> int:
-        self._hash = hash((type(self), type(self)._values(self)))
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        """Structural equality in a loop.  Identical subtrees count as equal
-        without a look inside, and two nodes whose hashes are both filled
-        and differ are unequal at once."""
-        if self is other:
-            return True
-        kind = type(self)
-        if type(other) is not kind:
-            return False
-        mine, theirs = self._hash, other._hash
-        if mine != theirs and mine is not None and theirs is not None:
-            return False
-        stack = [(self, other)]
-        while stack:
-            mine, theirs = stack.pop()
-            while mine is not theirs:
-                kind = type(mine)
-                if kind is not type(theirs):
-                    return False
-                if kind is tuple:  # a Branch offer
-                    if mine[0] != theirs[0]:
-                        return False
-                    mine, theirs = mine[1], theirs[1]
-                    continue
-                leaves, first = kind.leaves, kind._first
-                if leaves(mine) != leaves(theirs):
-                    return False
-                if first is None:
-                    break
-                for name in kind._rest:
-                    stack.append((getattr(mine, name), getattr(theirs, name)))
-                mine, theirs = first(mine), first(theirs)
-        return True
+    __slots__ = ()
 
     def __repr__(self) -> str:
         """``Kind(field=repr, ...)`` over ``FIELDS``, by ``write``."""
         return write(self, _repr_parts)
 
 
-def _unhashed(node) -> Union[int, list]:
-    """The node's hash if set, else its subtrees whose hashes are unset."""
-    if node._hash is not None:
-        return node._hash
-    return [child for child in node.children() if child[1]._hash is None]
+# Every live syntax node, under its kind and fields.  A key holds the
+# node's subtrees, each entered before it.  Nothing locks the table, so
+# nodes are built from one thread at a time.
+_NODES: dict = {}
+# The table's size at which the next node entered sweeps it first.
+_SWEEP_AT = [4096]
+
+
+def _interned(key: tuple, node: Node) -> Node:
+    """Enter the new ``node`` under ``key``, first sweeping the table if it
+    has doubled since the last sweep."""
+    if len(_NODES) >= _SWEEP_AT[0]:
+        _sweep()
+    _NODES[key] = node
+    return node
+
+
+def _sweep() -> None:
+    """Drop each entry whose node only the table holds (the count's other
+    reference is the call's).  Keys are visited newest first and each is
+    let go of once visited, so a parent dropped frees its subtrees for the
+    same pass."""
+    keys = list(_NODES)
+    while keys:
+        key = keys.pop()
+        if getrefcount(_NODES[key]) == 2:
+            del _NODES[key]
+    _SWEEP_AT[0] = max(2 * len(_NODES), 4096)
 
 
 def _repr_parts(item) -> list:

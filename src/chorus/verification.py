@@ -152,8 +152,8 @@ def _after(defs, node: Optional[_Node], chor: Choreography, state: State,
     """``cc_step(defs, chor, state, label)``, where ``node``, if not None, is
     the node of ``(chor, state)`` in a linked graph on which determinism has
     passed.  If the node's enabled list holds ``label`` below the bound, the
-    successor is read from the node's children: a configuration the search
-    saw first, so comparing two read successors is an identity test."""
+    successor is read from the node's children: the configuration the
+    search saw first, whose choreography is the one node of its tree."""
     if node is not None:
         child = node.children.get(label)
         if child is not None:

@@ -273,8 +273,7 @@ def str_proj_reference(defs, chor, process) -> bool:
 
 # --------------------------------------------------------------------------
 # Reference equality of syntax trees, recursive and without the nodes' own
-# ``==``: ``chorus.values.Node.__eq__`` compares in a loop and short-cuts on
-# identity and on filled hashes.
+# ``==``, which is identity: the oracle for sharing.
 
 def eq_reference(first, second) -> bool:
     """Same kind and, field by field, equal values; a tuple (an offer, a
@@ -290,7 +289,8 @@ def eq_reference(first, second) -> bool:
 
 
 def rebuild(tree):
-    """A copy of a syntax tree that shares no node with it."""
+    """The tree built again from its fields, kind by kind: the same object
+    for syntax, which is shared, and a new record for a label."""
     if isinstance(tree, tuple):
         return tuple(map(rebuild, tree))
     if isinstance(tree, Node):

@@ -189,6 +189,17 @@ def test_step_interactive(tmp_path, capsys, monkeypatch):
     assert re.findall(r"-- (.*)", out) == ["call(FileTransfer,c)"]
 
 
+def test_step_ends_where_nothing_is_enabled_and_at_end_of_input(tmp_path, capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["step", _write(tmp_path, "end.cc", "main { end }\n")]) == 0
+    assert capsys.readouterr().out == "no transitions enabled; done\n"
+    # The prompt meets the end of input, and step exits 0 after it.
+    assert main(["step", FT]) == 0
+    assert capsys.readouterr().out == (
+        "  [0] call(FileTransfer,c)\n  [1] call(FileTransfer,s)\nstep> ")
+
+
 def test_step_prints_long_programs(tmp_path, capsys, monkeypatch):
     import io
     cc = _write(tmp_path, "long.cc", "main { " + "p.0 -> q.x; " * 20000 + "end }\n")

@@ -15,7 +15,7 @@ from chorus import (
     parse_cc, parse_sp, print_behaviour, print_cc, print_chor,
 )
 from chorus.values import Failure, fold, write
-from chorus.verification import check_property
+from chorus.verification import _explore, check_property
 
 from helpers import cc_enabled_unpruned
 from references import (
@@ -166,10 +166,17 @@ def test_the_run_ahead_search_folds_only_to_hash_new_chains(fold_entries):
     program = parse_cc(Path(__file__).parent.joinpath("golden", "runahead.cc").read_text())
     reports = check_property("all", program, EMPTY_STATE, 8)
     assert [report.verdict for report in reports] == ["pass"] * 6
-    # Each fold hashes a successor whose rebuilt spine has unhashed nodes.
-    assert len(fold_entries) == 46
-    assert all(root._hash is not None for root in fold_entries)
-    fold_entries.clear()
+    # A successor is the one node of its tree, so no key is hashed by a fold.
+    assert fold_entries == []
+    graph = _explore(program, EMPTY_STATE, 8, link=True)
+    for node, enabled in graph:
+        for label, chor, state in enabled:
+            assert cc_step(program.defs, node.chor, node.state, label)[0] is chor
+        for label, child in node.children.items():
+            assert child.chor is next(chor for rich, chor, _ in enabled if rich == label)
+    # Choreographies with the same text (``repr`` writes every field) are one object.
+    chors = [chor for _, enabled in graph for _, chor, _ in enabled]
+    assert len({id(chor) for chor in chors}) == len({repr(chor) for chor in chors}) > len(graph)
     # A fold starts only where a tree branches: both of a conditional's
     # branches name the process and end in a conditional that names it.
     inner = Cond("p", BTRUE, END, END)

@@ -44,9 +44,14 @@ MERGE_FAILURES = ("branch_sources", "offer_annotations", "inner_guards", "called
 # at the comment's start.
 PARSE_ERRORS = GOLDEN / "parse_errors"
 CC_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_twice",
-             "string_found", "eof_after_comment")
+             "string_found", "eof_after_comment", "missing_operand")
 SP_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_copy_twice",
              "process_twice", "offer_twice")
+# One ``--state`` file per loader error: exit 2 and one line.  ``short_pair``
+# holds a one-element array, ``negative`` a negative number, ``no_dot`` a key
+# with no process, and ``not_object`` an array where the object should be.
+STATE_ERRORS = GOLDEN / "state_errors"
+BAD_STATES = ("short_pair", "negative", "no_dot", "not_object")
 
 CASES = {
     "check_auth_text": ["check", AUTH],
@@ -64,6 +69,8 @@ CASES = {
     "check_undefined_call_json": ["check", UNDEFINED_CALL, "--format", "json"],
     "project_unprojectable": ["project", UNPROJECTABLE],
     **{f"project_{name}": ["project", str(GOLDEN / f"{name}.cc")] for name in MERGE_FAILURES},
+    **{f"run_state_error_{name}": ["run", FT, "--state", str(STATE_ERRORS / f"{name}.json")]
+       for name in BAD_STATES},
     "run_auth_first": ["run", AUTH, "--state", AUTH_STATE],
     "run_auth_text": ["run", AUTH, "--format", "text"],
     "run_ft_random_5": ["run", FT, "--scheduler", "random", "--seed", "5"],

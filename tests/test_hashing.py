@@ -1,6 +1,7 @@
-"""Cached node hashes and equality: equal nodes hash equal, ``bits`` stays
-out, deep trees hash and compare in a loop, and nothing hashes a node
-unless asked to."""
+"""Shared syntax trees: building a node returns the live node of the same
+kind and fields, so equal trees are one object and compare and hash as
+themselves, deep ones included; labels compare field by field and hash
+once; and the table of live nodes stays bounded."""
 import ast
 from dataclasses import make_dataclass
 from pathlib import Path
@@ -9,26 +10,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorus import (
-    And, BCall, BCond, BFALSE, BLit, BTRUE, Branch, Call, Choose, ComEta, Cond, END, Eq, Fst,
-    End, Interaction, Leq, Lit, Not, Pair, Plus, RTCall, Recv, SelEta, SelLabel, Send, Snd,
-    Succ, Var, B_END, epp, gen_program, parse_cc,
+    And, BCall, BCond, BFALSE, BLit, BTRUE, Branch, Call, Choose, ComEta, Cond, DefSet, END, Eq,
+    Fst, End, Interaction, Leq, Lit, Not, Pair, Plus, RTCall, Recv, SelEta, SelLabel, Send, Snd,
+    Succ, Var, B_END, EMPTY_STATE, bproj, cc_step, epp, gen_program, merge, parse_cc, parse_sp,
+    print_behaviour, print_cc,
 )
-from chorus.choreography import walk
+from chorus.choreography import CCProgram, PROCESS_BIT, initial
 from chorus.cli import main
 from chorus.labels import RCall, RCom, RCond, RSel, TCom, TSel, TTau
-from chorus.values import Node
+from chorus.values import Node, _NODES, _sweep
 
-from helpers import eq_reference, rebuild
+from helpers import cc_enabled_unpruned, eq_reference, rebuild
 
 # Every syntax-tree kind and transition label kind, read from the base.
 KINDS = set(Node.__subclasses__())
+LABEL_KINDS = {RCom, RSel, RCond, RCall, TCom, TSel, TTau}
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "chorus"
 
 
-def _is_hashed(node) -> bool:
-    return node._hash is not None
+def _is_hashed(label) -> bool:
+    return label._hash is not None
 
 
 def test_separately_built_equal_trees_hash_equal():
@@ -44,12 +47,20 @@ def test_separately_built_equal_trees_hash_equal():
 
 
 def test_bits_stay_out_of_the_hash():
-    eta = ComEta("p", Lit(1), "q", "x")
-    plain, marked = Interaction(eta, "", END), Interaction(eta, "", END)
-    object.__setattr__(marked, "bits", 0)
-    assert marked.bits != plain.bits
-    assert marked == plain and hash(marked) == hash(plain)
-    assert hash(Cond("p", BTRUE, marked, END)) == hash(Cond("p", BTRUE, plain, END))
+    # The key is the kind and the fields: a derived slot is set once, when
+    # the node is first built, and a second build finds the node there.
+    eta = ComEta("bits_p", Lit(1), "bits_q", "x")
+    plain = Interaction(eta, "", END)
+    assert plain.bits == PROCESS_BIT["bits_p"] | PROCESS_BIT["bits_q"]
+    object.__setattr__(plain, "bits", 0)
+    try:
+        assert Interaction(eta, "", END) is plain and plain.bits == 0
+        assert hash(plain) == object.__hash__(plain)
+    finally:
+        object.__setattr__(plain, "bits", PROCESS_BIT["bits_p"] | PROCESS_BIT["bits_q"])
+    # A pending list is made canonical before the lookup.
+    assert RTCall("X", ("q", "p", "q"), END) is RTCall("X", ["p", "q"], END)
+    assert RTCall("X", ("q", "p"), END).pending == ("p", "q")
 
 
 def test_hash_tells_kinds_and_fields_apart():
@@ -111,10 +122,18 @@ def test_constructors_leave_the_slot_unset():
     roots += [Cond("p", And(Leq(Var("x"), Lit(1)), Eq(Lit(0), Lit(1))), END, END),
               Interaction(SelEta("p", "q", SelLabel.LEFT), "", END)]
     roots += _LABELS
-    # Rebuilt, so no node is shared with one that another test hashed.
-    nodes = [node for root in roots for node in _nodes(rebuild(root))]
+    nodes = [node for root in roots for node in _nodes(root)]
     assert {type(node) for node in nodes} == KINDS
-    assert not any(map(_is_hashed, nodes))
+    # A syntax node has no hash slot: built again from its fields, it is
+    # the same object.  A label is a new record whose hash slot stays unset.
+    for node in nodes:
+        kind = type(node)
+        assert ("_hash" in kind.__slots__) is (kind in LABEL_KINDS)
+        if kind in LABEL_KINDS:
+            twin = rebuild(node)
+            assert twin is not node and twin == node and not _is_hashed(twin)
+        else:
+            assert rebuild(node) is node and kind.__hash__ is object.__hash__
 
 
 # One label of each kind, with a pair value and a procedure copy, and its fields.
@@ -154,9 +173,10 @@ def test_labels_compare_by_kind_and_fields():
 def test_deep_chains_hash_in_a_loop():
     chains = [_chain(20000, *nesting) for nesting in _NESTINGS]
     assert len(set(map(hash, chains))) == len(chains)
-    # Hashing a chain fills every slot below it, and equal chains hash equal.
-    assert all(_is_hashed(node) for node in walk(chains[1]) if node != END)
-    assert hash(chains[0]) == hash(_chain(20000, *_NESTINGS[0]))
+    # A chain built again is the same object, so its hash is the object's.
+    assert all(_chain(20000, *nesting) is chain for nesting, chain in zip(_NESTINGS, chains))
+    assert all(hash(chain) == object.__hash__(chain) for chain in chains)
+    assert _chain(20000, *_NESTINGS[0][::2]) is not chains[0]
 
 
 @pytest.mark.parametrize("nesting", range(len(_NESTINGS)))
@@ -171,9 +191,9 @@ def test_deep_chains_compare_in_a_loop(nesting):
 
 
 def _counted_hashes(monkeypatch):
-    """Count every call of every node kind's ``__hash__``."""
+    """Count every call of every label kind's ``__hash__``."""
     calls = []
-    for kind in KINDS:
+    for kind in LABEL_KINDS:
         def counting(node, _hash=kind.__hash__):
             calls.append(type(node))
             return _hash(node)
@@ -188,35 +208,41 @@ def _wide(pairs, rounds):
 
 @pytest.mark.parametrize("name", ["authentication.cc", "file_transfer.cc", "wide"])
 def test_run_hashes_nothing(monkeypatch, tmp_path, capsys, name):
+    """``run`` calls no ``__hash__`` in Python: a syntax node hashes as the
+    object, and no label is hashed.  Each move's successor is the node the
+    step builds from the same label, and the one the reference step builds."""
     path = PROGRAMS / name
     if name == "wide":
         path = tmp_path / "wide.cc"
         path.write_text(_wide(64, 1), encoding="utf-8")
-    # Constructors leave the hash unset.
-    assert not any(map(_is_hashed, walk(parse_cc(path.read_text()).main)))
+    defs = parse_cc(path.read_text()).defs
+    assert all(kind.__hash__ is object.__hash__ for kind in KINDS - LABEL_KINDS)
     calls = _counted_hashes(monkeypatch)
     built = []
     import chorus.cli
 
     moves = chorus.cli.cc_moves
 
-    def built_by(move):
+    def built_by(move, chor, state):
         def recording():
             transition = move()
-            built.append(transition[1])
+            built.append((chor, state, transition))
             return transition
         return recording
 
     # Record the successor of every move that run calls, and only those.
-    monkeypatch.setattr(chorus.cli, "cc_moves",
-                        lambda *args: [built_by(move) for move in moves(*args)])
+    monkeypatch.setattr(chorus.cli, "cc_moves", lambda defs, chor, state: [
+        built_by(move, chor, state) for move in moves(defs, chor, state)])
     for scheduler in ("first", "random"):
         before = len(built)
         assert main(["run", str(path), "--max-steps", "1000", "--scheduler", scheduler]) == 0
         steps = capsys.readouterr().out.count("\n") - 1
         assert steps > 0 and len(built) - before == steps
     assert calls == []
-    assert built and not any(map(_is_hashed, built))
+    for chor, state, (label, succ, succ_state) in built:
+        assert cc_step(defs, chor, state, label)[0] is succ
+        assert any(other is succ for rich, other, _ in cc_enabled_unpruned(defs, chor, state)
+                   if rich == label)
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +335,63 @@ def test_one_changed_field_makes_trees_unequal(tree, data):
     assert not eq_reference(tree, changed)
     _agree(tree, changed)
     _agree(rebuild(tree), changed)
+
+
+# --------------------------------------------------------------------------
+# Sharing against the recursive reference: on the nodes the parsers, the
+# step, projection, merge and ``rebuild`` build, ``is`` holds exactly when
+# the trees are equal field by field.  Keys compare leaves with ``==``
+# (``True == 1``), so ``BLit`` is drawn from Booleans and ``Lit`` from
+# naturals only.
+
+_DEFS = DefSet({"X": (("p", "q"), Interaction(_ETA, "", END))})
+
+
+def _built(chor, first, second) -> list:
+    """Trees built from ``chor`` and two behaviours by every constructor path."""
+    built = [chor, rebuild(chor), first, second, rebuild(second)]
+    if initial(chor):  # a runtime term has no text
+        built.append(parse_cc(print_cc(CCProgram(_DEFS, chor))).main)
+    built.append(parse_sp(f"p[{print_behaviour(first)}]").network.get("p"))
+    built += [cc_step(_DEFS, chor, EMPTY_STATE, label)[0]
+              for label, _, _ in cc_enabled_unpruned(_DEFS, chor, EMPTY_STATE)]
+    results = [bproj(_DEFS, chor, process) for process in "pq"] + [merge(first, second)]
+    return built + [result.behaviour for result in results if result.ok]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_CHORS, _BEHAVIOURS, _BEHAVIOURS)
+def test_equal_trees_are_one_object(chor, first, second):
+    nodes = list({id(node): node for tree in _built(chor, first, second)
+                  for node in _nodes(tree)}.values())
+    for index, node in enumerate(nodes):
+        assert eq_reference(node, node)
+        assert not any(eq_reference(node, other) for other in nodes[index + 1:])
+
+
+def test_the_table_keeps_what_a_long_random_run_leaves_live(tmp_path, capsys):
+    """A 5,000-step random run of 128 pairs for 8 rounds: each sweep drops a
+    spent spine with its subtrees in one pass, so the table stays within a
+    small multiple of what is live.  A sweep that kept each key it visited
+    until the pass ended would free one level a sweep and leave ~108,000."""
+    path = tmp_path / "wide.cc"
+    path.write_text(_wide(128, 8), encoding="utf-8")
+    _sweep()
+    live = len(_NODES)
+    assert main(["run", str(path), "--scheduler", "random", "--max-steps", "5000"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1025
+    # The program is 2,056 nodes, and the table at most twice what a sweep left.
+    assert len(_NODES) <= 2 * (live + 2056) + 4096
+    _sweep()
+    assert len(_NODES) <= live
+
+
+def test_a_library_loop_leaves_the_table_bounded():
+    """100,000 distinct chains of three nodes, each dropped at once.  The
+    sweep above would keep ~405,000."""
+    for index in range(100000):
+        Interaction(ComEta("p", Succ(Lit(index)), "q", "x"), "", END)
+    assert len(_NODES) <= 8192
 
 
 # --------------------------------------------------------------------------
