@@ -30,7 +30,7 @@ from .proc_semantics import SPConfiguration, sp_enabled, sp_step, spp_multistep,
 from .projection import (
     Diagnostic, EppFailure, ProjectionResult, bproj, epp, epp_c, epp_d,
     merge, more_branches, more_branches_net, projectable_d, projectable_p,
-    str_proj, str_proj_p,
+    str_proj, str_proj_p, strongly_projected,
 )
 from .generator import GenParams, gen_program
 from .verification import (

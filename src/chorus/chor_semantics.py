@@ -201,11 +201,13 @@ def _lift(defs: DefSet, conds: list, move, state: State):
     """``move``, found in the then branches of the conditionals of ``conds``,
     as a move of the whole term, or None if one of them does not take it:
     its else branch must take the same step to the same state."""
+    stepped = {}  # label and states are the same at every level: each else branch steps once
     for spine, cond in reversed(conds):
         label, then_cont, succ_state = move()
-        other = cc_step(defs, cond.else_branch, state, label)
+        other = stepped.get(cond.else_branch) or cc_step(defs, cond.else_branch, state, label)
         if other is None or other[1] != succ_state:
             return None
+        stepped[cond.else_branch] = other
         move = partial(_move, spine, len(spine), label, cond.rebuild(then_cont, other[0]),
                        succ_state)
     return move

@@ -13,10 +13,14 @@ Exit codes: 0 on success, 1 when an analysis rejects the input or a
 verified property fails, 2 on parse or usage errors, a malformed state
 file, a state file nested past the recursion limit, or ``verify``
 comparing two pair values nested past it.
+
+A command runs with the cyclic garbage collector off, as none leaves cyclic
+garbage; ``main`` restores the caller's setting however it exits.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -79,11 +83,12 @@ def cmd_project(args) -> int:
         return 1
     out = Path(args.out) if args.out else Path(args.path).with_suffix(".sp")
     out.write_text(print_sp(result), encoding="utf-8")
-    manifest = {f"{name}@{proc}": print_behaviour(body)
-                for (name, proc), body in result.defs.items()}
+    # json.dumps(manifest, indent=2, sort_keys=True)'s text; that encoder leaves cycles.
+    manifest = sorted((f"{name}@{proc}", print_behaviour(body))
+                      for (name, proc), body in result.defs.items())
+    shown = ",\n".join(f"  {_quote(key)}: {_quote(text)}" for key, text in manifest)
     manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    manifest_path.write_text(f"{{\n{shown}\n}}\n" if manifest else "{}\n", encoding="utf-8")
     print(f"wrote {out} and {manifest_path}")
     return 0
 
@@ -233,6 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # load and print naturals of any size
     try:
@@ -257,6 +264,8 @@ def main(argv=None) -> int:
         return 2
     finally:
         sys.set_int_max_str_digits(digits)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -281,13 +281,15 @@ def _runtime_terms_above(defs: DefSet, chor: Choreography) -> bool:
     return True
 
 
+def strongly_projected(program: CCProgram) -> Optional[SPProgram]:
+    """``epp(program)`` if well formed and ``str_proj`` at every process, else None."""
+    projected = epp(program) if program_wf(program) else None
+    strong = isinstance(projected, SPProgram) and _runtime_terms_above(program.defs, program.main)
+    return projected if strong else None
+
+
 def str_proj_p(program: CCProgram) -> bool:
-    """``str_proj`` at every process, its runtime-term clause decided once."""
-    defs, chor = program.defs, program.main
-    return (program_wf(program)
-            and projectable_d(defs)
-            and all(bproj(defs, chor, r).ok for r in sorted(ccp_pn(program)))
-            and _runtime_terms_above(defs, chor))
+    return strongly_projected(program) is not None
 
 
 # --------------------------------------------------------------------------

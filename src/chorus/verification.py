@@ -29,9 +29,9 @@ from .labels import (
     transition_to_json,
 )
 from .proc_semantics import sp_enabled, sp_step
-from .processes import DefSetB, Network
+from .processes import Network, SPProgram
 from .projection import (
-    EppFailure, bproj, epp, epp_c, more_branches, more_branches_net, str_proj_p,
+    EppFailure, bproj, epp_c, more_branches, more_branches_net, strongly_projected,
 )
 from .values import State
 
@@ -256,29 +256,29 @@ def _cc_label(label: RichLabel) -> Optional[RichLabel]:
     return RCall(name[0], label.proc) if own else None
 
 
-def _run_game(program: CCProgram, state: State, depth: int,
-              initial_network: Optional[Network] = None,
-              initial_defs: Optional[DefSetB] = None, table: Optional[dict] = None,
-              directions: Tuple[str, ...] = ("complete",)) -> VerifyReport:
-    """Play each game of ``directions`` on one product graph.  In
+def _strongly_projected(program: CCProgram) -> SPProgram:
+    if (projected := strongly_projected(program)) is None:
+        raise NotStronglyProjectable(
+            "the projection game needs a well-formed, strongly projectable program")
+    return projected
+
+
+def _run_game(program: CCProgram, state: State, depth: int, initial_network: Optional[Network] = None,
+              table: Optional[dict] = None, directions: Tuple[str, ...] = ("complete",),
+              projected: Optional[SPProgram] = None) -> VerifyReport:
+    """Play each game of ``directions`` on one product graph from
+    ``projected``, the projection that decided strong projectability.  In
     ``complete`` the choreography moves and the network matches each move;
     in ``sound`` the network moves and the choreography matches.  With both,
     the two must give each node the same labelled children, else the search
     fails.  ``table``, from ``check_property("all")`` once determinism has
     passed, maps each configuration within the bound to its node in the
     linked meta graph: the complete game reads its moves there, and the
-    sound game its matching steps (``_after``).
-    ``expand`` only matches steps; the search checks each new
-    configuration's network above its projection (``_checked_projection``),
-    once."""
-    if table is None and not str_proj_p(program):
-        raise NotStronglyProjectable(
-            "the projection game needs a well-formed, strongly projectable program")
-    defs = program.defs
-    processes = ccp_pn(program)
-    projected = epp(program)
-    assert not isinstance(projected, EppFailure)
-    net_defs = initial_defs if initial_defs is not None else projected.defs
+    sound game its matching steps (``_after``).  ``expand`` only matches
+    steps; the search checks each new configuration's network above its
+    projection (``_checked_projection``), once."""
+    projected = projected or _strongly_projected(program)
+    defs, net_defs = program.defs, projected.defs
     # A root network the caller passes in is not known to be above the projection.
     root = (_Node(program.main, state, initial_network, 0) if initial_network is not None
             else _Node(program.main, state, projected.network, 0, proj=projected.network))
@@ -329,7 +329,7 @@ def _run_game(program: CCProgram, state: State, depth: int,
 
     nodes: List[_Node] = []
     try:
-        _bfs(root, expand, nodes, partial(_checked_projection, defs, processes))
+        _bfs(root, expand, nodes, partial(_checked_projection, defs, ccp_pn(program)))
     except _Mismatch as mismatch:
         return _fail(name, nodes[-1], len(nodes), depth, *mismatch.args)
     return VerifyReport(name, True, len(nodes), depth)
@@ -386,6 +386,7 @@ _CHECKS = {
 
 def check_property(name: str, program: CCProgram, state: State, depth: int) -> List[VerifyReport]:
     """Run one named check, or all of them, reported in a fixed order.  The
+    games start from the projection that decided strong projectability.  The
     meta-checks scan one configuration graph, explored once per call.  With
     ``all`` the graph is linked and determinism runs first.  If it passes,
     diamond and the sound game read their steps from the graph, and the
@@ -396,7 +397,8 @@ def check_property(name: str, program: CCProgram, state: State, depth: int) -> L
     If determinism fails, the graph is unlinked and every other check runs
     as it runs alone."""
     reports, graph, table = {}, None, None
-    if name == "all" and str_proj_p(program):  # else the first game raises
+    projected = _strongly_projected(program) if name in ("all", *GAMES) else None
+    if name == "all":
         graph = _explore(program, state, depth, link=True)
         table = {(node.chor, node.state): node for node, _ in graph}
         reports["determinism"] = _CHECKS["determinism"](program, graph, depth)
@@ -407,13 +409,13 @@ def check_property(name: str, program: CCProgram, state: State, depth: int) -> L
     for key in _CHECKS if name == "all" else [name]:
         check = _CHECKS[key]
         if key == "complete" and table:
-            joint = check(program, state, depth, table=table, directions=GAMES)
+            joint = check(program, state, depth, table=table, directions=GAMES, projected=projected)
             if joint.passed:
                 reports.update((game, VerifyReport(game, True, joint.nodes, depth)) for game in GAMES)
         if key in reports:
             continue
         if key in GAMES:
-            reports[key] = check(program, state, depth, table=table)
+            reports[key] = check(program, state, depth, table=table, projected=projected)
         else:
             graph = graph or _explore(program, state, depth)
             reports[key] = check(program, graph, depth)

@@ -342,3 +342,21 @@ def test_step_delays_past_long_runs_without_recursion():
     succ, state = cc_step(DefSet(), chor, EMPTY_STATE, RCom("c", 1, "d", "y"))
     assert state == EMPTY_STATE.put(("d", "y"), 1)
     assert succ == seq(*(_com("a", "b", value=0) for _ in range(n)), END)
+
+
+def test_cc_step_joins_exactly_where_cc_enabled_lists_the_join():
+    # The sound game reads a None from cc_step as a step the choreography
+    # cannot match, also for a join label of a procedure or process the
+    # Call or runtime term in front of it does not name.
+    program = file_transfer_program()
+    names = [*program.defs.support(), "Other"]
+    processes = sorted(ccc_pn(program.main, program.defs.names) | {"nobody"})
+    tried = 0
+    for seed in range(4):
+        for chor, state in _random_walk(program, EMPTY_STATE, 10, seed):
+            enabled = {label: (succ, succ_state)
+                       for label, succ, succ_state in cc_enabled(program.defs, chor, state)}
+            for label in (RCall(name, process) for name in names for process in processes):
+                assert cc_step(program.defs, chor, state, label) == enabled.get(label)
+                tried += label not in enabled
+    assert tried

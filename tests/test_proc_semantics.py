@@ -149,3 +149,26 @@ def test_moves_build_what_sp_enabled_lists():
         projected = epp(program)
         if not isinstance(projected, EppFailure):
             _bfs_moves(projected.defs, projected.network, EMPTY_STATE)
+
+
+def test_sp_step_takes_a_label_exactly_where_sp_enabled_lists_it():
+    # The completeness game reads a None from sp_step as a step the network
+    # cannot match; every label seen anywhere in a run is tried everywhere,
+    # so each kind is also tried where it is not enabled.
+    for path in sorted(PROGRAMS.glob("*.cc")):
+        projected = epp(parse_cc(path.read_text(encoding="utf-8")))
+        frontier, seen, labels = [(projected.network, EMPTY_STATE)], [], set()
+        for _ in range(8):
+            following = []
+            for net, state in frontier:
+                seen.append((net, state))
+                for label, succ, succ_state in sp_enabled(projected.defs, net, state):
+                    labels.add(label)
+                    following.append((succ, succ_state))
+            frontier = following
+        assert {type(label) for label in labels} >= {RCom, RSel, RCond} and labels
+        for net, state in seen:
+            enabled = {label: (succ, succ_state)
+                       for label, succ, succ_state in sp_enabled(projected.defs, net, state)}
+            for label in labels:
+                assert sp_step(projected.defs, net, state, label) == enabled.get(label)

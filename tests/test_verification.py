@@ -89,6 +89,41 @@ def test_games_require_strong_projectability():
         check_epp_sound(unmended_program(), EMPTY_STATE, 5)
 
 
+def test_games_start_from_the_projection_that_decided_strong_projectability(monkeypatch):
+    # At depth 0 the games only start, so every bproj call is the program's
+    # own projection: main once per process, and each procedure body once
+    # per process that uses it, however many games are played.
+    from collections import Counter
+    from pathlib import Path
+
+    from chorus import parse_cc_file, projection
+    from chorus.verification import check_property
+
+    calls = Counter()
+    bproj = projection.bproj
+    monkeypatch.setattr(projection, "bproj", lambda defs, chor, process: calls.update(
+        [(chor, process)]) or bproj(defs, chor, process))
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("programs/*.cc")) + sorted(root.glob("tests/golden/*.cc"))
+    projectable = 0
+    for path in paths:
+        program = parse_cc_file(path.read_text(encoding="utf-8")).program
+        defs = program.defs
+        expected = Counter([(program.main, process) for process in ccp_pn(program)]
+                           + [(defs.body(name), process) for name in defs.support()
+                              for process in defs.vars(name)])
+        for name in ("all", "complete", "sound"):
+            calls.clear()
+            try:
+                check_property(name, program, EMPTY_STATE, 0)
+            except NotStronglyProjectable:  # projection stopped at the first failure
+                assert calls <= expected, (path.name, name)
+            else:
+                assert calls == expected, (path.name, name)
+                projectable += 1
+    assert projectable >= 3 * 6  # both programs/ and four golden programs
+
+
 # --------------------------------------------------------------------------
 # Negative controls: corrupted projections must fail with replayable traces
 
@@ -145,7 +180,8 @@ def test_corrupted_defs_fail_soundness_at_call():
     program = file_transfer_program()
     good = epp(program)
     broken_defs = good.defs.with_def(("FileTransfer", "c"), B_END)
-    report = check_epp_sound(program, EMPTY_STATE, 6, initial_defs=broken_defs)
+    report = check_epp_sound(program, EMPTY_STATE, 6,
+                             projected=SPProgram(broken_defs, good.network))
     assert not report.passed
     # The game collapses right when c joins through its (corrupted) copy.
     assert report.counterexample["failing"]["rich"]["kind"] == "call"
@@ -316,6 +352,21 @@ def test_meta_check_failure_reports(monkeypatch, case):
     key = "termination" if name == "termination_unique" else name
     [report] = check_property(key, program, EMPTY_STATE, 4)
     assert report.to_json() == expected
+
+
+@pytest.mark.parametrize("case", sorted(META_FAILURES))
+def test_text_verify_prints_the_reason_under_a_failed_verdict(tmp_path, monkeypatch, capsys,
+                                                              case):
+    from chorus.cli import main
+
+    patch, name, _, nodes, counterexample = META_FAILURES[case]
+    cc = tmp_path / "fork.cc"
+    cc.write_text(print_cc(_fork_program()), encoding="utf-8")
+    patch(monkeypatch)
+    key = "termination" if name == "termination_unique" else name
+    assert main(["verify", str(cc), "--property", key, "--depth", "4", "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        f"{name}: fail ({nodes} configurations)\n  {counterexample['reason']}\n")
 
 
 # Projection-game failure paths, patched the same way.  Each game fails on
