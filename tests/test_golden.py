@@ -41,12 +41,16 @@ MERGE_FAILURES = ("branch_sources", "offer_annotations", "inner_guards", "called
 # One input per parse error: exit 2 and one located line.  ``string_found``
 # names a string token (the message shows its decoded text), and
 # ``eof_after_comment`` ends in a comment, where the end of input is located
-# at the comment's start.
+# at the comment's start.  The guards from ``compared_parenthesis`` on each
+# take the backtrack from a Boolean parenthesis to an expression, in
+# ``.cc`` and in ``.sp``.
 PARSE_ERRORS = GOLDEN / "parse_errors"
+BACKTRACKS = ("compared_parenthesis", "parenthesis_missing_operand", "compared_call_argument",
+              "negated_open", "unclosed_comparison")
 CC_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_twice",
-             "string_found", "eof_after_comment", "missing_operand")
+             "string_found", "eof_after_comment", "missing_operand", *BACKTRACKS)
 SP_ERRORS = ("trailing_input", "unquoted_annotation", "comparison", "procedure_copy_twice",
-             "process_twice", "offer_twice")
+             "process_twice", "offer_twice", *BACKTRACKS)
 # One ``--state`` file per loader error: exit 2 and one line.  ``short_pair``
 # holds a one-element array, ``negative`` a negative number, ``no_dot`` a key
 # with no process, and ``not_object`` an array where the object should be.
