@@ -31,7 +31,8 @@ Network files (``.sp``)::
 
 ``#`` starts a line comment.  Runtime terms are only produced by the
 semantics: printers render them as ``rt_call NAME [pids] { chor }`` for
-trace output, and the parser rejects that form.
+trace output, and the parser rejects that form.  The parser is recursive
+descent, run on one explicit stack (``_Parser``).
 """
 from __future__ import annotations
 
@@ -208,25 +209,52 @@ def _is_name(lexeme: str) -> bool:
 _CALLS = {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}
 
 
-def _turn(stack: list, error: ParseError) -> None:
-    """Turn the ``try`` frames on top of ``stack`` into ``bool`` ones; the
-    lowest keeps ``error``, where an expression in it failed."""
-    index = len(stack) - 1
-    while stack[index][0] == "try":
-        stack[index][0] = "bool"
-        index -= 1
-    stack[index + 1][2] = error
-
-
 class _Parser:
-    """Reads the lexemes front to back with explicit stacks: of the blocks
-    open around a statement (``_parse_chor``, ``_parse_behaviour``), and of
-    the parentheses, calls, negations and comparisons open in a formula."""
+    """Recursive descent over the lexemes.  The rules for phrases that nest
+    (``program``, ``spprogram``, ``chor``, ``behaviour``, ``expr``, ``bexpr``)
+    are generators: a rule yields the name of the rule it needs, and ``read``
+    runs that rule on its own stack and sends its result back, or throws its
+    error in, so no nesting depth reaches Python's recursion limit."""
 
     def __init__(self, text: str):
         self.text = text
         self.lexemes, self.tokens = _scan(text)
         self.pos = 0
+        self.spans: Dict[tuple, List[Tuple[int, int]]] = {}  # as ``SourceFile.spans``
+        self.scope: List[Tuple[int, int]] = []  # the list of ``spans`` that ``chor`` fills
+
+    def read(self, rule: str):
+        """What the rule named ``rule`` reads from ``pos``.  ``expr``'s
+        outcome (a tree or an error) and end are kept per first token, so a
+        Boolean parenthesis that fails is read as an expression once."""
+        stack, memo, outcome = [(getattr(self, rule)(), None)], {}, None
+        try:
+            while True:
+                top, start = stack[-1]
+                try:
+                    rule = (top.throw if isinstance(outcome, ParseError) else top.send)(outcome)
+                except StopIteration as stop:
+                    outcome = stop.value
+                except ParseError as error:
+                    outcome = error
+                else:
+                    start = self.pos if rule == "expr" else None
+                    if start in memo:
+                        outcome, self.pos = memo[start]
+                    else:
+                        stack.append((getattr(self, rule)(), start))
+                        outcome = None
+                    continue
+                stack.pop()
+                if start is not None:
+                    memo[start] = outcome, self.pos
+                if not stack:
+                    if isinstance(outcome, ParseError):
+                        raise outcome
+                    return outcome
+        finally:  # an error's traceback holds this frame, which must not hold the error
+            memo.clear()
+            outcome = None
 
     def error(self, message: str, expected=(), index: Optional[int] = None) -> ParseError:
         index = self.pos if index is None else index
@@ -273,104 +301,72 @@ class _Parser:
 
     # -- expressions --------------------------------------------------
 
-    def formula(self, guard: bool = False) -> Union[Expr, BExpr]:
-        """An expression, or with ``guard`` a Boolean expression, read with
-        one stack of frames [kind, operand so far, extra]: the bottom, ``(``,
-        a call, ``!``, ``cmp`` (extra: operator and left side), ``try`` and
-        ``bool``.  A ``(`` where a Boolean term may start is read once, as
-        ``try``: it closes as an expression if one fills it, and turns
-        ``bool``, with the ``try`` frames below it, at the first token an
-        expression cannot take there (``!``, ``true``, ``false`` first, ``==``
-        or ``<=`` after an expression).  So the trees and errors are those of
-        reading a Boolean parenthesis first and an expression where that
-        fails: an error inside a ``bool`` frame is the one an expression met
-        where the lowest turned, which that frame keeps."""
-        text = self.lexemes[self.pos]
-        if not guard and text and self.lexemes[self.pos + 1] != "+" and text != "(" \
-                and text not in _CALLS:  # a name or a number alone needs no stack
-            return self.operand(text)
-        stack = [["bool" if guard else "expr", None, None]]
-        term = guard  # at a Boolean term's place
-        try:
-            while True:
-                text = self.lexemes[self.pos]
-                boolean = term and text in ("!", "true", "false")
-                if boolean:
-                    if stack[-1][0] == "try":
-                        _turn(stack, self.error(
-                            f"found {_shown(text)!r} where an expression was needed", ("expression",)))
-                    self.pos += 1
-                    if text == "!":
-                        stack.append(["!", None, None])
-                        continue
-                    value = BLit(text == "true")
-                elif term and text == "(":
-                    self.pos += 1
-                    stack.append(["try", None, None])
-                    continue
-                else:
-                    if term and stack[-1][0] != "try":
-                        stack.append(["cmp", None, None])
-                    term = False
-                    if text == "(" or text in _CALLS:
-                        self.pos += 1
-                        if text != "(":
-                            self.expect("(")
-                        stack.append([text, None, None])
-                        continue
-                    value = self.operand(text)
-                while True:  # close the frames that ``value`` ends
-                    top = stack[-1]
-                    kind = top[0]
-                    if boolean:
-                        if kind == "!":
-                            stack.pop()
-                            value = Not(value)
-                            continue
-                        top[1] = value if top[1] is None else And(top[1], value)
-                        if self.accept("&&"):
-                            term = True
-                            break
-                        if len(stack) == 1:
-                            return top[1]
-                        self.expect(")")
-                        stack.pop()
-                        value = top[1]
-                        continue
-                    top[1] = value if top[1] is None else Plus(top[1], value)
-                    if self.accept("+"):
-                        break
-                    value, after = top[1], self.lexemes[self.pos]
-                    if kind == "expr":
-                        return value
-                    if kind == "try" and after in ("==", "<="):
-                        _turn(stack, self.error(f"found {_shown(after)!r}", (")",)))
-                        top[1], top, kind = None, ["cmp", None, None], "cmp"
-                        stack.append(top)
-                    if kind in ("cmp", "pair") and top[2] is None:
-                        if kind == "pair":
-                            self.expect(",")
-                        elif after in ("==", "<="):
-                            self.pos += 1
-                            value = (Eq if after == "==" else Leq, value)
-                        else:
-                            raise self.error("comparison needs '==' or '<='", ("==", "<="))
-                        top[1], top[2] = None, value
-                        break
-                    stack.pop()
-                    if kind == "cmp":
-                        value, boolean = top[2][0](top[2][1], value), True
-                        continue
+    def flat(self) -> Optional[Expr]:
+        """The sum of names and numbers at ``pos``, read, if that is the
+        whole expression there; else None, and ``pos`` is kept."""
+        start, out = self.pos, None
+        while self.lexemes[self.pos] != "(" and self.lexemes[self.pos] not in _CALLS:
+            value = self.operand(self.lexemes[self.pos])
+            out = value if out is None else Plus(out, value)
+            if not self.accept("+"):
+                return out
+        self.pos = start
+        return None
+
+    def expr(self):
+        out = None
+        while True:
+            text = self.lexemes[self.pos]
+            if text == "(" or text in _CALLS:
+                self.pos += 1
+                if text != "(":
+                    self.expect("(")
+                value = self.flat() or (yield "expr")
+                if text == "pair":
+                    self.expect(",")
+                    value = Pair(value, self.flat() or (yield "expr"))
+                elif text != "(":
+                    value = _CALLS[text](value)
+                self.expect(")")
+            else:
+                value = self.operand(text)
+            out = value if out is None else Plus(out, value)
+            if not self.accept("+"):
+                return out
+
+    def bexpr(self):
+        """Each term is read in the loop: its run of ``!``, then ``true``,
+        ``false``, a Boolean parenthesis or, where that fails, a comparison."""
+        out = None
+        while True:
+            negations = 0
+            while self.accept("!"):
+                negations += 1
+            start = self.pos
+            text = self.lexemes[start]
+            term = None
+            if text == "true" or text == "false":
+                self.pos += 1
+                term = BLit(text == "true")
+            elif text == "(":
+                self.pos += 1
+                try:
+                    term = yield "bexpr"
                     self.expect(")")
-                    if kind == "try" and stack[-1][0] != "try":
-                        stack.append(["cmp", None, None])
-                    elif kind == "pair":
-                        value = Pair(top[2], value)
-                    elif kind in _CALLS:
-                        value = _CALLS[kind](value)
-        except ParseError as error:
-            turned = [frame[2] for frame in stack if frame[0] == "bool" and frame[2]]
-            raise (turned[0] if turned else error) from None
+                except ParseError:
+                    term, self.pos = None, start
+            if term is None:
+                left = self.flat() or (yield "expr")
+                operator = self.lexemes[self.pos]
+                if operator != "==" and operator != "<=":
+                    raise self.error("comparison needs '==' or '<='", ("==", "<="))
+                self.pos += 1
+                term = (Eq if operator == "==" else Leq)(left, self.flat() or (yield "expr"))
+            for _ in range(negations):
+                term = Not(term)
+            out = term if out is None else And(out, term)
+            if not self.accept("&&"):
+                return out
 
     def operand(self, text: str) -> Expr:
         if _is_name(text):
@@ -393,6 +389,148 @@ class _Parser:
                              ("left", "right"))
         self.pos += 1
         return SelLabel(self.lexemes[self.pos - 1])
+
+    def program(self):
+        defs = {}
+        while self.accept("def"):
+            name = self.name("procedure name")
+            if name in defs:
+                raise self.error(f"procedure {name} defined twice", index=self.pos - 1)
+            self.expect("(")
+            procs = [self.name("process name")]
+            while self.accept(","):
+                procs.append(self.name("process name"))
+            self.expect(")", "{")
+            self.scope = self.spans.setdefault(("proc", name), [])
+            defs[name] = (tuple(procs), (yield "chor"))
+            self.expect("}")
+        self.expect("main", "{")
+        self.scope = self.spans.setdefault(("main",), [])
+        main = yield "chor"
+        self.expect("}")
+        self.eof()
+        return CCProgram(DefSet(defs), main)
+
+    def spprogram(self):
+        defs = {}
+        while self.peek() == "def":
+            start = self.expect("def")
+            name = self.name("procedure name")
+            self.expect("@")
+            proc = self.name("process name")
+            if (name, proc) in defs:
+                raise self.error(f"procedure copy {name}@{proc} defined twice", index=start)
+            self.expect("{")
+            defs[(name, proc)] = yield "behaviour"
+            self.expect("}")
+        procs = {}
+        while True:
+            start = self.pos
+            proc = self.name("process name")
+            self.expect("[")
+            behaviour = yield "behaviour"
+            self.expect("]")
+            if proc in procs:
+                raise self.error(f"process {proc} given two behaviours", index=start)
+            procs[proc] = behaviour
+            if not self.accept("|"):
+                break
+        self.eof()
+        return SPProgram(DefSetB(defs), Network(procs))
+
+    def chor(self):
+        """A run of interactions is read in a loop.  Each statement's span,
+        from its first token ``start`` to its last, goes to ``scope`` in
+        pre-order, a conditional's ahead of its branches'."""
+        spans, prefix = self.scope, []
+        while self.lexemes[self.pos] not in ("end", "call", "if"):
+            start = self.pos
+            sender = self.name("process name")
+            if self.accept("->"):
+                receiver = self.name("process name")
+                self.expect("[")
+                eta = SelEta(sender, receiver, self.label())
+                self.expect("]")
+            else:
+                self.expect(".")
+                expr = self.flat() or (yield "expr")
+                self.expect("->")
+                receiver = self.name("process name")
+                self.expect(".")
+                eta = ComEta(sender, expr, receiver, self.name("variable name"))
+            prefix.append((eta, self.annot()))
+            spans.append((start, self.expect(";")))
+        start = self.pos
+        first = self.lexemes[start]
+        self.pos += 1
+        spans.append((start, self.pos if first == "call" else start))  # "if": set again below
+        if first == "end":
+            chor: Choreography = End()
+        elif first == "call":
+            chor = Call(self.name("procedure name"))
+        else:
+            at = len(spans) - 1
+            proc = self.name("process name")
+            self.expect(".")
+            guard = yield "bexpr"
+            self.expect("then", "{")
+            then_branch = yield "chor"
+            self.expect("}", "else", "{")
+            chor = Cond(proc, guard, then_branch, (yield "chor"))
+            spans[at] = (start, self.expect("}"))
+        for eta, ann in reversed(prefix):
+            chor = Interaction(eta, ann, chor)
+        return chor
+
+    def behaviour(self):
+        """A run of prefixes is read in a loop."""
+        prefixes = []
+        while True:
+            first = self.peek()
+            if first in ("end", "call", "if"):
+                self.pos += 1
+                break
+            peer = self.name("process name")
+            if self.accept("!"):
+                kind, arg = Send, self.flat() or (yield "expr")
+            elif self.accept("?"):
+                kind, arg = Recv, self.name("variable name")
+            elif self.accept("(+)"):
+                kind, arg = Choose, self.label()
+            else:
+                break
+            prefixes.append((kind, peer, arg, self.annot()))
+            self.expect(";")
+        if first == "end":
+            behaviour: Behaviour = BEnd()
+        elif first == "call":
+            name = self.name("procedure name")
+            self.expect("@")
+            behaviour = BCall((name, self.name("process name")))
+        elif first == "if":
+            guard = yield "bexpr"
+            self.expect("then", "{")
+            then_branch = yield "behaviour"
+            self.expect("}", "else", "{")
+            behaviour = BCond(guard, then_branch, (yield "behaviour"))
+            self.expect("}")
+        else:  # an offer
+            self.expect("&", "{")
+            offers = {}
+            while self.peek() != "}" or offers:  # after a "|", a "}" is no label
+                label = self.label()
+                if label in offers:
+                    raise self.error(f"offer {label.value} given twice", index=self.pos - 1)
+                ann = self.annot()
+                self.expect(":")
+                offers[label] = (ann, (yield "behaviour"))
+                if not self.accept("|"):
+                    break
+            self.expect("}")
+            behaviour = Branch(peer, offers.get(SelLabel.LEFT), offers.get(SelLabel.RIGHT))
+        for kind, peer, arg, ann in reversed(prefixes):
+            behaviour = kind(peer, arg, ann, behaviour)
+        return behaviour
 
 
 # --------------------------------------------------------------------------
@@ -421,90 +559,11 @@ class SourceFile:
 
 def parse_cc_file(text: str) -> SourceFile:
     parser = _Parser(text)
-    spans: Dict[tuple, List[Tuple[int, int]]] = {}
-    defs = {}
-    while parser.accept("def"):
-        at = parser.pos
-        name = parser.name("procedure name")
-        if name in defs:
-            raise parser.error(f"procedure {name} defined twice", index=at)
-        parser.expect("(")
-        procs = [parser.name("process name")]
-        while parser.accept(","):
-            procs.append(parser.name("process name"))
-        parser.expect(")", "{")
-        body = _parse_chor(parser, spans.setdefault(("proc", name), []))
-        parser.expect("}")
-        defs[name] = (tuple(procs), body)
-    parser.expect("main", "{")
-    main = _parse_chor(parser, spans.setdefault(("main",), []))
-    parser.expect("}")
-    parser.eof()
-    return SourceFile(text, CCProgram(DefSet(defs), main), spans, parser.tokens)
+    return SourceFile(text, parser.read("program"), parser.spans, parser.tokens)
 
 
 def parse_cc(text: str) -> CCProgram:
     return parse_cc_file(text).program
-
-
-def _parse_chor(parser: _Parser, spans: List[Tuple[int, int]]) -> Choreography:
-    """Read statements in a loop, with a stack of the conditionals open
-    around them: [span index, first token, process, guard, interactions
-    before, then branch once read].  A statement's span runs from its first
-    token, ``start``, to its last; a conditional keeps its place in
-    ``spans`` ahead of its branches'."""
-    conds, prefix = [], []
-    while True:
-        start = last = parser.pos
-        first = parser.lexemes[start]
-        if first in ("end", "call", "if"):
-            parser.pos += 1
-        if first == "if":
-            spans.append(None)
-            proc = parser.name("process name")
-            parser.expect(".")
-            guard = parser.formula(True)
-            parser.expect("then", "{")
-            conds.append([len(spans) - 1, start, proc, guard, prefix, None])
-            prefix = []
-            continue
-        if first == "end":
-            chor: Choreography = End()
-        elif first == "call":
-            last = parser.pos
-            chor = Call(parser.name("procedure name"))
-        else:
-            sender = parser.name("process name")
-            if parser.accept("->"):
-                receiver = parser.name("process name")
-                parser.expect("[")
-                label = parser.label()
-                parser.expect("]")
-                eta = SelEta(sender, receiver, label)
-            else:
-                parser.expect(".")
-                expr = parser.formula()
-                parser.expect("->")
-                receiver = parser.name("process name")
-                parser.expect(".")
-                eta = ComEta(sender, expr, receiver, parser.name("variable name"))
-            prefix.append((eta, parser.annot()))
-            spans.append((start, parser.expect(";")))
-            continue
-        spans.append((start, last))
-        while True:  # the branch ends here; so do the conditionals it closes
-            for eta, ann in reversed(prefix):
-                chor = Interaction(eta, ann, chor)
-            if not conds:
-                return chor
-            if conds[-1][5] is None:
-                conds[-1][5] = chor
-                parser.expect("}", "else", "{")
-                prefix = []
-                break
-            at, start, proc, guard, prefix, then_branch = conds.pop()
-            spans[at] = (start, parser.expect("}"))
-            chor = Cond(proc, guard, then_branch, chor)
 
 
 # --------------------------------------------------------------------------
@@ -517,120 +576,11 @@ class SPSourceFile:
 
 
 def parse_sp_file(text: str) -> SPSourceFile:
-    parser = _Parser(text)
-    defs = {}
-    while parser.peek() == "def":
-        start = parser.expect("def")
-        name = parser.name("procedure name")
-        parser.expect("@")
-        proc = parser.name("process name")
-        if (name, proc) in defs:
-            raise parser.error(f"procedure copy {name}@{proc} defined twice", index=start)
-        parser.expect("{")
-        body = _parse_behaviour(parser)
-        parser.expect("}")
-        defs[(name, proc)] = body
-    procs = {}
-    while True:
-        start = parser.pos
-        proc = parser.name("process name")
-        parser.expect("[")
-        behaviour = _parse_behaviour(parser)
-        parser.expect("]")
-        if proc in procs:
-            raise parser.error(f"process {proc} given two behaviours", index=start)
-        procs[proc] = behaviour
-        if not parser.accept("|"):
-            break
-    parser.eof()
-    return SPSourceFile(text, SPProgram(DefSetB(defs), Network(procs)))
+    return SPSourceFile(text, _Parser(text).read("spprogram"))
 
 
 def parse_sp(text: str) -> SPProgram:
     return parse_sp_file(text).program
-
-
-def _parse_behaviour(parser: _Parser) -> Behaviour:
-    """Read prefixes in a loop, with a stack of the blocks open around them:
-    [prefixes before, BCond, guard, then branch once read] for a conditional,
-    [prefixes before, Branch, peer, offers read, label, annotation] for an
-    offer."""
-    blocks, prefixes = [], []
-    while True:
-        first = parser.peek()
-        if first in ("end", "call", "if"):
-            parser.pos += 1
-        if first == "if":
-            blocks.append([prefixes, BCond, parser.formula(True), None])
-            parser.expect("then", "{")
-            prefixes = []
-            continue
-        if first == "end":
-            behaviour: Behaviour = BEnd()
-        elif first == "call":
-            name = parser.name("procedure name")
-            parser.expect("@")
-            behaviour = BCall((name, parser.name("process name")))
-        else:
-            peer = parser.name("process name")
-            if parser.accept("!"):
-                kind, arg = Send, parser.formula()
-            elif parser.accept("?"):
-                kind, arg = Recv, parser.name("variable name")
-            elif parser.accept("(+)"):
-                kind, arg = Choose, parser.label()
-            else:
-                parser.expect("&", "{")
-                if parser.peek() != "}":
-                    blocks.append([prefixes, Branch, peer, {}, *_slot(parser, {})])
-                    prefixes = []
-                    continue
-                parser.expect("}")
-                kind = Branch
-            if kind is not Branch:
-                prefixes.append((kind, peer, arg, parser.annot()))
-                parser.expect(";")
-                continue
-            behaviour = Branch(peer, None, None)
-        while True:  # the behaviour ends here; so do the blocks it closes
-            for kind, peer, arg, ann in reversed(prefixes):
-                behaviour = kind(peer, arg, ann, behaviour)
-            if not blocks:
-                return behaviour
-            block = blocks[-1]
-            if block[1] is BCond and block[3] is None:
-                block[3] = behaviour
-                parser.expect("}", "else", "{")
-            elif block[1] is Branch:
-                offers, label = block[3], block[4]
-                offers[label] = (block[5], behaviour)
-                if parser.accept("|"):
-                    block[4:] = _slot(parser, offers)
-                else:
-                    parser.expect("}")
-                    blocks.pop()
-                    prefixes = block[0]
-                    behaviour = Branch(block[2], offers.get(SelLabel.LEFT), offers.get(SelLabel.RIGHT))
-                    continue
-            else:
-                parser.expect("}")
-                blocks.pop()
-                prefixes = block[0]
-                behaviour = BCond(block[2], block[3], behaviour)
-                continue
-            prefixes = []
-            break
-
-
-def _slot(parser: _Parser, offers: dict) -> Tuple[SelLabel, str]:
-    """An offer's label and annotation, up to its ``:``."""
-    at = parser.pos
-    label = parser.label()
-    if label in offers:
-        raise parser.error(f"offer {label.value} given twice", index=at)
-    ann = parser.annot()
-    parser.expect(":")
-    return label, ann
 
 
 # --------------------------------------------------------------------------

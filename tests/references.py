@@ -8,13 +8,13 @@ from __future__ import annotations
 import json
 
 from chorus import (
-    B_END, BCall, BCond, BEnd, BLit, Branch, Call, Choose, ComEta, Cond, End, Eq, Fst,
+    And, B_END, BCall, BCond, BEnd, BLit, Branch, Call, Choose, ComEta, Cond, End, Eq, Fst,
     Interaction, Leq, Lit, Not, Pair, Plus, RCall, RCom, RCond, RSel, Recv, RTCall, SelEta,
-    SelLabel, Send, Succ, Var,
+    SelLabel, Send, Snd, Succ, Var,
 )
 from chorus.labels import label_processes
 from chorus.projection import _DIFFER, Diagnostic, ProjectionResult
-from chorus.surface import print_bexpr, print_expr
+from chorus.surface import ParseError, Span, print_bexpr, print_expr, tokenize
 from chorus.values import leftmost_nat
 
 
@@ -240,3 +240,99 @@ def print_behaviour_reference(behaviour) -> str:
              for label, slot in ((SelLabel.LEFT, behaviour.left), (SelLabel.RIGHT, behaviour.right))
              if slot is not None]
     return f"{behaviour.peer} & {{{' | '.join(slots)}}}"
+
+
+_KEYWORDS = {"def", "main", "if", "then", "else", "call", "end", "left", "right",
+             "true", "false", "succ", "fst", "snd", "pair", "rt_call"}
+_CALLS = {"succ": Succ, "fst": Fst, "snd": Snd, "pair": Pair}
+
+
+class FormulaReader:
+    """The recursive reader of expressions and Boolean expressions over
+    ``tokenize``'s tokens, one method per nonterminal.  ``bterm_atom`` tries
+    a parenthesised Boolean expression first and reads a comparison where
+    that fails, so a parenthesis may be read many times."""
+
+    def __init__(self, text):
+        self.tokens = tokenize(text)
+        self.pos = 0
+
+    def _fail(self, message, expected=()):
+        token = self.tokens[self.pos]
+        raise ParseError(message, Span(token[2], token[3], token[2], token[4]), expected)
+
+    def _accept(self, text):
+        token = self.tokens[self.pos]
+        if token[1] == text and token[0] in ("sym", "ident"):
+            self.pos += 1
+            return True
+        return False
+
+    def _expect(self, text):
+        if not self._accept(text):
+            kind, found = self.tokens[self.pos][:2]
+            self._fail(f"found {found!r}" if kind != "eof" else "unexpected end of input", (text,))
+
+    def expr(self):
+        out = self.expr_atom()
+        while self._accept("+"):
+            out = Plus(out, self.expr_atom())
+        return out
+
+    def expr_atom(self):
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "ident" and text not in _KEYWORDS:
+            self.pos += 1
+            return Var(text)
+        if kind == "nat":
+            try:
+                value = int(text)
+            except ValueError as err:
+                self._fail(str(err) if text.isdecimal() else f"{text!r} is not a decimal number")
+            self.pos += 1
+            return Lit(value)
+        if self._accept("("):
+            inner = self.expr()
+            self._expect(")")
+            return inner
+        if kind == "ident" and text in _CALLS:
+            self.pos += 1
+            self._expect("(")
+            args = [self.expr()]
+            if text == "pair":
+                self._expect(",")
+                args.append(self.expr())
+            self._expect(")")
+            return _CALLS[text](*args)
+        self._fail(f"found {text!r} where an expression was needed", ("expression",))
+
+    def bexpr(self):
+        out = self.bterm()
+        while self._accept("&&"):
+            out = And(out, self.bterm())
+        return out
+
+    def bterm(self):
+        if self._accept("!"):
+            return Not(self.bterm())
+        return self.bterm_atom()
+
+    def bterm_atom(self):
+        if self._accept("true"):
+            return BLit(True)
+        if self._accept("false"):
+            return BLit(False)
+        saved = self.pos
+        if self._accept("("):
+            try:
+                inner = self.bexpr()
+                self._expect(")")
+                return inner
+            except ParseError:
+                self.pos = saved
+        left = self.expr()
+        if self._accept("=="):
+            return Eq(left, self.expr())
+        if self._accept("<="):
+            return Leq(left, self.expr())
+        self._fail("comparison needs '==' or '<='", ("==", "<="))

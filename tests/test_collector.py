@@ -27,13 +27,9 @@ def _commands(cc: str, sp: str) -> list:
             ["verify", cc, "--property", "all"]]
 
 
-def test_no_command_leaves_cyclic_garbage(tmp_path, monkeypatch):
-    inputs = [str(path) for pattern in ("programs/*.cc", "tests/golden/*.cc")
-              for path in sorted(ROOT.glob(pattern))]
-    for seed in range(60):
-        path = tmp_path / f"gen{seed}.cc"
-        path.write_text(print_cc(gen_program(seed)), encoding="utf-8")
-        inputs.append(str(path))
+def _assert_no_cycles(argvs, monkeypatch) -> None:
+    """Run each command line under ``gc.DEBUG_SAVEALL`` and fail on the
+    first that leaves cyclic garbage."""
     # Exempt: argparse makes a cyclic help formatter per argument as it
     # builds the parser, once per process and before any command runs.
     chorus.cli._build_parser()
@@ -41,19 +37,42 @@ def test_no_command_leaves_cyclic_garbage(tmp_path, monkeypatch):
     gc.freeze()  # what earlier tests left is not scanned again after each command
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for index, cc in enumerate(inputs):
-            for argv in _commands(cc, str(tmp_path / f"{index}.sp")):
-                monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\nq\n"))  # read by step
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    main(argv)
-                gc.collect()
-                kinds = sorted({type(garbage).__qualname__ for garbage in gc.garbage})
-                assert not kinds, f"chorus {' '.join(argv)} left cycles of {kinds}"
+        for argv in argvs:
+            monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\nq\n"))  # read by step
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            gc.collect()
+            kinds = sorted({type(garbage).__qualname__ for garbage in gc.garbage})
+            assert not kinds, f"chorus {' '.join(argv)} left cycles of {kinds}"
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.unfreeze()
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, monkeypatch):
+    inputs = [str(path) for pattern in ("programs/*.cc", "tests/golden/*.cc")
+              for path in sorted(ROOT.glob(pattern))]
+    for seed in range(60):
+        path = tmp_path / f"gen{seed}.cc"
+        path.write_text(print_cc(gen_program(seed)), encoding="utf-8")
+        inputs.append(str(path))
+    _assert_no_cycles((argv for index, cc in enumerate(inputs)
+                       for argv in _commands(cc, str(tmp_path / f"{index}.sp"))), monkeypatch)
+
+
+def test_no_parse_leaves_cyclic_garbage(tmp_path, monkeypatch):
+    """Parse errors, and a guard that parses after backtracking from a
+    Boolean parenthesis to an expression, twice."""
+    guard = "((x) == 1 && ((y + 1)) <= 2)"
+    cc, sp = tmp_path / "guard.cc", tmp_path / "guard.sp"
+    cc.write_text(f"main {{ if p.{guard} then {{ end }} else {{ end }} }}\n", encoding="utf-8")
+    sp.write_text(f"p[if {guard} then {{ end }} else {{ end }}]\n", encoding="utf-8")
+    argvs = [["check", str(cc)], ["simulate", str(sp)]]
+    for path in sorted((ROOT / "tests" / "golden" / "parse_errors").iterdir()):
+        argvs.append(["check" if path.suffix == ".cc" else "simulate", str(path)])
+    _assert_no_cycles(argvs, monkeypatch)
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chorus import (
     And, B_END, BCall, BCond, BLit, Branch, Call, ComEta, Cond, DefSet, END, Eq,
@@ -10,9 +11,10 @@ from chorus import (
     Var, gen_program, parse_cc, parse_sp, print_cc, print_chor,
     print_network, print_sp, program_wf,
 )
-from chorus.surface import parse_cc_file, print_behaviour, tokenize
+from chorus.surface import _Parser, parse_cc_file, print_behaviour, tokenize
 
 from helpers import auth_program, file_transfer_program, unmended_program
+from references import FormulaReader
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -317,6 +319,53 @@ def test_parenthesised_guards_read_each_parenthesis_once():
     guard = "(" * depth + "x == 1" + ")" * depth + " && !(true)"
     assert parse_sp(f"p[if {guard} then {{ end }} else {{ end }}]").network.get("p") == BCond(
         And(Eq(Var("x"), Lit(1)), Not(BLit(True))), B_END, B_END)
+
+
+# The tokens of formulas, and two that end one.
+FORMULA_ALPHABET = ("x", "y", "0", "7", "succ", "fst", "snd", "pair", "true", "false",
+                    "(", ")", ",", "+", "==", "<=", "&&", "!", "then", ";")
+# Formulas from the grammar, token by token, to which ``_edited`` then makes
+# up to three edits: most random token strings fail at once.
+_EXPRS = st.recursive(st.sampled_from(("x", "y", "0", "7")), lambda inner: st.one_of(
+    st.tuples(inner, inner).map(lambda pair: f"{pair[0]} + {pair[1]}"),
+    inner.map(lambda arg: f"( {arg} )"),
+    st.tuples(st.sampled_from(("succ", "fst", "snd")), inner).map(lambda call: "{} ( {} )".format(*call)),
+    st.tuples(inner, inner).map(lambda pair: "pair ( {} , {} )".format(*pair))), max_leaves=6)
+_BEXPRS = st.recursive(st.one_of(
+    st.sampled_from(("true", "false")),
+    st.tuples(_EXPRS, st.sampled_from(("==", "<=")), _EXPRS).map(" ".join)), lambda inner: st.one_of(
+    inner.map(lambda term: f"! {term}"), inner.map(lambda term: f"( {term} )"),
+    st.tuples(inner, inner).map(lambda pair: f"{pair[0]} && {pair[1]}")), max_leaves=4)
+
+
+@st.composite
+def _edited(draw):
+    tokens = draw(st.one_of(_EXPRS, _BEXPRS)).split()
+    for _ in range(draw(st.integers(0, 3))):
+        at, token = draw(st.integers(0, len(tokens))), draw(st.sampled_from(FORMULA_ALPHABET))
+        if draw(st.booleans()) and at < len(tokens):
+            del tokens[at]
+        else:
+            tokens.insert(at, token)
+    return " ".join(tokens)
+
+
+def _formula_outcome(read):
+    try:
+        return read()
+    except ParseError as err:
+        return ("error", err.message, err.span, err.expected)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.sampled_from(FORMULA_ALPHABET), max_size=16).map(" ".join), _edited()))
+def test_formulas_read_as_the_recursive_reader_reads_them(text):
+    """The same tree and end, or the same error, as reading each
+    nonterminal by a Python call."""
+    for rule in ("expr", "bexpr"):
+        parser, reader = _Parser(text), FormulaReader(text)
+        assert _formula_outcome(lambda: (parser.read(rule), parser.pos)) == \
+            _formula_outcome(lambda: (getattr(reader, rule)(), reader.pos)), (rule, text)
 
 
 def test_backtracking_guards_locate_tokens_at_most_once(monkeypatch):
