@@ -219,7 +219,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.lexemes, self.tokens = _scan(text)
-        self.pos = 0
+        self.pos = 0  # nothing consumes the end of input, so ``pos`` never passes it
         self.spans: Dict[tuple, List[Tuple[int, int]]] = {}  # as ``SourceFile.spans``
         self.scope: List[Tuple[int, int]] = []  # the list of ``spans`` that ``chor`` fills
 
@@ -227,29 +227,29 @@ class _Parser:
         """What the rule named ``rule`` reads from ``pos``.  ``expr``'s
         outcome (a tree or an error) and end are kept per first token, so a
         Boolean parenthesis that fails is read as an expression once."""
-        stack, memo, outcome = [(getattr(self, rule)(), None)], {}, None
+        stack, memo, outcome, failed = [(getattr(self, rule)(), None)], {}, None, False
         try:
             while True:
                 top, start = stack[-1]
                 try:
-                    rule = (top.throw if isinstance(outcome, ParseError) else top.send)(outcome)
+                    rule = top.throw(outcome) if failed else top.send(outcome)
                 except StopIteration as stop:
-                    outcome = stop.value
+                    outcome, failed = stop.value, False
                 except ParseError as error:
-                    outcome = error
+                    outcome, failed = error, True
                 else:
                     start = self.pos if rule == "expr" else None
                     if start in memo:
-                        outcome, self.pos = memo[start]
+                        outcome, failed, self.pos = memo[start]
                     else:
                         stack.append((getattr(self, rule)(), start))
-                        outcome = None
+                        outcome, failed = None, False
                     continue
                 stack.pop()
                 if start is not None:
-                    memo[start] = outcome, self.pos
+                    memo[start] = outcome, failed, self.pos
                 if not stack:
-                    if isinstance(outcome, ParseError):
+                    if failed:
                         raise outcome
                     return outcome
         finally:  # an error's traceback holds this frame, which must not hold the error
@@ -259,10 +259,6 @@ class _Parser:
     def error(self, message: str, expected=(), index: Optional[int] = None) -> ParseError:
         index = self.pos if index is None else index
         return ParseError(message, lambda: _locate(self, index, index), expected)
-
-    def peek(self) -> str:
-        # Nothing consumes the end of input, so ``pos`` never passes it.
-        return self.lexemes[self.pos]
 
     def accept(self, text: str) -> bool:
         if self.lexemes[self.pos] == text:
@@ -288,13 +284,14 @@ class _Parser:
         return lexeme
 
     def eof(self) -> None:
-        if self.peek():
-            raise self.error(f"trailing input starting at {_shown(self.peek())!r}", ("end of file",))
+        found = self.lexemes[self.pos]
+        if found:
+            raise self.error(f"trailing input starting at {_shown(found)!r}", ("end of file",))
 
     def annot(self) -> str:
         if not self.accept("@"):
             return ""
-        if self.peek()[:1] != '"':
+        if self.lexemes[self.pos][:1] != '"':
             raise self.error("annotations are quoted strings", ("string",))
         self.pos += 1
         return json.loads(self.lexemes[self.pos - 1])
@@ -308,8 +305,9 @@ class _Parser:
         while self.lexemes[self.pos] != "(" and self.lexemes[self.pos] not in _CALLS:
             value = self.operand(self.lexemes[self.pos])
             out = value if out is None else Plus(out, value)
-            if not self.accept("+"):
+            if self.lexemes[self.pos] != "+":
                 return out
+            self.pos += 1
         self.pos = start
         return None
 
@@ -384,11 +382,11 @@ class _Parser:
                          ("expression",))
 
     def label(self) -> SelLabel:
-        if self.peek() not in ("left", "right"):
-            raise self.error(f"found {_shown(self.peek())!r} where a label was needed",
-                             ("left", "right"))
+        found = self.lexemes[self.pos]
+        if found not in ("left", "right"):
+            raise self.error(f"found {_shown(found)!r} where a label was needed", ("left", "right"))
         self.pos += 1
-        return SelLabel(self.lexemes[self.pos - 1])
+        return SelLabel(found)
 
     def program(self):
         defs = {}
@@ -413,7 +411,7 @@ class _Parser:
 
     def spprogram(self):
         defs = {}
-        while self.peek() == "def":
+        while self.lexemes[self.pos] == "def":
             start = self.expect("def")
             name = self.name("procedure name")
             self.expect("@")
@@ -486,7 +484,7 @@ class _Parser:
         """A run of prefixes is read in a loop."""
         prefixes = []
         while True:
-            first = self.peek()
+            first = self.lexemes[self.pos]
             if first in ("end", "call", "if"):
                 self.pos += 1
                 break
@@ -517,7 +515,7 @@ class _Parser:
         else:  # an offer
             self.expect("&", "{")
             offers = {}
-            while self.peek() != "}" or offers:  # after a "|", a "}" is no label
+            while self.lexemes[self.pos] != "}" or offers:  # after a "|", a "}" is no label
                 label = self.label()
                 if label in offers:
                     raise self.error(f"offer {label.value} given twice", index=self.pos - 1)
